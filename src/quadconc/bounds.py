@@ -17,6 +17,7 @@ Birge & Massart (1998).  This module evaluates the thresholds, inverts them
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +32,24 @@ def _check_direction(direction):
         raise ValidationError("direction must be 'upper' or 'lower', got %r" % (direction,))
 
 
+def _check_real(value, name, allow_zero=False):
+    """`value` as a float if it is a finite real > 0 (>= 0 with allow_zero).
+
+    Python and numpy real scalars pass; bool and np.bool_ do not count as reals.
+    """
+    if not (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, (bool, np.bool_))
+        and math.isfinite(value)
+        and (value >= 0 if allow_zero else value > 0)
+    ):
+        kind = "nonnegative" if allow_zero else "positive"
+        raise ValidationError("%s must be a %s finite real, got %r" % (name, kind, value))
+    return float(value)
+
+
 def _check_exponent(x):
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
-        raise ValidationError("exponent x must be a positive finite real, got %r" % (x,))
+    return _check_real(x, "exponent x")
 
 
 @dataclass(frozen=True)
@@ -119,10 +135,10 @@ def form_stats(form: DiagonalForm) -> FormStats:
 
 def upper_threshold(stats: FormStats, x: float) -> TailBound:
     """Threshold t with P(T >= t) <= exp(-x)."""
-    _check_exponent(x)
+    x = _check_exponent(x)
     gauss = 2.0 * math.sqrt(stats.u_sq) * math.sqrt(x)
     linear = 2.0 * stats.a_plus * x
-    return TailBound("upper", float(x), stats.mean + gauss + linear)
+    return TailBound("upper", x, stats.mean + gauss + linear)
 
 
 def lower_threshold(stats: FormStats, x: float) -> TailBound:
@@ -131,10 +147,10 @@ def lower_threshold(stats: FormStats, x: float) -> TailBound:
     Mirror of upper_threshold under (a, b) -> (-a, -b); the expressions are
     kept in the exact mirrored order so the duality holds bitwise.
     """
-    _check_exponent(x)
+    x = _check_exponent(x)
     gauss = 2.0 * math.sqrt(stats.u_sq) * math.sqrt(x)
     linear = 2.0 * stats.a_minus * x
-    return TailBound("lower", float(x), stats.mean - gauss - linear)
+    return TailBound("lower", x, stats.mean - gauss - linear)
 
 
 def tail_exponent(stats: FormStats, deviation: float, direction: str) -> TailBound:
@@ -144,8 +160,7 @@ def tail_exponent(stats: FormStats, deviation: float, direction: str) -> TailBou
     returned bound has threshold = mean +/- deviation and prob_bound = exp(-x).
     """
     _check_direction(direction)
-    if not (isinstance(deviation, (int, float)) and math.isfinite(deviation) and deviation > 0):
-        raise ValidationError("deviation must be a positive finite real, got %r" % (deviation,))
+    deviation = _check_real(deviation, "deviation")
     u = math.sqrt(stats.u_sq)
     v = 2.0 * (stats.a_plus if direction == "upper" else stats.a_minus)
     if u == 0.0 and v == 0.0:
@@ -169,12 +184,11 @@ def envelope_threshold(u: float, v: float, x: float) -> float:
     Applies to any centered variable whose log-MGF is bounded by
     (u*y)^2 / (1 - v*y) on 0 < y < 1/v.
     """
-    for name, val in (("u", u), ("v", v)):
-        if not (isinstance(val, (int, float)) and math.isfinite(val) and val >= 0):
-            raise ValidationError("%s must be a nonnegative finite real, got %r" % (name, val))
+    u = _check_real(u, "u", allow_zero=True)
+    v = _check_real(v, "v", allow_zero=True)
     if u == 0.0 and v == 0.0:
         raise ValidationError("u and v cannot both be zero")
-    _check_exponent(x)
+    x = _check_exponent(x)
     return 2.0 * u * math.sqrt(x) + v * x
 
 
@@ -185,7 +199,7 @@ def union_threshold(stats_list, x: float, direction: str):
     of the M violation events has probability at most M*exp(-x-ln M) = exp(-x).
     """
     _check_direction(direction)
-    _check_exponent(x)
+    x = _check_exponent(x)
     stats_list = list(stats_list)
     if not stats_list:
         raise ValidationError("union bound needs at least one form")

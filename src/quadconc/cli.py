@@ -13,7 +13,8 @@ shortest representation that round-trips to the same double, so reports are
 byte-stable for fixed inputs and seeds.
 
 Exit codes: 0 ok, 1 input/IO error, 2 validation or degenerate form,
-3 numerical failure, 4 verification failure.
+3 numerical failure (the message carries the residual and/or accuracy the
+failing routine reported), 4 verification failure.
 """
 
 import argparse
@@ -423,7 +424,15 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except NumericalError as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
+        message = "numerical failure: %s" % exc
+        fields = [
+            "%s=%.2g" % (name, value)
+            for name, value in (("residual", exc.residual), ("accuracy", exc.accuracy))
+            if value is not None
+        ]
+        if fields:
+            message += " (%s)" % ", ".join(fields)
+        print(message, file=sys.stderr)
         return 3
     except ValidationError as exc:
         print("invalid request: %s" % exc, file=sys.stderr)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DiagonalForm, FormStats, form_stats
+from .bounds import DiagonalForm, FormStats, _check_real, form_stats
 from .errors import DomainError, ValidationError
 
 LINEAR_ONLY_Y_MAX = 10.0  # grid reach when a_plus = 0 and there is no pole
@@ -36,9 +36,8 @@ class MgfEnvelope:
     v: float
 
     def __post_init__(self):
-        for name, val in (("u", self.u), ("v", self.v)):
-            if not (isinstance(val, (int, float)) and math.isfinite(val) and val >= 0):
-                raise ValidationError("%s must be a nonnegative finite real" % name)
+        for name in ("u", "v"):
+            object.__setattr__(self, name, _check_real(getattr(self, name), name, allow_zero=True))
 
     @classmethod
     def from_stats(cls, stats: FormStats, direction: str = "upper"):

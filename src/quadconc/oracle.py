@@ -13,14 +13,15 @@ generated from counter c * 2^128 regardless of how blocks are scheduled,
 so serial and parallel execution, or runs of different total size, agree
 bit for bit on the shared prefix.  Normals come from an explicit
 Box-Muller transform rather than a library-version-dependent method.
+
+scipy is imported inside the two routines that use it, the binomial
+interval and cdf_cf, so importing the package loads numpy only.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.stats import beta as _beta_dist
 
 from .bounds import DiagonalForm, _check_direction
 from .errors import DegenerateFormError, NumericalError, ValidationError
@@ -54,8 +55,12 @@ class TailEstimate:
             raise ValidationError("n must be positive")
 
 
+def _is_integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_seed(seed):
-    if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2**64):
+    if not (_is_integer(seed) and 0 <= int(seed) < 2**64):
         raise ValidationError("seed must be an unsigned 64-bit integer, got %r" % (seed,))
     return int(seed)
 
@@ -77,9 +82,9 @@ def _chunk_normals(seed, chunk_index, count):
 
 
 def _validate_counts(n, chunk_size):
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not (_is_integer(n) and n >= 1):
         raise ValidationError("n must be a positive integer, got %r" % (n,))
-    if not (isinstance(chunk_size, (int, np.integer)) and chunk_size >= 1):
+    if not (_is_integer(chunk_size) and chunk_size >= 1):
         raise ValidationError("chunk_size must be a positive integer")
     return int(n), int(chunk_size)
 
@@ -115,9 +120,13 @@ def sample_quadratic(
 
 
 def _clopper_pearson(k, n, confidence):
+    # quantiles of Beta(k, n-k+1) and Beta(k+1, n-k); betaincinv is what
+    # scipy.stats.beta.ppf evaluates, without its per-call distribution overhead
+    from scipy.special import betaincinv
+
     alpha = 1.0 - confidence
-    low = 0.0 if k == 0 else float(_beta_dist.ppf(alpha / 2.0, k, n - k + 1))
-    high = 1.0 if k == n else float(_beta_dist.ppf(1.0 - alpha / 2.0, k + 1, n - k))
+    low = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
+    high = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
     return low, high
 
 
@@ -199,6 +208,8 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     Absolute accuracy target 1e-6; raises NumericalError with the achieved
     estimate when the error accounting cannot certify half of that.
     """
+    from scipy.integrate import quad
+
     if math.isnan(t) or math.isinf(t):
         raise ValidationError("t must be finite")
     a, b = form.a, form.b

@@ -202,6 +202,43 @@ def test_validation_errors():
         qc.DiagonalForm(np.ones(0), np.ones(0))
 
 
+def test_numpy_scalars_match_python_floats():
+    stats = qc.form_stats(qc.DiagonalForm(np.array([1.0, -0.5]), np.array([0.3, 2.0])))
+    for value in (np.float32(1.0), np.int64(2), np.float64(0.3), np.float32(0.1)):
+        plain = float(value)
+        for one in (qc.upper_threshold, qc.lower_threshold):
+            got = one(stats, value)
+            assert type(got.x) is float and type(got.threshold) is float
+            assert got == one(stats, plain)
+        for direction in qc.DIRECTIONS:
+            assert qc.tail_exponent(stats, value, direction) == qc.tail_exponent(
+                stats, plain, direction
+            )
+        got = qc.envelope_threshold(value, value, value)
+        assert type(got) is float and got == qc.envelope_threshold(plain, plain, plain)
+        assert qc.union_threshold([stats], value, "upper") == [qc.upper_threshold(stats, plain)]
+
+
+def test_bools_are_not_reals():
+    stats = chi5_stats()
+    for bad in (True, np.bool_(True), False):
+        with pytest.raises(ValidationError):
+            qc.upper_threshold(stats, bad)
+        with pytest.raises(ValidationError):
+            qc.lower_threshold(stats, bad)
+        for direction in qc.DIRECTIONS:
+            with pytest.raises(ValidationError):
+                qc.tail_exponent(stats, bad, direction)
+        with pytest.raises(ValidationError):
+            qc.envelope_threshold(bad, 1.0, 1.0)
+        with pytest.raises(ValidationError):
+            qc.envelope_threshold(1.0, bad, 1.0)
+        with pytest.raises(ValidationError):
+            qc.envelope_threshold(1.0, 1.0, bad)
+        with pytest.raises(ValidationError):
+            qc.MgfEnvelope(u=bad, v=1.0)
+
+
 def test_forms_are_immutable():
     form = qc.DiagonalForm(np.ones(2), np.zeros(2))
     with pytest.raises(ValueError):

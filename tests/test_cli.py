@@ -6,6 +6,9 @@ import sys
 
 import pytest
 
+import quadconc.cli
+from quadconc.errors import NumericalError
+
 CHI5_JSON = '{"a": [1, 1, 1, 1, 1], "b": [0, 0, 0, 0, 0], "label": "chi5"}\n'
 CHI5_MATRIX_JSON = (
     '{"matrix": [[1,0,0,0,0],[0,1,0,0,0],[0,0,1,0,0],[0,0,0,1,0],[0,0,0,0,1]],'
@@ -228,3 +231,25 @@ def test_bad_x_values(chi5):
     assert res.returncode == 2
     res = run("bound", "--input", chi5, "--x", "-1")
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "fields, shown",
+    [
+        ({"residual": 3.5e-09}, " (residual=3.5e-09)"),
+        ({"accuracy": 1.2e-06}, " (accuracy=1.2e-06)"),
+        ({"residual": 0.25, "accuracy": 1e-5}, " (residual=0.25, accuracy=1e-05)"),
+        ({}, ""),
+    ],
+)
+def test_numerical_failure_reports_diagnostics(tmp_path, monkeypatch, capsys, fields, shown):
+    doc = tmp_path / "m.json"
+    doc.write_text(CHI5_MATRIX_JSON)
+
+    def failing_reduce(form):
+        raise NumericalError("Jacobi sweeps did not converge", **fields)
+
+    monkeypatch.setattr(quadconc.cli, "spectral_reduce", failing_reduce)
+    assert quadconc.cli.main(["bound", "--input", str(doc), "--x", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: Jacobi sweeps did not converge%s\n" % shown

@@ -1,0 +1,75 @@
+"""scipy stays unloaded until an oracle that needs it runs.
+
+`bound`, `invert` and `mgf-check` need numpy arithmetic only, so a cold
+call must not pay for importing scipy.  Each check runs in a fresh
+interpreter, since this test process has scipy loaded already.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PROBE = r"""
+import contextlib
+import io
+import runpy
+import sys
+import tempfile
+from pathlib import Path
+
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+
+
+import quadconc
+
+assert scipy_modules() == [], ("import quadconc", scipy_modules())
+
+tmp = Path(tempfile.mkdtemp())
+form = tmp / "form.json"
+form.write_text('{"a": [1.0, -0.5, 2.0], "b": [0.0, 1.0, 0.5], "label": "probe"}\n')
+calls = (
+    ["bound", "--input", str(form), "--x", "0.5,1,2", "--format", "csv"],
+    ["invert", "--input", str(form), "--deviation", "3.0", "--direction", "lower"],
+    ["mgf-check", "--input", str(form), "--grid", "64"],
+)
+for argv in calls:
+    sys.argv = ["quadconc"] + argv
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            runpy.run_module("quadconc", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            assert exc.code == 0, (argv, exc.code)
+    assert scipy_modules() == [], (argv[0], scipy_modules())
+
+# the oracles that do need scipy still work in the same process
+from quadconc import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(
+        ["verify", "--input", str(form), "--samples", "10000", "--seed", "3",
+         "--x-grid", "1:2:1", "--out", str(tmp / "report")]
+    )
+assert rc == 0, rc
+assert (tmp / "report.csv").read_text().startswith("x,threshold,bound,p_hat,ci_low,ci_high,pass")
+chi1 = quadconc.DiagonalForm([1.0], [0.0])
+assert abs(quadconc.cdf_cf(chi1, 1.0) - quadconc.cdf_p1(1.0, 0.0, 1.0)) < 1e-6
+assert "scipy.special" in sys.modules and "scipy.integrate" in sys.modules
+assert "scipy.stats" not in sys.modules
+print("ok")
+"""
+
+
+def test_cold_paths_do_not_import_scipy():
+    env = dict(os.environ)
+    old = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = str(SRC) + (os.pathsep + old if old else "")
+    res = subprocess.run(
+        [sys.executable, "-c", PROBE], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "ok"

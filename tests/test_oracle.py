@@ -10,9 +10,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chi2, ks_2samp, ncx2, norm
+from scipy.stats import beta, chi2, ks_2samp, ncx2, norm
 
 import quadconc as qc
+from quadconc import oracle
 from quadconc.errors import DegenerateFormError, ValidationError
 
 CHI1 = qc.DiagonalForm(np.ones(1), np.zeros(1))
@@ -71,6 +72,31 @@ def test_sample_validation():
         qc.sample(CHI1, 10, 2**64)
     with pytest.raises(ValidationError):
         qc.sample(CHI1, 10.5, 1)
+
+
+def test_counts_and_seed_reject_bools_accept_numpy_ints():
+    for bad in (True, np.bool_(True)):
+        with pytest.raises(ValidationError):
+            oracle._check_seed(bad)
+        with pytest.raises(ValidationError):
+            qc.sample(CHI1, bad, 1)
+        with pytest.raises(ValidationError):
+            qc.sample(CHI1, 10, 1, chunk_size=bad)
+    assert oracle._check_seed(np.uint64(2**64 - 1)) == 2**64 - 1
+    assert np.array_equal(qc.sample(CHI1, np.int64(100), np.int64(5)), qc.sample(CHI1, 100, 5))
+
+
+def test_clopper_pearson_bitwise_equal_to_beta_ppf():
+    # scipy.stats.beta.ppf is the independent referee for the interval
+    rng = np.random.default_rng(20091)
+    for n in np.unique(np.round(np.logspace(4, 9, 11)).astype(np.int64)).tolist():
+        interior = rng.integers(1, n, size=8).tolist()
+        for k in [0, 1, 2, n // 2, n - 2, n - 1, n] + interior:
+            for confidence in (0.9, 0.99, 0.999):
+                alpha = 1.0 - confidence
+                low = 0.0 if k == 0 else float(beta.ppf(alpha / 2.0, k, n - k + 1))
+                high = 1.0 if k == n else float(beta.ppf(1.0 - alpha / 2.0, k + 1, n - k))
+                assert oracle._clopper_pearson(k, n, confidence) == (low, high), (k, n, confidence)
 
 
 def test_empirical_tail_zero_hits():
