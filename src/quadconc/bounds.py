@@ -32,14 +32,20 @@ def _check_direction(direction):
         raise ValidationError("direction must be 'upper' or 'lower', got %r" % (direction,))
 
 
-def _check_real(value, name, allow_zero=False):
-    """`value` as a float if it is a finite real > 0 (>= 0 with allow_zero).
+def _is_real(value):
+    """Python and numpy real scalars; bool and np.bool_ do not count as reals."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
-    Python and numpy real scalars pass; bool and np.bool_ do not count as reals.
-    """
+
+def _is_integer(value):
+    """Python and numpy integers; bool does not count as an integer."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_real(value, name, allow_zero=False):
+    """`value` as a float if it is a finite real > 0 (>= 0 with allow_zero)."""
     if not (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, (bool, np.bool_))
+        _is_real(value)
         and math.isfinite(value)
         and (value >= 0 if allow_zero else value > 0)
     ):
@@ -99,8 +105,10 @@ class FormStats:
 
     def __post_init__(self):
         vals = (self.mean, self.u_sq, self.a_plus, self.a_minus)
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in vals):
-            raise ValidationError("stats fields must be finite reals")
+        if not all(_is_real(v) and math.isfinite(v) for v in vals):
+            raise ValidationError("stats fields must be finite reals, got %r" % (vals,))
+        for name, v in zip(("mean", "u_sq", "a_plus", "a_minus"), vals):
+            object.__setattr__(self, name, float(v))
         if self.u_sq < 0 or self.a_plus < 0 or self.a_minus < 0:
             raise ValidationError("u_sq, a_plus, a_minus must be nonnegative")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DiagonalForm, FormStats, _check_real, form_stats
+from .bounds import DiagonalForm, FormStats, _check_real, _is_integer, form_stats
 from .errors import DomainError, ValidationError
 
 LINEAR_ONLY_Y_MAX = 10.0  # grid reach when a_plus = 0 and there is no pole
@@ -101,8 +101,9 @@ def check_scalar_ineq(r: float, a: float, y: float):
 
 def envelope_y_grid(a_plus: float, n: int) -> np.ndarray:
     """n evaluation points spread over (0, y_max], y_max just inside the pole."""
-    if not (isinstance(n, int) and n >= 1):
+    if not (_is_integer(n) and n >= 1):
         raise ValidationError("grid size must be a positive integer, got %r" % (n,))
+    n = int(n)  # n + 1 would wrap for a numpy integer at its dtype's maximum
     if a_plus < 0:
         raise ValidationError("a_plus must be nonnegative")
     y_max = LINEAR_ONLY_Y_MAX if a_plus == 0.0 else POLE_FRACTION / (2.0 * a_plus)
@@ -147,7 +148,7 @@ def envelope_grid_check(form: DiagonalForm, n: int) -> EnvelopeCheck:
     worst = int(np.argmax(slack))
     violations = int(np.count_nonzero(slack > ENVELOPE_SLACK * (1.0 + np.abs(rhs))))
     return EnvelopeCheck(
-        grid_size=n,
+        grid_size=ys.size,
         y_max=float(ys[-1]),
         max_slack=float(slack[worst]),
         worst_y=float(ys[worst]),
@@ -173,8 +174,9 @@ def scalar_ineq_grid(n: int = 64, r_min: float = -5.0, a_max: float = 5.0) -> Sc
     (0, POLE_FRACTION/(2a)) for each a.  Everything is broadcast so the
     64^3 default stays fast.
     """
-    if not (isinstance(n, int) and n >= 2):
-        raise ValidationError("grid size must be an integer >= 2")
+    if not (_is_integer(n) and n >= 2):
+        raise ValidationError("grid size must be an integer >= 2, got %r" % (n,))
+    n = int(n)
     a = (a_max * np.arange(1, n + 1) / n)[:, None, None]
     frac_r = (np.arange(n) / (n - 1))[None, :, None]
     r = r_min + (a - r_min) * frac_r

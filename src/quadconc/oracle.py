@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DiagonalForm, _check_direction
+from .bounds import DiagonalForm, _check_direction, _is_integer
 from .errors import DegenerateFormError, NumericalError, ValidationError
 from .spectral import QuadraticForm
 
@@ -53,10 +53,6 @@ class TailEstimate:
             raise ValidationError("interval must satisfy 0 <= ci_low <= p_hat <= ci_high <= 1")
         if self.n < 1:
             raise ValidationError("n must be positive")
-
-
-def _is_integer(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_seed(seed):

@@ -7,11 +7,13 @@ tail statement about diagonal forms transfers to matrix forms.  The
 reduction preserves sum(s) = tr(A), sum(s^2) = ||A+A'||_F^2 / 4 and
 ||b'|| = ||b||, which is what the bounds module consumes.
 
-The eigensolver is a cyclic Jacobi iteration (Golub & Van Loan, ch. 8):
-slower than LAPACK but dependency-light, deterministic, and accurate to a
-small multiple of machine epsilon at the p <= few-hundred scale targeted
-here.  numpy's eigh is deliberately not used in library code so tests can
-treat it as an independent referee.
+The eigensolver is LAPACK's symmetric solver behind np.linalg.eigh, run on
+a power-of-two rescaling of S, so any finite magnitude works, and scaling S
+by 2^k scales the eigenvalues by exactly 2^k wherever no entry leaves the
+normal float range.  Every result passes a reconstruction residual check
+before it is returned.  The test suite referees it with an
+independent cyclic Jacobi iteration (Golub & Van Loan, Matrix Computations,
+section 8.5) that shares no code with this module.
 """
 
 import math
@@ -21,6 +23,10 @@ import numpy as np
 
 from .bounds import DiagonalForm
 from .errors import NumericalError, ValidationError
+
+# accepted ||S V - V diag(w)||_F / ||S||_F; LAPACK's backward error is a
+# small multiple of p * 2.2e-16, about 2e-14 at p = 96
+RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,22 +103,18 @@ def symmetrize(form):
     return 0.5 * (a + a.T)
 
 
-def _offdiag_norm(a):
-    # summed directly, never as ||A||_F^2 minus the diagonal mass: that
-    # difference bottoms out at rounding garbage ~eps*||A||_F^2, far above
-    # the convergence tolerance
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
-def eigen_sym(s_mat, max_sweeps=100):
+def eigen_sym(s_mat):
     """Eigenvalues (descending) and orthonormal basis of a symmetric matrix.
 
-    Cyclic Jacobi: sweep all (i, j) pairs, each rotation annihilating one
-    off-diagonal entry; stop when the off-diagonal Frobenius mass falls
-    below 1e-14 * ||S||_F.  Raises NumericalError with the remaining
-    residual if max_sweeps sweeps do not get there.
+    LAPACK's symmetric solver (np.linalg.eigh) runs on S * 2^-e, where
+    2^(e-1) <= max|S| < 2^e, so it always sees max|entry| in [0.5, 1).  A
+    power-of-two scaling rounds nothing except entries pushed below the
+    normal range, which are negligible against max|S|, and the eigenvalues
+    scale back by 2^e exactly.  The result is accepted only if the
+    reconstruction residual ||S V - V diag(w)||_F, computed on the same
+    scaled matrix so it cannot underflow or overflow, is at most
+    RESIDUAL_TOL * ||S||_F; otherwise NumericalError carries the relative
+    residual.  Eigenvalues beyond the float range raise ValidationError.
     """
     s_mat = np.asarray(s_mat, dtype=float)
     if s_mat.ndim != 2 or s_mat.shape[0] != s_mat.shape[1] or s_mat.shape[0] < 1:
@@ -123,50 +125,26 @@ def eigen_sym(s_mat, max_sweeps=100):
         raise ValidationError("matrix must be exactly symmetric; apply symmetrize() first")
 
     p = s_mat.shape[0]
-    a = s_mat.copy()
-    u = np.eye(p)
-    tol = 1e-14 * float(np.linalg.norm(s_mat))  # rotations preserve the Frobenius norm
-
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= tol:
-            break
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                apq = float(a[i, j])
-                if apq == 0.0:
-                    continue
-                # plain C-double arithmetic: theta may overflow to inf for a
-                # tiny pivot, which cleanly gives t = 0 below
-                theta = 0.5 * (float(a[j, j]) - float(a[i, i])) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # two-sided rotation J'AJ applied as columns then rows; the
-                # identical update expressions keep A exactly symmetric
-                col_i = a[:, i].copy()
-                col_j = a[:, j].copy()
-                a[:, i] = c * col_i - s * col_j
-                a[:, j] = s * col_i + c * col_j
-                row_i = a[i, :].copy()
-                row_j = a[j, :].copy()
-                a[i, :] = c * row_i - s * row_j
-                a[j, :] = s * row_i + c * row_j
-                a[i, j] = 0.0
-                a[j, i] = 0.0
-                u_i = u[:, i].copy()
-                u_j = u[:, j].copy()
-                u[:, i] = c * u_i - s * u_j
-                u[:, j] = s * u_i + c * u_j
-    else:
-        off = _offdiag_norm(a)
-        if off > tol:
-            raise NumericalError(
-                "Jacobi iteration did not converge in %d sweeps" % max_sweeps, residual=off
-            )
-
-    d = np.diag(a).copy()
-    order = np.argsort(-d, kind="stable")
-    return d[order], u[:, order]
+    peak = float(np.max(np.abs(s_mat)))
+    if peak == 0.0:
+        return np.zeros(p), np.eye(p)
+    e = math.frexp(peak)[1]
+    scaled = np.ldexp(s_mat, -e)
+    w, v = np.linalg.eigh(scaled)
+    w, v = w[::-1], v[:, ::-1]  # eigh returns ascending order
+    norm = float(np.linalg.norm(scaled))  # in [0.5, p]: max|scaled| is in [0.5, 1)
+    residual = float(np.linalg.norm(scaled @ v - v * w)) / norm
+    if not residual <= RESIDUAL_TOL:
+        raise NumericalError(
+            "eigendecomposition residual %.3e exceeds %.0e relative to ||S||_F"
+            % (residual, RESIDUAL_TOL),
+            residual=residual,
+        )
+    with np.errstate(over="ignore"):  # reported just below
+        w = np.ldexp(w, e)
+    if not np.isfinite(w).all():
+        raise ValidationError("eigenvalues exceed the floating-point range")
+    return w, v
 
 
 def reduce(form: QuadraticForm) -> SpectralReduction:

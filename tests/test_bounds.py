@@ -239,6 +239,20 @@ def test_bools_are_not_reals():
             qc.MgfEnvelope(u=bad, v=1.0)
 
 
+def test_form_stats_fields_are_reals_not_bools():
+    plain = qc.FormStats(mean=-1.0, u_sq=2.0, a_plus=0.5, a_minus=0.0)
+    got = qc.FormStats(np.float32(-1.0), np.float64(2.0), np.float32(0.5), np.int64(0))
+    assert got == plain
+    assert all(type(v) is float for v in (got.mean, got.u_sq, got.a_plus, got.a_minus))
+    assert qc.upper_threshold(got, 1.0) == qc.upper_threshold(plain, 1.0)
+    for bad in (True, np.bool_(True), False):
+        for pos in range(4):
+            fields = [0.0, 1.0, 1.0, 0.0]
+            fields[pos] = bad
+            with pytest.raises(ValidationError):
+                qc.FormStats(*fields)
+
+
 def test_forms_are_immutable():
     form = qc.DiagonalForm(np.ones(2), np.zeros(2))
     with pytest.raises(ValueError):

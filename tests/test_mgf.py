@@ -158,6 +158,20 @@ def test_scalar_grid_quick():
     assert check.points == 16**3
 
 
+def test_grid_sizes_accept_numpy_ints_reject_bools():
+    form = qc.DiagonalForm(np.array([1.0, -0.5]), np.array([0.3, 2.0]))
+    plain = qc.envelope_grid_check(form, 64)
+    got = qc.envelope_grid_check(form, np.int64(64))
+    assert got == plain and type(got.grid_size) is int
+    assert qc.scalar_ineq_grid(np.int32(16)) == qc.scalar_ineq_grid(16)
+    assert np.array_equal(envelope_y_grid(2.0, np.uint8(10)), envelope_y_grid(2.0, 10))
+    for bad in (True, False, np.bool_(True), 64.0):
+        with pytest.raises(ValidationError):
+            qc.envelope_grid_check(form, bad)
+        with pytest.raises(ValidationError):
+            qc.scalar_ineq_grid(bad)
+
+
 def test_chernoff_closure():
     # at the optimizing y the penalized envelope equals -x exactly
     rng = np.random.default_rng(23)

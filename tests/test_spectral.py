@@ -1,13 +1,26 @@
-"""Jacobi eigensolver and reduction identities, refereed by numpy.linalg.eigh."""
+"""LAPACK-backed eigen_sym and the reduction identities.
+
+Refereed by the cyclic Jacobi iteration in _jacobi.py, which shares no code
+with the library, and by numpy.linalg.eigvalsh.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from _jacobi import jacobi_eigen
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadconc as qc
+from quadconc import spectral
 from quadconc.errors import NumericalError, ValidationError
 from quadconc.spectral import eigen_sym, symmetrize
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def random_symmetric(rng, p):
@@ -49,16 +62,19 @@ def test_eigen_two_by_two_exact():
     assert np.max(np.abs(recon - np.array([[0.0, 0.5], [0.5, 0.0]]))) < 1e-15
 
 
-def test_eigen_matches_lapack():
+def test_eigen_matches_jacobi_referee():
     rng = np.random.default_rng(3)
     for _ in range(10):
         mat = random_symmetric(rng, 8)
-        s, u = eigen_sym(mat)
         ref = np.sort(np.linalg.eigvalsh(mat))[::-1]
-        assert np.max(np.abs(s - ref)) < 1e-10 * max(1.0, np.abs(ref).max())
-        assert np.max(np.abs(u @ np.diag(s) @ u.T - mat)) < 1e-10
-        assert np.max(np.abs(u.T @ u - np.eye(8))) < 1e-12
-        assert np.all(np.diff(s) <= 0)
+        s, u = eigen_sym(mat)
+        s_jac, u_jac = jacobi_eigen(mat)
+        for got, basis in ((s, u), (s_jac, u_jac)):
+            assert np.max(np.abs(got - ref)) < 1e-10 * max(1.0, np.abs(ref).max())
+            assert np.max(np.abs(basis @ np.diag(got) @ basis.T - mat)) < 1e-10
+            assert np.max(np.abs(basis.T @ basis - np.eye(8))) < 1e-12
+            assert np.all(np.diff(got) <= 0)
+        assert np.max(np.abs(s - s_jac)) < 1e-10 * max(1.0, np.abs(s_jac).max())
 
 
 def test_eigen_recovers_planted_spectrum():
@@ -80,14 +96,51 @@ def test_eigen_rejects_bad_input():
         eigen_sym(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
-def test_eigen_sweep_cap():
+def test_jacobi_referee_sweep_cap():
     mat = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(NumericalError) as err:
-        eigen_sym(mat, max_sweeps=0)
+        jacobi_eigen(mat, max_sweeps=0)
     assert err.value.residual is not None and err.value.residual > 0
     # already-diagonal input needs no sweeps at all
-    s, _ = eigen_sym(np.diag([2.0, 1.0]), max_sweeps=0)
+    s, _ = jacobi_eigen(np.diag([2.0, 1.0]), max_sweeps=0)
     assert np.array_equal(s, np.array([2.0, 1.0]))
+
+
+@pytest.mark.parametrize("k", [-1000, 0, 1000])
+@pytest.mark.parametrize("corruption", ["columns_reversed", "eigenvalues_off_1e-9"])
+def test_eigen_residual_check_rejects_corrupted_eigh(monkeypatch, k, corruption):
+    # the corruptions are relative, so a check computed on S itself, whose
+    # Frobenius norm underflows to 0 at 2^-1000 and overflows at 2^1000,
+    # would let them through at the extreme scales
+    real_eigh = np.linalg.eigh
+
+    def corrupted(a):
+        w, v = real_eigh(a)
+        if corruption == "columns_reversed":
+            return w, v[:, ::-1]
+        return w * (1.0 + 1e-9), v
+
+    monkeypatch.setattr(spectral.np.linalg, "eigh", corrupted)
+    mat = 2.0**k * np.diag([3.0, 2.0, 1.0, -1.0])
+    mat[0, 1] = mat[1, 0] = 2.0**k * 0.5
+    with pytest.raises(NumericalError) as err:
+        qc.reduce(qc.QuadraticForm(mat, np.ones(4)))
+    assert err.value.residual is not None and err.value.residual > 0
+
+
+def test_eigen_at_the_edge_of_the_float_range():
+    s, _ = eigen_sym(np.full((2, 2), 2.0**1020))
+    assert np.array_equal(s, np.array([2.0**1021, 0.0]))
+    s, _ = eigen_sym(np.full((2, 2), 2.0**-1074))  # the smallest subnormal
+    assert np.array_equal(s, np.array([2.0**-1073, 0.0]))
+    with pytest.raises(ValidationError):
+        eigen_sym(np.full((2, 2), 1e308))  # eigenvalue 2e308 is not a float
+
+
+def test_eigen_zero_matrix():
+    s, u = eigen_sym(np.zeros((3, 3)))
+    assert np.array_equal(s, np.zeros(3))
+    assert np.array_equal(u, np.eye(3))
 
 
 @given(st.integers(1, 12), st.integers(0, 2**31 - 1))
@@ -97,6 +150,8 @@ def test_reduction_identities(p, seed):
     mat = rng.normal(size=(p, p))
     b = rng.normal(size=p)
     red = qc.reduce(qc.QuadraticForm(mat, b))
+    ref, _ = jacobi_eigen(symmetrize(mat))
+    assert np.max(np.abs(red.eigenvalues - ref)) < 1e-10 * max(1.0, np.abs(ref).max())
     scale = max(1.0, np.abs(mat).max())
     assert abs(red.eigenvalues.sum() - np.trace(mat)) < 1e-10 * scale * p
     frob = 0.25 * np.linalg.norm(mat + mat.T, "fro") ** 2
@@ -104,6 +159,50 @@ def test_reduction_identities(p, seed):
     bnorm = np.linalg.norm(b)
     assert abs(np.linalg.norm(red.rotated_b) - bnorm) < 1e-10 * max(1.0, bnorm)
     assert np.max(np.abs(red.basis.T @ red.basis - np.eye(p))) < 1e-10
+
+
+@given(st.integers(1, 12), st.integers(0, 2**31 - 1), st.integers(-1000, 1000))
+@settings(max_examples=100)
+def test_reduce_scale_covariance(p, seed, k):
+    # not bitwise: at 2^-1000 small entries of c*A are subnormal and lose bits
+    rng = np.random.default_rng(seed)
+    mat = rng.normal(size=(p, p))
+    b = rng.normal(size=p)
+    c = 2.0**k
+    want = qc.reduce(qc.QuadraticForm(mat, b)).eigenvalues
+    got = qc.reduce(qc.QuadraticForm(c * mat, c * b)).eigenvalues / c
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+DETERMINISM_PROBE = r"""
+import hashlib
+import numpy as np
+import quadconc as qc
+
+for p in (8, 48, 96):
+    rng = np.random.default_rng(p)
+    red = qc.reduce(qc.QuadraticForm(rng.normal(size=(p, p)), rng.normal(size=p)))
+    digest = hashlib.sha256()
+    for arr in (red.eigenvalues, red.basis, red.rotated_b):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    print(p, digest.hexdigest())
+"""
+
+
+def test_reduce_bitwise_across_blas_threads():
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        old = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = str(SRC) + (os.pathsep + old if old else "")
+        res = subprocess.run(
+            [sys.executable, "-c", DETERMINISM_PROBE],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert res.returncode == 0, res.stderr
+        outputs.append(res.stdout)
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs[0] == outputs[1]
 
 
 def test_reduce_diagonal_matrix_sorts_exactly():
