@@ -85,8 +85,8 @@ def _validate_counts(n, chunk_size):
     return int(n), int(chunk_size)
 
 
-def sample(form: DiagonalForm, n: int, seed: int, chunk_size: int = DEFAULT_CHUNK) -> np.ndarray:
-    """n realizations of the diagonal form, reproducible for fixed (seed, chunk_size)."""
+def _draw(form, n, seed, chunk_size, evaluate):
+    """n values of evaluate(z), z an (m, p) block of normals from each chunk in turn."""
     n, chunk_size = _validate_counts(n, chunk_size)
     seed = _check_seed(seed)
     p = form.p
@@ -95,24 +95,23 @@ def sample(form: DiagonalForm, n: int, seed: int, chunk_size: int = DEFAULT_CHUN
         lo = chunk * chunk_size
         m = min(chunk_size, n - lo)
         z = _chunk_normals(seed, chunk, m * p).reshape(m, p)
-        out[lo : lo + m] = (z * z) @ form.a + z @ form.b
+        out[lo : lo + m] = evaluate(z)
     return out
+
+
+def sample(form: DiagonalForm, n: int, seed: int, chunk_size: int = DEFAULT_CHUNK) -> np.ndarray:
+    """n realizations of the diagonal form, reproducible for fixed (seed, chunk_size)."""
+    return _draw(form, n, seed, chunk_size, lambda z: (z * z) @ form.a + z @ form.b)
 
 
 def sample_quadratic(
     form: QuadraticForm, n: int, seed: int, chunk_size: int = DEFAULT_CHUNK
 ) -> np.ndarray:
     """n realizations of z'Az + b'z sampled in matrix form (no reduction involved)."""
-    n, chunk_size = _validate_counts(n, chunk_size)
-    seed = _check_seed(seed)
-    p = form.p
-    out = np.empty(n)
-    for chunk in range((n + chunk_size - 1) // chunk_size):
-        lo = chunk * chunk_size
-        m = min(chunk_size, n - lo)
-        z = _chunk_normals(seed, chunk, m * p).reshape(m, p)
-        out[lo : lo + m] = np.einsum("ij,jk,ik->i", z, form.matrix, z) + z @ form.b
-    return out
+    return _draw(
+        form, n, seed, chunk_size,
+        lambda z: np.einsum("ij,jk,ik->i", z, form.matrix, z) + z @ form.b,
+    )
 
 
 def _clopper_pearson(k, n, confidence):
@@ -181,6 +180,80 @@ def cdf_p1(a: float, b: float, t: float) -> float:
     return _phi(lo) + 1.0 - _phi(hi)
 
 
+def _phase_kernel(lam, delta_sq, sigma_sq):
+    """phase(u) -> (G(u), psi(u)) for cdf_cf, memoized on u.
+
+    With l_k = a_k u over the coordinates with a_k != 0,
+
+        G(u)   = sum_k [ log1p(4 l_k^2)/4 + 2 l_k^2 d_k^2 / (1 + 4 l_k^2) ] + sigma^2 u^2 / 2
+        psi(u) = sum_k [ arctan(2 l_k)/2 + a_k d_k^2 u / (1 + 4 l_k^2) ]
+
+    come from one pass over l = a u: the u-independent factors 2 d^2,
+    a d^2 and sigma^2/2 are computed once, the shared denominator 1 + 4 l^2
+    once per u, and every step writes into preallocated buffers.  Each
+    rewrite of the textbook expressions (tests/_cf_reference.py) hoists a
+    left factor or regroups a power-of-two scaling, so the results are
+    bitwise equal to them wherever no intermediate overflows or is
+    subnormal.  The memo lets integration passes that visit the same node
+    (the sine and cosine tails of cdf_cf) evaluate it once.
+    """
+    two_delta_sq = 2.0 * delta_sq
+    lam_delta_sq = lam * delta_sq
+    half_sigma_sq = 0.5 * sigma_sq
+    lu, l2, q, den, g = (np.empty_like(lam) for _ in range(5))
+    memo = {}
+
+    def phase(u):
+        hit = memo.get(u)
+        if hit is not None:
+            return hit
+        # G terms into g: 0.25 log1p(4 l^2) + (2 d^2) l^2 / (1 + 4 l^2)
+        np.multiply(lam, u, lu)
+        np.multiply(lu, lu, l2)
+        np.multiply(l2, 4.0, q)
+        np.add(q, 1.0, den)
+        np.log1p(q, g)
+        np.multiply(g, 0.25, g)
+        np.multiply(l2, two_delta_sq, q)
+        np.divide(q, den, q)
+        np.add(g, q, g)
+        # psi terms into lu: 0.5 arctan(2 l) + (a d^2) u / (1 + 4 l^2)
+        np.multiply(lu, 2.0, lu)
+        np.arctan(lu, lu)
+        np.multiply(lu, 0.5, lu)
+        np.multiply(lam_delta_sq, u, q)
+        np.divide(q, den, q)
+        np.add(lu, q, lu)
+        hit = memo[u] = (float(g.sum()) + half_sigma_sq * u * u, float(lu.sum()))
+        return hit
+
+    return phase
+
+
+def _death_bracket(g_decay, hi):
+    """Bracket (lo, up) of the point where an increasing G reaches _G_STOP.
+
+    Requires G(hi) >= _G_STOP.  Halves hi while G(hi/2) still reaches the
+    stop, then bisects [hi/2, hi] keeping G(lo) < _G_STOP <= G(up).  Once lo
+    and up are adjacent floats the midpoint rounds onto one of them and a
+    further step changes nothing, so the search stops there; the 200-step
+    cap is never reached on a finite bracket (53 steps halve [hi/2, hi]
+    down to adjacent floats).
+    """
+    while g_decay(hi / 2.0) >= _G_STOP:
+        hi /= 2.0
+    lo, up = hi / 2.0, hi
+    for _ in range(200):
+        mid = 0.5 * (lo + up)
+        if not lo < mid < up:
+            break
+        if g_decay(mid) >= _G_STOP:
+            up = mid
+        else:
+            lo = mid
+    return lo, up
+
+
 def cdf_cf(form: DiagonalForm, t: float) -> float:
     """P(T <= t) by numerical inversion of the characteristic function.
 
@@ -190,17 +263,24 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
 
         G(u) = sum_k [ log(1+4 a_k^2 u^2)/4 + 2 a_k^2 d_k^2 u^2/(1+4 a_k^2 u^2) ]
                + sigma^2 u^2 / 2
-        H(u) = sum_k [ arctan(2 a_k u)/2 - a_k d_k^2 u / (1+4 a_k^2 u^2) ] ... - t u
+        H(u) = sum_k [ arctan(2 a_k u)/2 + a_k d_k^2 u / (1+4 a_k^2 u^2) - a_k d_k^2 u ]
+               - t u
 
     (d_k = b_k/(2 a_k); zero-a_k terms collapse into the sigma^2 piece).
-    Gil-Pelaez then gives F(t) = 1/2 - (1/pi) Int_0^inf exp(-G) sin(H)/u du.
-    Writing the phase terms directly in b_k (expanded below) avoids the
-    d_k -> inf blowup when a_k is tiny.
+    Gil-Pelaez then gives F(t) = 1/2 - (1/pi) Int_0^inf exp(-G) sin(H)/u du,
+    with H(u) = psi(u) + omega u split into its nonlinear part psi and the
+    linear slope omega = -sum_k b_k^2/(4 a_k) - t that remains once arctan
+    and the noncentral terms saturate.  One kernel, _phase_kernel, computes
+    G and psi together for each u; it is memoized within the call, so the
+    sine and cosine tail passes below share the nodes they both visit.
 
     The integral is split into a head up to the point where the nonlinear
     phase has settled, a ladder of doubling blocks (so no adaptive pass can
     overlook mass stranded deep inside a long interval), and a weighted
     QUADPACK tail for the residual oscillation exp(-G) sin(psi_inf + w u)/u.
+    When the amplitude exp(-G) dies before the phase settles, the head ends
+    at the death point instead, found by a bisection (_death_bracket) that
+    stops once its bracket cannot shrink.
     Absolute accuracy target 1e-6; raises NumericalError with the achieved
     estimate when the error accounting cannot certify half of that.
     """
@@ -228,22 +308,16 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
         return 0.0
     # linear phase slope left once arctan and the noncentral terms saturate
     omega = float(-np.sum(lb * lb / (4.0 * lam))) - t
+    phase = _phase_kernel(lam, delta_sq, sigma_sq)
 
     def g_decay(u):
-        l2 = (lam * u) ** 2
-        return float(
-            np.sum(0.25 * np.log1p(4.0 * l2) + 2.0 * l2 * delta_sq / (1.0 + 4.0 * l2))
-            + 0.5 * sigma_sq * u * u
-        )
-
-    def psi(u):
-        lu = lam * u
-        return float(np.sum(0.5 * np.arctan(2.0 * lu) + lam * delta_sq * u / (1.0 + 4.0 * lu * lu)))
+        return phase(u)[0]
 
     def integrand(u):
         if u == 0.0:
             return mean - t
-        return math.exp(-g_decay(u)) * math.sin(psi(u) + omega * u) / u
+        g, ps = phase(u)
+        return math.exp(-g) * math.sin(ps + omega * u) / u
 
     total = 0.0
     err = 0.0
@@ -256,16 +330,7 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
         # amplitude dies before the phase settles; integrate to the death
         # point (G is increasing, so bisection brackets cleanly) and drop
         # the provably negligible rest
-        hi = u_settle
-        while g_decay(hi / 2.0) >= _G_STOP:
-            hi /= 2.0
-        lo, up = hi / 2.0, hi
-        for _ in range(200):
-            mid = 0.5 * (lo + up)
-            if g_decay(mid) >= _G_STOP:
-                up = mid
-            else:
-                lo = mid
+        _, up = _death_bracket(g_decay, u_settle)
         val, e, *_ = quad(integrand, 0.0, up, epsabs=1e-11, epsrel=1e-10, limit=2000, full_output=1)
         total += val
         err += e + 2.0 * ENVELOPE_CUTOFF
@@ -296,10 +361,12 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
             sign = 1.0 if omega > 0 else -1.0
 
             def cos_part(x):
-                return math.exp(-g_decay(x)) * math.cos(psi(x)) / x
+                g, ps = phase(x)
+                return math.exp(-g) * math.cos(ps) / x
 
             def sin_part(x):
-                return math.exp(-g_decay(x)) * math.sin(psi(x)) / x
+                g, ps = phase(x)
+                return math.exp(-g) * math.sin(ps) / x
 
             v1, e1, *_ = quad(
                 cos_part, u, np.inf, weight="sin", wvar=w, epsabs=1e-11, limlst=300, full_output=1

@@ -72,7 +72,7 @@ class SpectralReduction:
         p = s.size
         if u.shape != (p, p) or bp.size != p:
             raise ValidationError("inconsistent reduction shapes")
-        if np.any(np.diff(s) > 0):
+        if np.any(s[1:] > s[:-1]):  # compared, not subtracted: no overflow
             raise ValidationError("eigenvalues must be sorted descending")
         ortho = np.max(np.abs(u.T @ u - np.eye(p)))
         if ortho > 1e-10:
@@ -89,8 +89,11 @@ class SpectralReduction:
 def symmetrize(form):
     """Symmetric part (A + A')/2; accepts a QuadraticForm or a square matrix.
 
-    Exactly symmetric by construction: entry (i,j) and entry (j,i) are the
-    same float expression.
+    Computed as A/2 + A'/2, which cannot overflow for finite A; halving is
+    exact outside the subnormal range, so this equals (A + A')/2 bit for bit
+    wherever that sum stays finite and no entry is subnormal.  Exactly
+    symmetric by construction: entry (i,j) and entry (j,i) are the same
+    float expression.
     """
     if isinstance(form, QuadraticForm):
         a = form.matrix
@@ -100,7 +103,7 @@ def symmetrize(form):
             raise ValidationError("matrix must be square, got shape %r" % (a.shape,))
         if not np.isfinite(a).all():
             raise ValidationError("matrix entries must be finite")
-    return 0.5 * (a + a.T)
+    return 0.5 * a + 0.5 * a.T
 
 
 def eigen_sym(s_mat):

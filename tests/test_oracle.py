@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from _cf_reference import death_bracket, g_decay, psi
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import beta, chi2, ks_2samp, ncx2, norm
 
 import quadconc as qc
@@ -61,6 +64,31 @@ def test_sample_moments():
     # z^2 has mean 1, variance 2
     assert abs(draws.mean() - 1.0) < 5.0 * math.sqrt(2.0 / n)
     assert abs(draws.var() - 2.0) < 0.1
+
+
+def _sample_loop_referee(form, n, seed, chunk_size, matrix):
+    # the chunk loops sample and sample_quadratic each ran before they shared one
+    out = np.empty(n)
+    for chunk in range((n + chunk_size - 1) // chunk_size):
+        lo = chunk * chunk_size
+        m = min(chunk_size, n - lo)
+        z = oracle._chunk_normals(seed, chunk, m * form.p).reshape(m, form.p)
+        if matrix:
+            out[lo : lo + m] = np.einsum("ij,jk,ik->i", z, form.matrix, z) + z @ form.b
+        else:
+            out[lo : lo + m] = (z * z) @ form.a + z @ form.b
+    return out
+
+
+@pytest.mark.parametrize("n, chunk_size", [(1, 4096), (4096, 4096), (10007, 4096), (777, 1)])
+def test_samplers_match_their_chunk_loops_bitwise(n, chunk_size):
+    rng = np.random.default_rng(2009)
+    diag = qc.DiagonalForm(rng.uniform(-2, 2, 5), rng.uniform(-2, 2, 5))
+    quad = qc.QuadraticForm(rng.normal(size=(5, 5)), rng.normal(size=5))
+    got = qc.sample(diag, n, 77, chunk_size=chunk_size)
+    assert got.tobytes() == _sample_loop_referee(diag, n, 77, chunk_size, False).tobytes()
+    got = qc.sample_quadratic(quad, n, 77, chunk_size=chunk_size)
+    assert got.tobytes() == _sample_loop_referee(quad, n, 77, chunk_size, True).tobytes()
 
 
 def test_sample_validation():
@@ -233,6 +261,92 @@ def test_cdf_cf_against_monte_carlo():
         got = qc.cdf_cf(form, t)
         p_hat = float(np.mean(draws <= t))
         assert abs(got - p_hat) < 4.0 * math.sqrt(0.25 / draws.size)
+
+
+def _phase_inputs(a, b):
+    # what cdf_cf hands its kernel: the a != 0 coordinates, d^2 and sigma^2
+    lam = a[a != 0.0]
+    delta_sq = (b[a != 0.0] / (2.0 * lam)) ** 2
+    sigma_sq = float(np.sum(b[a == 0.0] ** 2))
+    return lam, delta_sq, sigma_sq
+
+
+@given(
+    st.integers(1, 8),
+    st.integers(0, 2**31 - 1),
+    st.integers(-200, 200),
+    st.booleans(),
+    st.lists(st.floats(-20.0, 12.0), min_size=1, max_size=12),
+)
+@settings(max_examples=200)
+def test_phase_kernel_matches_textbook_bitwise(p, seed, k, central, log2_u):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.05, 3.0, p) * rng.choice([-1.0, 1.0], p)
+    a[rng.random(p) < 0.25] = 0.0
+    a[0] = a[0] or 1.0  # at least one quadratic coordinate
+    b = np.zeros(p) if central else rng.uniform(-3.0, 3.0, p)
+    lam, delta_sq, sigma_sq = _phase_inputs(a * 2.0**k, b * 2.0**k)
+    phase = oracle._phase_kernel(lam, delta_sq, sigma_sq)
+    # nodes from deep in the head (2^-20 u_settle) out into the weighted tail
+    u_settle = 5.0 * float(np.sum((1.0 + delta_sq) / np.abs(lam)))
+    for e in log2_u:
+        u = u_settle * 2.0**e
+        want = (g_decay(lam, delta_sq, sigma_sq, u).hex(), psi(lam, delta_sq, u).hex())
+        assert tuple(x.hex() for x in phase(u)) == want, u
+        assert phase(u) is phase(u)  # memoized: a node is evaluated once
+
+
+@pytest.mark.parametrize("p", [24, 96, 300])
+def test_phase_kernel_matches_textbook_bitwise_at_large_p(p):
+    # the benchmark's sizes, and one past numpy's 128-element pairwise block
+    rng = np.random.default_rng(p)
+    lam, delta_sq, sigma_sq = _phase_inputs(*rng.normal(size=(2, p)))
+    phase = oracle._phase_kernel(lam, delta_sq, sigma_sq)
+    for u in np.geomspace(1e-4, 1e4, 41).tolist():
+        want = (g_decay(lam, delta_sq, sigma_sq, u), psi(lam, delta_sq, u))
+        assert [x.hex() for x in phase(u)] == [x.hex() for x in want], u
+
+
+@pytest.mark.parametrize("k", [-1000, -200, 0, 200, 1000])
+def test_death_bracket_matches_full_bisection(k):
+    stop = oracle._G_STOP
+    scale = 2.0**k
+    rng = np.random.default_rng(1 + abs(k))
+    lam, delta_sq, sigma_sq = _phase_inputs(*rng.normal(size=(2, 12)) / scale)
+    kernel = oracle._phase_kernel(lam, delta_sq, sigma_sq)
+    gs = [
+        lambda u: kernel(u)[0],
+        lambda u: (u / scale) ** 2,
+        lambda u: math.sqrt(u / scale),
+        lambda u: 1e-3 * u / scale,
+        lambda u: stop if u >= 3.0 * scale else 0.0,  # a step lands exactly on the stop
+    ]
+    for g in gs:
+        for hi in (64.0 * scale, 1e6 * scale):
+            if g(hi) >= stop:
+                assert oracle._death_bracket(g, hi) == death_bracket(g, hi, stop), (g, hi)
+
+
+def test_death_search_stops_once_the_bracket_is_tight(monkeypatch):
+    rng = np.random.default_rng(24)
+    form = qc.DiagonalForm(rng.normal(size=24), rng.normal(size=24))
+
+    def cdf_counting_search_evaluations(search):
+        evaluations = []
+
+        def spy(g, hi):
+            return search(lambda u: evaluations.append(u) or g(u), hi)
+
+        monkeypatch.setattr(oracle, "_death_bracket", spy)
+        return qc.cdf_cf(form, 3.0), len(evaluations)
+
+    got, early = cdf_counting_search_evaluations(oracle._death_bracket)
+    want, full = cdf_counting_search_evaluations(
+        lambda g, hi: death_bracket(g, hi, oracle._G_STOP)
+    )
+    assert got.hex() == want.hex()
+    # the form takes the dying branch; the fixed 200-step loop needs more than 200
+    assert 0 < early < 100 and full > 200, (early, full)
 
 
 def test_matrix_and_diagonal_samplers_agree_in_law():

@@ -7,6 +7,7 @@ with the library, and by numpy.linalg.eigvalsh.
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,24 @@ def test_symmetrize_accepts_form():
     form = qc.QuadraticForm(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2))
     out = symmetrize(form)
     assert np.array_equal(out, out.T)
+
+
+def test_symmetrize_near_the_float_limit():
+    # (A + A')/2 overflows in the sum above about 9e307; A/2 + A'/2 cannot
+    red = qc.reduce(qc.QuadraticForm(np.diag([1.5e308, -1.5e308]), np.zeros(2)))
+    assert np.array_equal(red.eigenvalues, np.array([1.5e308, -1.5e308]))
+    mat = np.array([[1.5e308, 1.7e308], [1.6e308, -1.7e308]])
+    half_sum = float((Fraction(1.7e308) + Fraction(1.6e308)) / 2)  # exact, rounded once
+    want = np.array([[1.5e308, half_sum], [half_sum, -1.7e308]])
+    assert np.array_equal(symmetrize(mat), want)
+
+
+@given(st.integers(1, 12), st.integers(0, 2**31 - 1), st.integers(-1000, 1000))
+@settings(max_examples=100)
+def test_symmetrize_matches_halved_sum(p, seed, k):
+    # A/2 + A'/2 and (A + A')/2 round alike while every entry stays normal
+    mat = np.random.default_rng(seed).normal(size=(p, p)) * 2.0**k
+    assert np.array_equal(symmetrize(mat), 0.5 * (mat + mat.T))
 
 
 def test_eigen_diagonal_input():
