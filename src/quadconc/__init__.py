@@ -35,7 +35,6 @@ from .mgf import (
     ScalarGridCheck,
     check_scalar_ineq,
     envelope_grid_check,
-    envelope_rhs,
     envelope_y_grid,
     log_mgf_centered,
     log_mgf_term,
@@ -74,7 +73,6 @@ __all__ = [
     "ScalarGridCheck",
     "log_mgf_term",
     "log_mgf_centered",
-    "envelope_rhs",
     "check_scalar_ineq",
     "envelope_y_grid",
     "envelope_grid_check",

@@ -7,10 +7,11 @@ Subcommands:
   mgf-check  grid check of the log-MGF envelope inequality
 
 Inputs are JSON documents with exactly one of {"matrix": ..., "b": ...} or
-{"a": ..., "b": ...} plus an optional "label", or a two-column CSV (header
-"a,b") for diagonal forms.  Numbers in machine-readable output use the
-shortest representation that round-trips to the same double, so reports are
-byte-stable for fixed inputs and seeds.
+{"a": ..., "b": ...} plus an optional "label" free of control and
+line-break characters, or a two-column CSV (header "a,b") for diagonal
+forms.  Each output format has one writer, fed column names and rows.
+Numbers use the shortest representation that round-trips to the same
+double, so outputs and reports are byte-stable for fixed inputs and seeds.
 
 Exit codes: 0 ok, 1 input/IO error, 2 validation or degenerate form,
 3 numerical failure (the message carries the residual and/or accuracy the
@@ -22,6 +23,7 @@ import csv
 import json
 import math
 import sys
+import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -38,7 +40,7 @@ from .bounds import (
 )
 from .errors import InputError, NumericalError, ValidationError
 from .mgf import envelope_grid_check
-from .oracle import empirical_tail, sample
+from .oracle import DEFAULT_CONFIDENCE, empirical_tail, sample
 from .spectral import QuadraticForm, reduce as spectral_reduce
 
 
@@ -53,36 +55,6 @@ class FormDocument:
         if self.diagonal is not None:
             return self.diagonal
         return spectral_reduce(self.quadratic).diagonal_form()
-
-
-@dataclass(frozen=True)
-class VerifyRow:
-    x: float
-    threshold: float
-    bound: float
-    p_hat: float
-    ci_low: float
-    ci_high: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    label: Optional[str]
-    direction: str
-    n: int
-    seed: int
-    confidence: float
-    rows: tuple
-
-    def __post_init__(self):
-        xs = [row.x for row in self.rows]
-        if xs != sorted(xs):
-            raise ValidationError("verify rows must be sorted by x")
-
-    @property
-    def all_passed(self):
-        return all(row.passed for row in self.rows)
 
 
 def _load_csv(path: Path) -> FormDocument:
@@ -135,6 +107,9 @@ def load_document(path) -> FormDocument:
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
         raise InputError("%s: label must be a string" % path)
+    # a control or line-break character would let a label forge output lines
+    if label and any(unicodedata.category(ch) in ("Cc", "Zl", "Zp") for ch in label):
+        raise InputError("%s: label must not contain control or line-break characters" % path)
     try:
         if "matrix" in obj:
             quadratic = QuadraticForm(
@@ -189,34 +164,54 @@ def _parse_x_grid(text):
     return xs
 
 
-def _bound_rows_text(label, direction, rows, out):
-    if label:
-        out.write("# label: %s\n" % label)
-    out.write("# direction: %s\n" % direction)
-    for tb in rows:
-        out.write(
-            "x=%s threshold=%s bound=%s\n" % (_fmt(tb.x), _fmt(tb.threshold), _fmt(tb.prob_bound))
-        )
+def _cell(value) -> str:
+    """One output field: the shortest round-trip decimal, true/false, or the string itself."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else _fmt(value)
 
 
-def _bound_rows_csv(rows, out):
-    out.write("x,threshold,bound\n")
-    for tb in rows:
-        out.write("%s,%s,%s\n" % (_fmt(tb.x), _fmt(tb.threshold), _fmt(tb.prob_bound)))
+def _render_text(columns, rows, comments=()) -> str:
+    """'# key: value' lines, then one line of key=value fields per row.
+
+    A column named None prints its value bare, like verify's ok/FAIL marker.
+    """
+    lines = ["# %s: %s" % item for item in comments]
+    for row in rows:
+        fields = [_cell(v) if c is None else "%s=%s" % (c, _cell(v)) for c, v in zip(columns, row)]
+        lines.append(" ".join(fields))
+    return "".join(line + "\n" for line in lines)
 
 
-def _bound_rows_json(label, direction, rows, out):
-    payload = {
-        "tool": "quadconc",
-        "version": __version__,
-        "label": label,
-        "direction": direction,
-        "rows": [
-            {"x": float(tb.x), "threshold": float(tb.threshold), "bound": float(tb.prob_bound)}
-            for tb in rows
-        ],
-    }
-    out.write(json.dumps(payload, indent=2) + "\n")
+def _render_csv(columns, rows) -> str:
+    """A header line of column names, then one comma-separated line per row."""
+    lines = [",".join(columns)] + [",".join(map(_cell, row)) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def _render_json(payload) -> str:
+    """The payload indented by two spaces."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _records(columns, rows):
+    """Rows as JSON objects of floats, booleans kept as booleans."""
+    return [{c: v if isinstance(v, bool) else float(v) for c, v in zip(columns, r)} for r in rows]
+
+
+def _header(label, direction):
+    """The fields every JSON output starts with."""
+    return {"tool": "quadconc", "version": __version__, "label": label, "direction": direction}
+
+
+def _write(fmt, columns, rows, payload, comments=()):
+    """Print the rows as text or csv, or the payload as json."""
+    if fmt == "text":
+        sys.stdout.write(_render_text(columns, rows, comments))
+    elif fmt == "csv":
+        sys.stdout.write(_render_csv(columns, rows))
+    else:
+        sys.stdout.write(_render_json(payload))
 
 
 def cmd_bound(args) -> int:
@@ -224,13 +219,11 @@ def cmd_bound(args) -> int:
     stats = form_stats(doc.resolve())
     xs = _parse_x_list(args.x)
     one = upper_threshold if args.direction == "upper" else lower_threshold
-    rows = [one(stats, x) for x in xs]
-    if args.format == "text":
-        _bound_rows_text(doc.label, args.direction, rows, sys.stdout)
-    elif args.format == "csv":
-        _bound_rows_csv(rows, sys.stdout)
-    else:
-        _bound_rows_json(doc.label, args.direction, rows, sys.stdout)
+    columns = ("x", "threshold", "bound")
+    rows = [(tb.x, tb.threshold, tb.prob_bound) for tb in (one(stats, x) for x in xs)]
+    comments = ([("label", doc.label)] if doc.label else []) + [("direction", args.direction)]
+    payload = dict(_header(doc.label, args.direction), rows=_records(columns, rows))
+    _write(args.format, columns, rows, payload, comments)
     return 0
 
 
@@ -238,75 +231,11 @@ def cmd_invert(args) -> int:
     doc = load_document(args.input)
     stats = form_stats(doc.resolve())
     tb = tail_exponent(stats, args.deviation, args.direction)
-    if args.format == "json":
-        payload = {
-            "tool": "quadconc",
-            "version": __version__,
-            "label": doc.label,
-            "direction": args.direction,
-            "deviation": float(args.deviation),
-            "x": float(tb.x),
-            "bound": float(tb.prob_bound),
-            "threshold": float(tb.threshold),
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    elif args.format == "csv":
-        sys.stdout.write("deviation,x,bound,threshold\n")
-        sys.stdout.write(
-            "%s,%s,%s,%s\n"
-            % (_fmt(args.deviation), _fmt(tb.x), _fmt(tb.prob_bound), _fmt(tb.threshold))
-        )
-    else:
-        sys.stdout.write(
-            "deviation=%s x=%s bound=%s threshold=%s\n"
-            % (_fmt(args.deviation), _fmt(tb.x), _fmt(tb.prob_bound), _fmt(tb.threshold))
-        )
+    columns = ("deviation", "x", "bound", "threshold")
+    rows = [(args.deviation, tb.x, tb.prob_bound, tb.threshold)]
+    payload = dict(_header(doc.label, args.direction), **_records(columns, rows)[0])
+    _write(args.format, columns, rows, payload)
     return 0
-
-
-def _verify_csv(report: VerifyReport) -> str:
-    lines = ["x,threshold,bound,p_hat,ci_low,ci_high,pass"]
-    for row in report.rows:
-        lines.append(
-            "%s,%s,%s,%s,%s,%s,%s"
-            % (
-                _fmt(row.x),
-                _fmt(row.threshold),
-                _fmt(row.bound),
-                _fmt(row.p_hat),
-                _fmt(row.ci_low),
-                _fmt(row.ci_high),
-                "true" if row.passed else "false",
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _verify_json(report: VerifyReport) -> str:
-    payload = {
-        "metadata": {
-            "tool": "quadconc",
-            "version": __version__,
-            "label": report.label,
-            "direction": report.direction,
-            "n": report.n,
-            "seed": report.seed,
-            "confidence": report.confidence,
-        },
-        "rows": [
-            {
-                "x": row.x,
-                "threshold": row.threshold,
-                "bound": row.bound,
-                "p_hat": row.p_hat,
-                "ci_low": row.ci_low,
-                "ci_high": row.ci_high,
-                "pass": row.passed,
-            }
-            for row in report.rows
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def cmd_verify(args) -> int:
@@ -326,42 +255,30 @@ def cmd_verify(args) -> int:
     for x in xs:
         tb = one(stats, x)
         est = empirical_tail(draws, tb.threshold, args.direction, seed=args.seed)
-        rows.append(
-            VerifyRow(
-                x=float(x),
-                threshold=float(tb.threshold),
-                bound=float(tb.prob_bound),
-                p_hat=est.p_hat,
-                ci_low=est.ci_low,
-                ci_high=est.ci_high,
-                passed=est.ci_low <= tb.prob_bound,
-            )
-        )
-    report = VerifyReport(
-        label=doc.label,
-        direction=args.direction,
-        n=args.samples,
-        seed=args.seed,
-        confidence=0.99,
-        rows=tuple(rows),
-    )
+        passed = est.ci_low <= tb.prob_bound
+        rows.append((x, tb.threshold, tb.prob_bound, est.p_hat, est.ci_low, est.ci_high, passed))
     base = Path(args.out)
     if base.suffix.lower() in (".csv", ".json"):
         base = base.with_suffix("")
     csv_path = base.with_suffix(".csv")
     json_path = base.with_suffix(".json")
-    csv_path.write_text(_verify_csv(report))
-    json_path.write_text(_verify_json(report))
-    for row in report.rows:
-        sys.stdout.write(
-            "x=%s p_hat=%s bound=%s %s\n"
-            % (_fmt(row.x), _fmt(row.p_hat), _fmt(row.bound), "ok" if row.passed else "FAIL")
-        )
+    columns = ("x", "threshold", "bound", "p_hat", "ci_low", "ci_high", "pass")
+    csv_path.write_text(_render_csv(columns, rows))
+    metadata = dict(
+        _header(doc.label, args.direction),
+        n=args.samples,
+        seed=args.seed,
+        confidence=DEFAULT_CONFIDENCE,
+    )
+    json_path.write_text(_render_json({"metadata": metadata, "rows": _records(columns, rows)}))
+    marked = [(r[0], r[3], r[2], "ok" if r[-1] else "FAIL") for r in rows]
+    sys.stdout.write(_render_text(("x", "p_hat", "bound", None), marked))
+    all_passed = all(r[-1] for r in rows)
     sys.stdout.write(
         "%s (%d rows, wrote %s and %s)\n"
-        % ("all rows ok" if report.all_passed else "BOUND CONTRADICTED", len(rows), csv_path, json_path)
+        % ("all rows ok" if all_passed else "BOUND CONTRADICTED", len(rows), csv_path, json_path)
     )
-    return 0 if report.all_passed else 4
+    return 0 if all_passed else 4
 
 
 def cmd_mgf_check(args) -> int:

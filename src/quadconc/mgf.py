@@ -50,34 +50,39 @@ class MgfEnvelope:
         return (self.u * y) ** 2 / (1.0 - self.v * y)
 
 
+def _log_mgf_terms(a, b, ys):
+    """log E exp(y (a_k z^2 + b_k z)) and q = -2 a_k y, one row per coefficient k, one column per y.
+
+    The first plus q/2 (which is -a_k y exactly) are the centered terms.  The
+    operations and their order are those of the envelope grid check, which
+    mgf-check prints.
+    """
+    q = -2.0 * np.outer(a, ys)
+    if not np.all(1.0 + q > 0.0):
+        k, j = np.unravel_index(np.argmin(1.0 + q > 0.0), q.shape)
+        raise DomainError(
+            "MGF diverges at term k=%d: 1 - 2ay = %r <= 0 (a=%r, y=%r)"
+            % (k, float(1.0 + q[k, j]), float(np.ravel(a)[k]), float(np.ravel(ys)[j]))
+        )
+    # log1p keeps the small-y regime accurate where log(1 - 2ay) cancels against a*y
+    return 0.5 * np.outer(np.square(b), np.square(ys)) / (1.0 + q) - 0.5 * np.log1p(q), q
+
+
 def log_mgf_term(a: float, b: float, y: float) -> float:
     """log E exp(y (a z^2 + b z)) for scalar a, b, y with 1 - 2ay > 0."""
-    q = -2.0 * a * y
-    if not 1.0 + q > 0.0:
-        raise DomainError("MGF diverges: 1 - 2ay = %r <= 0 at y = %r" % (1.0 + q, y))
-    # log1p keeps the small-y regime accurate where log(1 - 2ay) cancels against a*y
-    return 0.5 * b * b * y * y / (1.0 + q) - 0.5 * math.log1p(q)
+    terms, _ = _log_mgf_terms(a, b, y)
+    return float(terms[0, 0])
 
 
 def log_mgf_centered(form: DiagonalForm, y: float) -> float:
     """log E exp(y (T - mean)) = sum_k [log_mgf_term(a_k, b_k, y) - a_k y]."""
-    q = -2.0 * form.a * y
-    bad = 1.0 + q <= 0.0
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise DomainError("MGF diverges at term k=%d (a=%r, y=%r)" % (k, float(form.a[k]), y))
-    terms = 0.5 * form.b**2 * y * y / (1.0 + q) - 0.5 * np.log1p(q) - form.a * y
-    return float(np.sum(terms))
+    terms, q = _log_mgf_terms(form.a, form.b, y)
+    return float(np.sum(terms + 0.5 * q))
 
 
-def envelope_rhs(stats: FormStats, y: float) -> float:
-    """u_sq * y^2 / (1 - 2*a_plus*y) on the domain 0 < y < 1/(2*a_plus)."""
-    if not y > 0:
-        raise DomainError("y must be positive, got %r" % (y,))
-    den = 1.0 - 2.0 * stats.a_plus * y
-    if not den > 0.0:
-        raise DomainError("y = %r at or past the pole 1/(2 a_plus)" % (y,))
-    return stats.u_sq * y * y / den
+def _scalar_sides(r, a, y):
+    """Both sides of -log(1-2ry)/2 - ry <= r^2 y^2 / (1-2ay), elementwise."""
+    return -0.5 * np.log1p(-2.0 * r * y) - r * y, r * r * y * y / (1.0 - 2.0 * a * y)
 
 
 def check_scalar_ineq(r: float, a: float, y: float):
@@ -91,11 +96,9 @@ def check_scalar_ineq(r: float, a: float, y: float):
         raise DomainError("y must be positive, got %r" % (y,))
     if a > 0 and not 1.0 - 2.0 * a * y > 0.0:
         raise DomainError("y = %r at or past 1/(2a)" % (y,))
-    qr = -2.0 * r * y
-    if not 1.0 + qr > 0.0:
-        raise DomainError("1 - 2ry = %r <= 0" % (1.0 + qr,))
-    lhs = -0.5 * math.log1p(qr) - r * y
-    rhs = r * r * y * y / (1.0 - 2.0 * a * y)
+    if not 1.0 - 2.0 * r * y > 0.0:
+        raise DomainError("1 - 2ry = %r <= 0" % (1.0 - 2.0 * r * y,))
+    lhs, rhs = (float(side) for side in _scalar_sides(r, a, y))
     return lhs, rhs, lhs <= rhs + SCALAR_SLACK * (1.0 + abs(rhs))
 
 
@@ -108,15 +111,6 @@ def envelope_y_grid(a_plus: float, n: int) -> np.ndarray:
         raise ValidationError("a_plus must be nonnegative")
     y_max = LINEAR_ONLY_Y_MAX if a_plus == 0.0 else POLE_FRACTION / (2.0 * a_plus)
     return y_max * np.arange(1, n + 1) / n
-
-
-def _centered_grid(form: DiagonalForm, ys: np.ndarray) -> np.ndarray:
-    """Vectorized log_mgf_centered over a y-grid (all points must be in-domain)."""
-    q = -2.0 * np.outer(form.a, ys)
-    if np.any(1.0 + q <= 0.0):
-        raise DomainError("grid point outside the MGF domain")
-    terms = 0.5 * np.outer(form.b**2, ys**2) / (1.0 + q) - 0.5 * np.log1p(q) - np.outer(form.a, ys)
-    return np.sum(terms, axis=0)
 
 
 @dataclass(frozen=True)
@@ -142,7 +136,8 @@ def envelope_grid_check(form: DiagonalForm, n: int) -> EnvelopeCheck:
     """
     stats = form_stats(form)
     ys = envelope_y_grid(stats.a_plus, n)
-    lhs = _centered_grid(form, ys)
+    terms, q = _log_mgf_terms(form.a, form.b, ys)
+    lhs = np.sum(terms + 0.5 * q, axis=0)
     rhs = stats.u_sq * ys**2 / (1.0 - 2.0 * stats.a_plus * ys)
     slack = lhs - rhs
     worst = int(np.argmax(slack))
@@ -181,9 +176,7 @@ def scalar_ineq_grid(n: int = 64, r_min: float = -5.0, a_max: float = 5.0) -> Sc
     frac_r = (np.arange(n) / (n - 1))[None, :, None]
     r = r_min + (a - r_min) * frac_r
     y = (POLE_FRACTION / (2.0 * a)) * (np.arange(1, n + 1) / (n + 1))[None, None, :]
-    qr = -2.0 * r * y
-    lhs = -0.5 * np.log1p(qr) - r * y
-    rhs = r * r * y * y / (1.0 - 2.0 * a * y)
+    lhs, rhs = _scalar_sides(r, a, y)
     excess = lhs - rhs - SCALAR_SLACK * (1.0 + np.abs(rhs))
     return ScalarGridCheck(
         points=int(excess.size),

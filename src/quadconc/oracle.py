@@ -35,6 +35,7 @@ DEFAULT_CONFIDENCE = 0.99
 ENVELOPE_CUTOFF = 1e-12
 _G_STOP = -math.log(ENVELOPE_CUTOFF)
 ACCURACY_TARGET = 1e-6
+_EPS = float(np.finfo(float).eps)
 _MAX_BLOCKS = 200
 
 
@@ -254,6 +255,37 @@ def _death_bracket(g_decay, hi):
     return lo, up
 
 
+def _split_rounding(lam, s_terms, omega, u_end):
+    """Bound on what rounding H = psi(u) + omega u moves Int_0^u_end exp(-G) sin(H)/u du by.
+
+    psi(u) sums, per coordinate, arctan(2 a_k u)/2, at most min(|a_k| u, pi/4)
+    in size, and a_k d_k^2 u/(1 + 4 a_k^2 u^2) = S_k u/(1 + 4 a_k^2 u^2) with
+    S_k = b_k^2/(4|a_k|); omega = -sum_k b_k^2/(4 a_k) - t cancels the S_k u
+    while |a_k| u is small.  Computing psi and adding omega u takes at most
+    p + 16 roundings relative to these sizes, and exp(-G) <= 1, so the
+    integrand is off by at most (p + 16) eps times
+    sum_k [min(|a_k|, pi/(4u)) + S_k/(1 + 4 a_k^2 u^2)] + |omega|, whose
+    integral over (0, u_end) is the closed form below.  omega's own rounding
+    moves the point t at which F is evaluated, by at most (p + 2) eps
+    (sum_k S_k + |t|), like a rounding of t; it is not counted here.
+
+    Raises NumericalError when the bound alone spends the accuracy budget,
+    so callers can refuse before integrating.
+    """
+    knee = math.pi / 4.0
+    with np.errstate(over="ignore"):
+        x = np.abs(lam) * u_end
+        arc = np.minimum(x, knee) + knee * np.log(np.maximum(x, knee) / knee)
+        rat = s_terms * np.arctan(2.0 * x) / (2.0 * np.abs(lam))
+    bound = (lam.size + 16) * _EPS * (float(np.sum(arc + rat)) + abs(omega) * u_end)
+    if bound / math.pi > 0.5 * ACCURACY_TARGET:
+        raise NumericalError(
+            "phase rounding leaves only %.2e absolute accuracy" % (bound / math.pi),
+            accuracy=bound / math.pi,
+        )
+    return bound
+
+
 def cdf_cf(form: DiagonalForm, t: float) -> float:
     """P(T <= t) by numerical inversion of the characteristic function.
 
@@ -282,7 +314,12 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     at the death point instead, found by a bisection (_death_bracket) that
     stops once its bracket cannot shrink.
     Absolute accuracy target 1e-6; raises NumericalError with the achieved
-    estimate when the error accounting cannot certify half of that.
+    estimate when the error accounting cannot certify half of that.  The
+    accounting includes the rounding of the phase split (_split_rounding): a
+    tiny nonzero a_k with a nonzero b_k makes psi and omega u cancel in size
+    b_k^2 u/(4|a_k|), and a tiny a_k alone stretches the head to u_settle
+    ~ 5/|a_k|, where omega u keeps few correct digits.  Such forms raise
+    before the integral that cannot be certified is computed.
     """
     from scipy.integrate import quad
 
@@ -298,7 +335,6 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
             raise DegenerateFormError("form is deterministic; its CDF is a step function")
         return _phi(t / math.sqrt(sigma_sq))
 
-    delta_sq = (lb / (2.0 * lam)) ** 2
     mean = float(np.sum(a))
     sd = math.sqrt(float(np.sum(2.0 * a * a + b * b)))
     # Chebyshev clamp: beyond 1e6 standard deviations the answer is 0/1 to 1e-12
@@ -306,8 +342,23 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
         return 1.0
     if mean - t > 1e6 * sd:
         return 0.0
-    # linear phase slope left once arctan and the noncentral terms saturate
-    omega = float(-np.sum(lb * lb / (4.0 * lam))) - t
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        delta_sq = (lb / (2.0 * lam)) ** 2
+        # linear phase slope left once arctan and the noncentral terms saturate
+        omega = float(-np.sum(lb * lb / (4.0 * lam))) - t
+        # residual phase beyond u_settle is below ~0.05 rad, so the integrand
+        # out there is exp(-G) sin(psi_inf + omega u)/u with slowly varying parts
+        u_settle = 5.0 * float(np.sum((1.0 + delta_sq) / np.abs(lam)))
+        s_terms = lb * lb / (4.0 * np.abs(lam))
+    phase_scales = (float(np.max(delta_sq)), float(np.sum(s_terms)), omega, u_settle)
+    if not all(map(math.isfinite, phase_scales)):
+        raise NumericalError(
+            "coefficient scales overflow the characteristic-function phase",
+            accuracy=float("inf"),
+        )
+    # G(u) <= u^2 sd^2 / 2, so the unweighted integrals reach at least this
+    # far; refuse a hopeless split before the phase is ever evaluated
+    _split_rounding(lam, s_terms, omega, min(u_settle, math.sqrt(2.0 * _G_STOP) / sd))
     phase = _phase_kernel(lam, delta_sq, sigma_sq)
 
     def g_decay(u):
@@ -322,19 +373,17 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     total = 0.0
     err = 0.0
 
-    # residual phase beyond u_settle is below ~0.05 rad, so the integrand
-    # out there is exp(-G) sin(psi_inf + omega u)/u with slowly varying parts
-    u_settle = 5.0 * float(np.sum((1.0 + delta_sq) / np.abs(lam)))
-
     if g_decay(u_settle) >= _G_STOP:
         # amplitude dies before the phase settles; integrate to the death
         # point (G is increasing, so bisection brackets cleanly) and drop
         # the provably negligible rest
         _, up = _death_bracket(g_decay, u_settle)
+        split = _split_rounding(lam, s_terms, omega, up)
         val, e, *_ = quad(integrand, 0.0, up, epsabs=1e-11, epsrel=1e-10, limit=2000, full_output=1)
         total += val
-        err += e + 2.0 * ENVELOPE_CUTOFF
+        err += e + 2.0 * ENVELOPE_CUTOFF + split
     else:
+        _split_rounding(lam, s_terms, omega, u_settle)
         val, e, *_ = quad(
             integrand, 0.0, u_settle, epsabs=1e-11, epsrel=1e-10, limit=2000, full_output=1
         )
@@ -357,6 +406,7 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
             u *= 2.0
         else:
             raise NumericalError("integration ladder did not terminate", accuracy=float("inf"))
+        err += _split_rounding(lam, s_terms, omega, u)  # the unweighted integrals end at u
         if not finished:
             sign = 1.0 if omega > 0 else -1.0
 

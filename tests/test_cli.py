@@ -253,3 +253,24 @@ def test_numerical_failure_reports_diagnostics(tmp_path, monkeypatch, capsys, fi
     assert quadconc.cli.main(["bound", "--input", str(doc), "--x", "1"]) == 3
     err = capsys.readouterr().err
     assert err == "numerical failure: Jacobi sweeps did not converge%s\n" % shown
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["x\nx=1.0 threshold=-5.0 bound=0.9", "a\rb", "tab\there", "nul\x00", "del\x7f",
+     "next\x85line", "line\u2028sep", "para\u2029sep"],
+)
+def test_label_with_control_characters_rejected(tmp_path, capsys, label):
+    doc = tmp_path / "forged.json"
+    doc.write_text(json.dumps({"a": [1, 1], "b": [0, 0], "label": label}))
+    assert quadconc.cli.main(["bound", "--input", str(doc), "--x", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "label must not contain control or line-break characters" in captured.err
+
+
+def test_printable_unicode_label_accepted(tmp_path, capsys):
+    doc = tmp_path / "unicode.json"
+    doc.write_text(json.dumps({"a": [1, 1], "b": [0, 0], "label": "σ² — naïve fit"}))
+    assert quadconc.cli.main(["bound", "--input", str(doc), "--x", "1"]) == 0
+    assert capsys.readouterr().out.startswith("# label: σ² — naïve fit\n# direction: upper\n")

@@ -86,13 +86,14 @@ def test_log_mgf_domain():
 
 def test_envelope_rhs_frozen():
     stats = qc.FormStats(mean=1.0, u_sq=1.0625, a_plus=1.0, a_minus=0.0)
-    assert qc.envelope_rhs(stats, 0.25) == pytest.approx(0.1328125, rel=1e-15)
+    env = qc.MgfEnvelope.from_stats(stats)
+    assert env.rhs(0.25) == pytest.approx(0.1328125, rel=1e-15)
     with pytest.raises(DomainError):
-        qc.envelope_rhs(stats, 0.5)  # at the pole
+        env.rhs(0.5)  # at the pole
     with pytest.raises(DomainError):
-        qc.envelope_rhs(stats, 0.0)
+        env.rhs(0.0)
     with pytest.raises(DomainError):
-        qc.envelope_rhs(stats, -0.1)
+        env.rhs(-0.1)
 
 
 def test_envelope_object_matches_function():
@@ -100,7 +101,8 @@ def test_envelope_object_matches_function():
     env = qc.MgfEnvelope.from_stats(stats)
     assert env.u == math.sqrt(stats.u_sq)
     assert env.v == 2.0 * stats.a_plus
-    assert env.rhs(0.25) == qc.envelope_rhs(stats, 0.25)
+    # the same envelope written with u_sq: u_sq y^2 / (1 - 2 a_plus y)
+    assert env.rhs(0.25) == stats.u_sq * 0.25 * 0.25 / (1.0 - 2.0 * stats.a_plus * 0.25)
     lower = qc.MgfEnvelope.from_stats(
         qc.FormStats(mean=0.0, u_sq=1.0, a_plus=3.0, a_minus=0.5), "lower"
     )

@@ -13,11 +13,12 @@ import pytest
 from _cf_reference import death_bracket, g_decay, psi
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.stats import beta, chi2, ks_2samp, ncx2, norm
 
 import quadconc as qc
 from quadconc import oracle
-from quadconc.errors import DegenerateFormError, ValidationError
+from quadconc.errors import DegenerateFormError, NumericalError, ValidationError
 
 CHI1 = qc.DiagonalForm(np.ones(1), np.zeros(1))
 CHI3 = qc.DiagonalForm(np.ones(3), np.zeros(3))
@@ -250,6 +251,41 @@ def test_cdf_cf_degenerate_rejected():
         qc.cdf_cf(qc.DiagonalForm(np.zeros(2), np.zeros(2)), 0.0)
     with pytest.raises(ValidationError):
         qc.cdf_cf(CHI1, math.nan)
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize(
+    "eps", [1e-8, 1e-16, -1e-16, 1e-18, 1e-20, 1e-30, 1e-100, 1e-150, 1e-160, 1e-300, 5e-324]
+)
+def test_cdf_cf_tiny_curvature_with_shift_is_right_or_refused(eps, t):
+    # T = eps z0^2 + z0 + z1^2: psi(u) and omega u cancel in size u/(4 eps), so
+    # the computed phase is rounding noise unless its error is accounted for.
+    # The referee drops eps z0^2, which moves the CDF by about eps; at 1e-8
+    # the guard must still let the value through
+    def conditional(z):
+        return norm.pdf(z) * norm.cdf(t - z * z)
+
+    want, _ = quad(conditional, -np.inf, np.inf, epsabs=1e-13, epsrel=1e-12)
+    form = qc.DiagonalForm(np.array([eps, 1.0]), np.array([1.0, 0.0]))
+    try:
+        got = qc.cdf_cf(form, t)
+    except NumericalError:
+        assert eps != 1e-8, "the rounding guard refused a form it can certify"
+        return
+    assert abs(got - want) <= 1e-6, (got, want)
+
+
+@pytest.mark.parametrize("t", [1.0, 3.0])
+@pytest.mark.parametrize("eps", [1e-16, 1e-20, 1e-50, 1e-100, 1e-150])
+def test_cdf_cf_tiny_curvature_without_shift_is_right_or_refused(eps, t):
+    # T = eps z0^2 + z1^2 is chi-square(1) up to about eps, but u_settle ~ 5/eps
+    # stretches the head integral over ~1/eps oscillations of sin(omega u)
+    form = qc.DiagonalForm(np.array([eps, 1.0]), np.zeros(2))
+    try:
+        got = qc.cdf_cf(form, t)
+    except NumericalError:
+        return
+    assert abs(got - chi2.cdf(t, 1)) <= 1e-6, got
 
 
 def test_cdf_cf_against_monte_carlo():
