@@ -23,9 +23,9 @@ def report(name, form, n, seed):
         "tail", "x", "threshold", "bound", "p_hat", "99% CI")
     print(header)
     for direction, one in (("upper", qc.upper_threshold), ("lower", qc.lower_threshold)):
-        for x in X_LEVELS:
-            tb = one(stats, x)
-            est = qc.empirical_tail(draws, tb.threshold, direction, seed=seed)
+        tbs = [one(stats, x) for x in X_LEVELS]
+        ests = qc.empirical_tail(draws, np.array([tb.threshold for tb in tbs]), direction, seed=seed)
+        for x, tb, est in zip(X_LEVELS, tbs, ests):
             ci = "[%.3g, %.3g]" % (est.ci_low, est.ci_high)
             flag = "" if est.ci_low <= tb.prob_bound else "  <-- CONTRADICTED"
             print("%-6s %-10.4g %-12.6g %-12.6g %-12.6g %-22s%s"

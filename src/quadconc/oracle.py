@@ -13,12 +13,19 @@ generated from counter c * 2^128 regardless of how blocks are scheduled,
 so serial and parallel execution, or runs of different total size, agree
 bit for bit on the shared prefix.  Normals come from an explicit
 Box-Muller transform rather than a library-version-dependent method.
+The blocks run on a thread pool with one worker per CPU the process may
+use (its affinity mask), at most one per block; each block writes its own
+slice of the output, so the bits do not depend on the core count.  A block
+of m draws of a p-coordinate form holds about 2.5 m p doubles while its
+normals are made, so peak memory is the output plus that much per worker.
 
 scipy is imported inside the two routines that use it, the binomial
-interval and cdf_cf, so importing the package loads numpy only.
+interval and cdf_cf, and concurrent.futures inside the sampler, so
+importing the package loads numpy only.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,19 +70,46 @@ def _check_seed(seed):
 
 
 def _chunk_normals(seed, chunk_index, count):
-    """`count` standard normals from chunk `chunk_index` of the stream for `seed`."""
+    """`count` standard normals from chunk `chunk_index` of the stream for `seed`.
+
+    The uniforms are split into two contiguous halves and every step after
+    that writes into them or into one scratch half, so a chunk holds about
+    2.5 `count` doubles at its peak.  Each operation is the one the
+    textbook form radius * (cos, sin)(angle) performs, on arrays of the
+    same layout, so the bits are those of the plain expression.
+    """
     pairs = (count + 1) // 2
     bitgen = np.random.Philox(key=seed, counter=chunk_index << 128)
     raw = bitgen.random_raw(2 * pairs)
     # top 53 bits -> uniforms; u1 in (0, 1] so log never sees 0
-    u1 = ((raw[0::2] >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
-    u2 = (raw[1::2] >> np.uint64(11)) * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    out = np.empty(2 * pairs)
-    out[0::2] = radius * np.cos(angle)
-    out[1::2] = radius * np.sin(angle)
+    raw >>= np.uint64(11)
+    raw[0::2] += np.uint64(1)
+    u1 = raw[0::2].astype(float)
+    u2 = raw[1::2].astype(float)
+    u1 *= 2.0**-53
+    u2 *= 2.0**-53
+    # radius into u1, angle into u2, then radius * cos and radius * sin
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= 2.0 * np.pi
+    scratch = np.cos(u2)
+    scratch *= u1
+    np.sin(u2, out=u2)
+    u2 *= u1
+    # the raw bits are spent; their buffer takes the interleaved normals
+    out = raw.view(np.float64)
+    out[0::2] = scratch
+    out[1::2] = u2
     return out[:count]
+
+
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _validate_counts(n, chunk_size):
@@ -87,22 +121,45 @@ def _validate_counts(n, chunk_size):
 
 
 def _draw(form, n, seed, chunk_size, evaluate):
-    """n values of evaluate(z), z an (m, p) block of normals from each chunk in turn."""
+    """n values of evaluate(z), z an (m, p) block of normals from each chunk.
+
+    Chunks run on a thread pool, each writing its own slice of the output.
+    If one raises, or the caller is interrupted, the queued chunks are
+    cancelled and the running ones finish before the error propagates.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
     n, chunk_size = _validate_counts(n, chunk_size)
     seed = _check_seed(seed)
     p = form.p
     out = np.empty(n)
-    for chunk in range((n + chunk_size - 1) // chunk_size):
+    chunks = (n + chunk_size - 1) // chunk_size
+
+    def fill(chunk):
         lo = chunk * chunk_size
         m = min(chunk_size, n - lo)
         z = _chunk_normals(seed, chunk, m * p).reshape(m, p)
         out[lo : lo + m] = evaluate(z)
+
+    pool = ThreadPoolExecutor(max_workers=min(_usable_cpus(), chunks))
+    try:
+        for done in [pool.submit(fill, chunk) for chunk in range(chunks)]:
+            done.result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
     return out
 
 
 def sample(form: DiagonalForm, n: int, seed: int, chunk_size: int = DEFAULT_CHUNK) -> np.ndarray:
     """n realizations of the diagonal form, reproducible for fixed (seed, chunk_size)."""
-    return _draw(form, n, seed, chunk_size, lambda z: (z * z) @ form.a + z @ form.b)
+
+    def evaluate(z):
+        # (z * z) @ a + z @ b, squaring z in place once z @ b is taken
+        linear = z @ form.b
+        np.multiply(z, z, out=z)
+        return z @ form.a + linear
+
+    return _draw(form, n, seed, chunk_size, evaluate)
 
 
 def sample_quadratic(
@@ -127,12 +184,17 @@ def _clopper_pearson(k, n, confidence):
 
 
 def empirical_tail(
-    samples, t: float, direction: str, confidence: float = DEFAULT_CONFIDENCE, seed: int = 0
-) -> TailEstimate:
-    """Exact-binomial estimate of P(T >= t) (upper) or P(T <= t) (lower).
+    samples, t, direction: str, confidence: float = DEFAULT_CONFIDENCE, seed: int = 0
+):
+    """Exact-binomial estimates of P(T >= t) (upper) or P(T <= t) (lower).
 
-    `seed` is carried through into the estimate for provenance; it does not
-    affect the computation.
+    `t` is one threshold, giving one TailEstimate, or a 1-D array of them,
+    giving a list with one estimate per threshold.  The samples are counted
+    in DEFAULT_CHUNK blocks: a sorted copy of each block locates every
+    threshold by binary search, so one pass over the samples, with O(block)
+    extra memory, counts them all exactly.  NaN samples are refused rather
+    than counted as misses.  `seed` is carried through into the estimates
+    for provenance; it does not affect the computation.
     """
     _check_direction(direction)
     if not 0.0 < confidence < 1.0:
@@ -140,12 +202,28 @@ def empirical_tail(
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValidationError("samples must be a nonempty vector")
-    if math.isnan(t):
+    thresholds = np.asarray(t, dtype=float)
+    if thresholds.ndim > 1:
+        raise ValidationError("thresholds must be a scalar or a vector")
+    flat = thresholds.reshape(-1)
+    if np.isnan(flat).any():
         raise ValidationError("threshold must not be NaN")
+    seed = _check_seed(seed)
+    # upper counts x >= t as the x not below t; lower counts x <= t directly
+    side = "left" if direction == "upper" else "right"
+    located = np.zeros(flat.size, dtype=np.int64)
+    for lo in range(0, x.size, DEFAULT_CHUNK):
+        block = np.sort(x[lo : lo + DEFAULT_CHUNK])
+        if np.isnan(block[-1]):  # a sort puts NaNs last
+            raise ValidationError("samples must not be NaN")
+        located += np.searchsorted(block, flat, side=side)
     n = x.size
-    k = int(np.count_nonzero(x >= t)) if direction == "upper" else int(np.count_nonzero(x <= t))
-    low, high = _clopper_pearson(k, n, confidence)
-    return TailEstimate(p_hat=k / n, ci_low=low, ci_high=high, n=n, seed=_check_seed(seed))
+    counts = n - located if direction == "upper" else located
+    estimates = []
+    for k in counts.tolist():
+        low, high = _clopper_pearson(k, n, confidence)
+        estimates.append(TailEstimate(p_hat=k / n, ci_low=low, ci_high=high, n=n, seed=seed))
+    return estimates if thresholds.ndim else estimates[0]
 
 
 def _phi(x):
@@ -255,6 +333,33 @@ def _death_bracket(g_decay, hi):
     return lo, up
 
 
+def _death_floor(lam, half_b_sq, u_lo, u_hi):
+    """A point of [u_lo, u_hi] below which G stays under _G_STOP.
+
+    Each noncentral term of G is at most 2 l_k^2 d_k^2 = b_k^2 u^2 / 2, so
+
+        G(u) <= sum_k log1p(4 a_k^2 u^2) / 4 + u^2 |b|^2 / 2,
+
+    which holds at u_lo = sqrt(2 _G_STOP) / sd by log1p(x) <= x.  The log1p
+    terms are evaluated in log space, as logaddexp(0, 2 log(2 |a_k| u)), so
+    none overflows, on at most 64 geometric rungs from u_lo to u_hi; the
+    bound is increasing, and the last rung that keeps it under _G_STOP is
+    returned.  No phase kernel runs, so coefficient scales that would
+    overflow the kernel are refused by _split_rounding at this point first.
+    """
+    if not 0.0 < u_lo < u_hi:
+        return min(u_lo, u_hi)
+    rungs = min(64, max(2, math.ceil(math.log2(u_hi) - math.log2(u_lo)) + 1))
+    log_u = np.linspace(math.log(u_lo), math.log(u_hi), rungs)
+    log_2a = np.log(np.abs(lam)) + math.log(2.0)
+    g_up = 0.25 * np.logaddexp(0.0, 2.0 * (log_2a[:, None] + log_u)).sum(axis=0)
+    u = np.exp(log_u)
+    with np.errstate(over="ignore"):
+        g_up += half_b_sq * u * u
+    below = int(np.count_nonzero(g_up <= _G_STOP))
+    return u_lo if below == 0 else max(u_lo, min(u_hi, float(u[below - 1])))
+
+
 def _split_rounding(lam, s_terms, omega, u_end):
     """Bound on what rounding H = psi(u) + omega u moves Int_0^u_end exp(-G) sin(H)/u du by.
 
@@ -356,9 +461,12 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
             "coefficient scales overflow the characteristic-function phase",
             accuracy=float("inf"),
         )
-    # G(u) <= u^2 sd^2 / 2, so the unweighted integrals reach at least this
-    # far; refuse a hopeless split before the phase is ever evaluated
-    _split_rounding(lam, s_terms, omega, min(u_settle, math.sqrt(2.0 * _G_STOP) / sd))
+    # the unweighted integrals reach u_settle or the death point, whichever
+    # comes first, so at least this far; refuse a hopeless split before the
+    # phase is ever evaluated
+    half_b_sq = 0.5 * float(np.sum(b * b))
+    floor = _death_floor(lam, half_b_sq, math.sqrt(2.0 * _G_STOP) / sd, u_settle)
+    _split_rounding(lam, s_terms, omega, floor)
     phase = _phase_kernel(lam, delta_sq, sigma_sq)
 
     def g_decay(u):

@@ -32,10 +32,10 @@ def test_criterion_01_bound_validity_monte_carlo():
         form = random_form(rng, SIZES[trial % 4])
         stats = qc.form_stats(form)
         draws = qc.sample(form, 10**6, 5000 + trial)
-        for x in X_LEVELS:
-            for direction, one in (("upper", qc.upper_threshold), ("lower", qc.lower_threshold)):
-                tb = one(stats, x)
-                est = qc.empirical_tail(draws, tb.threshold, direction)
+        for direction, one in (("upper", qc.upper_threshold), ("lower", qc.lower_threshold)):
+            tbs = [one(stats, x) for x in X_LEVELS]
+            ests = qc.empirical_tail(draws, np.array([tb.threshold for tb in tbs]), direction)
+            for x, tb, est in zip(X_LEVELS, tbs, ests):
                 assert est.ci_low <= tb.prob_bound, (
                     trial, x, direction, est.ci_low, tb.prob_bound,
                 )

@@ -1,13 +1,26 @@
-"""End-to-end CLI tests through subprocess: formats, exit codes, determinism."""
+"""End-to-end CLI tests: formats, exit codes, determinism.
 
+Most calls run ``quadconc.cli.main`` in-process; a few start a real
+``python -m quadconc`` to pin the entry point, ``--version`` and the exit
+status the process reports.
+"""
+
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
 import quadconc.cli
+from quadconc import __version__
 from quadconc.errors import NumericalError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CHI5_JSON = '{"a": [1, 1, 1, 1, 1], "b": [0, 0, 0, 0, 0], "label": "chi5"}\n'
 CHI5_MATRIX_JSON = (
@@ -16,11 +29,34 @@ CHI5_MATRIX_JSON = (
 )
 
 
+@dataclass(frozen=True)
+class Result:
+    returncode: int
+    stdout: str
+    stderr: str
+
+
 def run(*args):
+    """One in-process CLI call, reported like a finished process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = quadconc.cli.main([str(arg) for arg in args])
+        except SystemExit as exc:  # argparse exits on usage errors
+            code = exc.code
+    return Result(code, out.getvalue(), err.getvalue())
+
+
+def run_process(*args):
+    """One CLI call in a fresh ``python -m quadconc`` process."""
+    env = dict(os.environ)
+    old = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = str(SRC) + (os.pathsep + old if old else "")
     return subprocess.run(
         [sys.executable, "-m", "quadconc", *map(str, args)],
         capture_output=True,
         text=True,
+        env=env,
         timeout=300,
     )
 
@@ -166,6 +202,31 @@ def test_verify_bad_grid(chi5, tmp_path):
             "--x-grid", grid, "--out", tmp_path / "r",
         )
         assert res.returncode == 2, grid
+
+
+def test_entry_point_matches_in_process_call(chi5):
+    res = run_process("bound", "--input", chi5, "--x", "1,2", "--format", "csv")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == run("bound", "--input", chi5, "--x", "1,2", "--format", "csv").stdout
+
+
+def test_version_flag():
+    res = run_process("--version")
+    assert res.returncode == 0
+    assert res.stdout == "quadconc %s\n" % __version__
+
+
+def test_process_exit_codes(tmp_path, chi5):
+    # main's return value becomes the status of the process
+    res = run_process("bound", "--input", tmp_path / "nope.json", "--x", "1")
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: ")
+    res = run_process("invert", "--input", chi5, "--deviation", "0")
+    assert res.returncode == 2
+    assert res.stderr.startswith("invalid request: ")
+    res = run_process("bound", "--input", chi5)  # argparse usage error
+    assert res.returncode == 2
+    assert "--x" in res.stderr
 
 
 def test_missing_input_file(tmp_path):

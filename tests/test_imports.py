@@ -1,8 +1,9 @@
-"""scipy stays unloaded until an oracle that needs it runs.
+"""scipy and concurrent.futures stay unloaded until an oracle that needs them runs.
 
 `bound`, `invert` and `mgf-check` need numpy arithmetic only, so a cold
-call must not pay for importing scipy.  Each check runs in a fresh
-interpreter, since this test process has scipy loaded already.
+call must not pay for importing scipy, nor for the thread pool the sampler
+uses.  Each check runs in a fresh interpreter, since this test process has
+both loaded already.
 """
 
 import os
@@ -21,13 +22,16 @@ import tempfile
 from pathlib import Path
 
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+def lazy_modules():
+    return sorted(
+        name for name in sys.modules
+        if name in ("scipy", "concurrent.futures") or name.startswith("scipy.")
+    )
 
 
 import quadconc
 
-assert scipy_modules() == [], ("import quadconc", scipy_modules())
+assert lazy_modules() == [], ("import quadconc", lazy_modules())
 
 tmp = Path(tempfile.mkdtemp())
 form = tmp / "form.json"
@@ -44,7 +48,7 @@ for argv in calls:
             runpy.run_module("quadconc", run_name="__main__", alter_sys=True)
         except SystemExit as exc:
             assert exc.code == 0, (argv, exc.code)
-    assert scipy_modules() == [], (argv[0], scipy_modules())
+    assert lazy_modules() == [], (argv[0], lazy_modules())
 
 # the oracles that do need scipy still work in the same process
 from quadconc import cli
@@ -59,6 +63,7 @@ assert (tmp / "report.csv").read_text().startswith("x,threshold,bound,p_hat,ci_l
 chi1 = quadconc.DiagonalForm([1.0], [0.0])
 assert abs(quadconc.cdf_cf(chi1, 1.0) - quadconc.cdf_p1(1.0, 0.0, 1.0)) < 1e-6
 assert "scipy.special" in sys.modules and "scipy.integrate" in sys.modules
+assert "concurrent.futures" in sys.modules
 assert "scipy.stats" not in sys.modules
 print("ok")
 """

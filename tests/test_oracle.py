@@ -6,7 +6,13 @@ the Gaussian weight of the remaining coordinate, adaptive quad); the two
 routes agreed to ~1e-15 on every probe.
 """
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +25,8 @@ from scipy.stats import beta, chi2, ks_2samp, ncx2, norm
 import quadconc as qc
 from quadconc import oracle
 from quadconc.errors import DegenerateFormError, NumericalError, ValidationError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CHI1 = qc.DiagonalForm(np.ones(1), np.zeros(1))
 CHI3 = qc.DiagonalForm(np.ones(3), np.zeros(3))
@@ -115,6 +123,78 @@ def test_counts_and_seed_reject_bools_accept_numpy_ints():
     assert np.array_equal(qc.sample(CHI1, np.int64(100), np.int64(5)), qc.sample(CHI1, 100, 5))
 
 
+@pytest.mark.parametrize("n, chunk_size", [(1, 4096), (10007, 4096), (9000, 1000), (777, 1)])
+def test_pooled_sampling_matches_one_worker_bitwise(monkeypatch, n, chunk_size):
+    # each chunk writes its own slice, so the worker count cannot move a bit
+    rng = np.random.default_rng(2010)
+    diag = qc.DiagonalForm(rng.uniform(-2, 2, 6), rng.uniform(-2, 2, 6))
+    quad = qc.QuadraticForm(rng.normal(size=(6, 6)), rng.normal(size=6))
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more workers than cores, switching often
+    try:
+        for workers in (1, 3):
+            monkeypatch.setattr(oracle, "_usable_cpus", lambda: workers)
+            runs.append((
+                qc.sample(diag, n, 2**63 + 5, chunk_size=chunk_size).tobytes(),
+                qc.sample_quadratic(quad, n, 2**63 + 5, chunk_size=chunk_size).tobytes(),
+            ))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1]
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    assert oracle._usable_cpus() >= 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert oracle._usable_cpus() == 1
+
+
+def test_failed_chunk_cancels_the_queued_ones(monkeypatch):
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
+    calls = []
+
+    def evaluate(z):
+        calls.append(len(calls))
+        if len(calls) == 1:
+            raise KeyboardInterrupt
+        time.sleep(0.01)
+        return z[:, 0]
+
+    with pytest.raises(KeyboardInterrupt):
+        oracle._draw(CHI1, 200, 1, 1, evaluate)
+    # the one worker may pick up a chunk before the pool shuts down, not 199
+    assert len(calls) < 20, len(calls)
+
+
+SAMPLE_PROBE = r"""
+import hashlib
+import numpy as np
+import quadconc as qc
+
+rng = np.random.default_rng(24)
+form = qc.DiagonalForm(rng.uniform(-2, 2, 24), rng.uniform(-2, 2, 24))
+print(hashlib.sha256(qc.sample(form, 150001, 11).tobytes()).hexdigest())
+"""
+
+
+def test_sample_bitwise_across_blas_threads():
+    rng = np.random.default_rng(24)
+    form = qc.DiagonalForm(rng.uniform(-2, 2, 24), rng.uniform(-2, 2, 24))
+    here = hashlib.sha256(qc.sample(form, 150001, 11).tobytes()).hexdigest()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        old = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = str(SRC) + (os.pathsep + old if old else "")
+        res = subprocess.run(
+            [sys.executable, "-c", SAMPLE_PROBE],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == here, threads
+
+
 def test_clopper_pearson_bitwise_equal_to_beta_ppf():
     # scipy.stats.beta.ppf is the independent referee for the interval
     rng = np.random.default_rng(20091)
@@ -161,6 +241,54 @@ def test_tail_estimate_ordering_enforced():
         qc.empirical_tail(np.arange(10.0), math.nan, "upper")
     with pytest.raises(ValidationError):
         qc.empirical_tail(np.arange(10.0), 1.0, "both")
+
+
+def test_empirical_tail_rejects_nan_samples():
+    # a NaN used to count as a miss in both directions
+    for direction in ("upper", "lower"):
+        with pytest.raises(ValidationError, match="NaN"):
+            qc.empirical_tail(np.array([math.nan, 1.0]), 0.5, direction)
+        late = np.zeros(oracle.DEFAULT_CHUNK + 3)
+        late[-2] = math.nan
+        with pytest.raises(ValidationError, match="NaN"):
+            qc.empirical_tail(late, np.array([0.0, 1.0]), direction)
+
+
+def test_empirical_tail_vector_matches_scalar_calls():
+    draws = qc.sample(CHI3, 200003, 9)
+    thresholds = np.array([-1.0, 0.5, 3.0, 3.0, 7.5, 20.0, math.inf])
+    for direction in ("upper", "lower"):
+        vector = qc.empirical_tail(draws, thresholds, direction, seed=9)
+        assert isinstance(vector, list) and len(vector) == thresholds.size
+        assert vector == [qc.empirical_tail(draws, t, direction, seed=9) for t in thresholds]
+    assert qc.empirical_tail(draws, np.array([]), "upper") == []
+    with pytest.raises(ValidationError):
+        qc.empirical_tail(draws, np.ones((2, 2)), "upper")
+    with pytest.raises(ValidationError):
+        qc.empirical_tail(draws, np.array([1.0, math.nan]), "lower")
+
+
+_values = st.sampled_from([-math.inf, -2.5, -1.0, -0.0, 0.0, 1e-300, 1.0, 2.5, math.inf])
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.one_of(_values, st.floats(-3, 3)), min_size=1, max_size=60),
+    st.lists(st.one_of(_values, st.floats(-3, 3)), min_size=1, max_size=12),
+    st.integers(1, 9),
+)
+def test_sorted_counts_match_count_nonzero(values, thresholds, block):
+    # ties, duplicates, +-inf, +-0.0, and blocks that do not divide n
+    x = np.array(values)
+    ts = np.array(thresholds)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "DEFAULT_CHUNK", block)
+        upper = qc.empirical_tail(x, ts, "upper")
+        lower = qc.empirical_tail(x, ts, "lower")
+    for t, up, low in zip(ts, upper, lower):
+        assert up.p_hat * x.size == np.count_nonzero(x >= t)
+        assert low.p_hat * x.size == np.count_nonzero(x <= t)
+        assert up.p_hat == np.count_nonzero(x >= t) / x.size
 
 
 def test_cdf_p1_chi_square():
@@ -286,6 +414,37 @@ def test_cdf_cf_tiny_curvature_without_shift_is_right_or_refused(eps, t):
     except NumericalError:
         return
     assert abs(got - chi2.cdf(t, 1)) <= 1e-6, got
+
+
+def test_cdf_cf_refuses_tiny_curvature_before_the_phase_overflows(monkeypatch):
+    # u_settle = 5e200 would square a u = 5e200 in the phase kernel; the
+    # log1p bound on G puts the death point past 1e20, where the phase
+    # rounding alone spends the accuracy budget, so the refusal comes first
+    def no_kernel(*args):
+        raise AssertionError("the phase kernel ran")
+
+    monkeypatch.setattr(oracle, "_phase_kernel", no_kernel)
+    form = qc.DiagonalForm(np.array([1e-200, 1.0]), np.zeros(2))
+    for t in (1.0, -1.0, 3.0):
+        with pytest.raises(NumericalError) as info:
+            qc.cdf_cf(form, t)
+        assert info.value.accuracy > 1.0
+
+
+def test_death_floor_is_below_the_death_point():
+    # G stays under the stop at the floor, so the head integral reaches it
+    rng = np.random.default_rng(77)
+    for _ in range(50):
+        p = int(rng.integers(1, 12))
+        a = rng.choice([-1.0, 1.0], p) * np.exp(rng.uniform(-20, 5, p))
+        b = rng.normal(size=p) * np.exp(rng.uniform(-3, 3))
+        sd = math.sqrt(float(np.sum(2.0 * a * a + b * b)))
+        u_lo = math.sqrt(2.0 * oracle._G_STOP) / sd
+        u_hi = u_lo * math.exp(rng.uniform(0, 60))
+        floor = oracle._death_floor(a, 0.5 * float(np.sum(b * b)), u_lo, u_hi)
+        assert u_lo <= floor <= u_hi
+        g, _ = oracle._phase_kernel(a, (b / (2.0 * a)) ** 2, 0.0)(floor)
+        assert g <= oracle._G_STOP * (1.0 + 1e-12)
 
 
 def test_cdf_cf_against_monte_carlo():
