@@ -13,19 +13,15 @@ generated from counter c * 2^128 regardless of how blocks are scheduled,
 so serial and parallel execution, or runs of different total size, agree
 bit for bit on the shared prefix.  Normals come from an explicit
 Box-Muller transform rather than a library-version-dependent method.
-The blocks run on a thread pool with one worker per CPU the process may
-use (its affinity mask), at most one per block; each block writes its own
-slice of the output, so the bits do not depend on the core count.  A block
-of m draws of a p-coordinate form holds about 2.5 m p doubles while its
-normals are made, so peak memory is the output plus that much per worker.
+The blocks run one after the other on the calling thread.  A block of m
+draws of a p-coordinate form holds about 2.5 m p doubles while its normals
+are made, so peak memory is the output plus that much.
 
 scipy is imported inside the two routines that use it, the binomial
-interval and cdf_cf, and concurrent.futures inside the sampler, so
-importing the package loads numpy only.
+interval and cdf_cf, so importing the package loads numpy only.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,14 +100,6 @@ def _chunk_normals(seed, chunk_index, count):
     return out[:count]
 
 
-def _usable_cpus():
-    """CPUs this process may run on: its affinity mask, else the CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _validate_counts(n, chunk_size):
     if not (_is_integer(n) and n >= 1):
         raise ValidationError("n must be a positive integer, got %r" % (n,))
@@ -121,32 +109,16 @@ def _validate_counts(n, chunk_size):
 
 
 def _draw(form, n, seed, chunk_size, evaluate):
-    """n values of evaluate(z), z an (m, p) block of normals from each chunk.
-
-    Chunks run on a thread pool, each writing its own slice of the output.
-    If one raises, or the caller is interrupted, the queued chunks are
-    cancelled and the running ones finish before the error propagates.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
+    """n values of evaluate(z), z an (m, p) block of normals from each chunk in turn."""
     n, chunk_size = _validate_counts(n, chunk_size)
     seed = _check_seed(seed)
     p = form.p
     out = np.empty(n)
-    chunks = (n + chunk_size - 1) // chunk_size
-
-    def fill(chunk):
+    for chunk in range((n + chunk_size - 1) // chunk_size):
         lo = chunk * chunk_size
         m = min(chunk_size, n - lo)
         z = _chunk_normals(seed, chunk, m * p).reshape(m, p)
         out[lo : lo + m] = evaluate(z)
-
-    pool = ThreadPoolExecutor(max_workers=min(_usable_cpus(), chunks))
-    try:
-        for done in [pool.submit(fill, chunk) for chunk in range(chunks)]:
-            done.result()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
     return out
 
 

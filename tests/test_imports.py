@@ -1,9 +1,8 @@
-"""scipy and concurrent.futures stay unloaded until an oracle that needs them runs.
+"""scipy stays unloaded until an oracle that needs it runs.
 
 `bound`, `invert` and `mgf-check` need numpy arithmetic only, so a cold
-call must not pay for importing scipy, nor for the thread pool the sampler
-uses.  Each check runs in a fresh interpreter, since this test process has
-both loaded already.
+call must not pay for importing scipy.  Each check runs in a fresh
+interpreter, since this test process has scipy loaded already.
 """
 
 import os
@@ -22,16 +21,13 @@ import tempfile
 from pathlib import Path
 
 
-def lazy_modules():
-    return sorted(
-        name for name in sys.modules
-        if name in ("scipy", "concurrent.futures") or name.startswith("scipy.")
-    )
+def scipy_modules():
+    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
 
 
 import quadconc
 
-assert lazy_modules() == [], ("import quadconc", lazy_modules())
+assert scipy_modules() == [], ("import quadconc", scipy_modules())
 
 tmp = Path(tempfile.mkdtemp())
 form = tmp / "form.json"
@@ -48,7 +44,7 @@ for argv in calls:
             runpy.run_module("quadconc", run_name="__main__", alter_sys=True)
         except SystemExit as exc:
             assert exc.code == 0, (argv, exc.code)
-    assert lazy_modules() == [], (argv[0], lazy_modules())
+    assert scipy_modules() == [], (argv[0], scipy_modules())
 
 # the oracles that do need scipy still work in the same process
 from quadconc import cli
@@ -63,7 +59,6 @@ assert (tmp / "report.csv").read_text().startswith("x,threshold,bound,p_hat,ci_l
 chi1 = quadconc.DiagonalForm([1.0], [0.0])
 assert abs(quadconc.cdf_cf(chi1, 1.0) - quadconc.cdf_p1(1.0, 0.0, 1.0)) < 1e-6
 assert "scipy.special" in sys.modules and "scipy.integrate" in sys.modules
-assert "concurrent.futures" in sys.modules
 assert "scipy.stats" not in sys.modules
 print("ok")
 """

@@ -11,7 +11,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -121,51 +120,6 @@ def test_counts_and_seed_reject_bools_accept_numpy_ints():
             qc.sample(CHI1, 10, 1, chunk_size=bad)
     assert oracle._check_seed(np.uint64(2**64 - 1)) == 2**64 - 1
     assert np.array_equal(qc.sample(CHI1, np.int64(100), np.int64(5)), qc.sample(CHI1, 100, 5))
-
-
-@pytest.mark.parametrize("n, chunk_size", [(1, 4096), (10007, 4096), (9000, 1000), (777, 1)])
-def test_pooled_sampling_matches_one_worker_bitwise(monkeypatch, n, chunk_size):
-    # each chunk writes its own slice, so the worker count cannot move a bit
-    rng = np.random.default_rng(2010)
-    diag = qc.DiagonalForm(rng.uniform(-2, 2, 6), rng.uniform(-2, 2, 6))
-    quad = qc.QuadraticForm(rng.normal(size=(6, 6)), rng.normal(size=6))
-    runs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # more workers than cores, switching often
-    try:
-        for workers in (1, 3):
-            monkeypatch.setattr(oracle, "_usable_cpus", lambda: workers)
-            runs.append((
-                qc.sample(diag, n, 2**63 + 5, chunk_size=chunk_size).tobytes(),
-                qc.sample_quadratic(quad, n, 2**63 + 5, chunk_size=chunk_size).tobytes(),
-            ))
-    finally:
-        sys.setswitchinterval(interval)
-    assert runs[0] == runs[1]
-
-
-def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
-    assert oracle._usable_cpus() >= 1
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert oracle._usable_cpus() == 1
-
-
-def test_failed_chunk_cancels_the_queued_ones(monkeypatch):
-    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
-    calls = []
-
-    def evaluate(z):
-        calls.append(len(calls))
-        if len(calls) == 1:
-            raise KeyboardInterrupt
-        time.sleep(0.01)
-        return z[:, 0]
-
-    with pytest.raises(KeyboardInterrupt):
-        oracle._draw(CHI1, 200, 1, 1, evaluate)
-    # the one worker may pick up a chunk before the pool shuts down, not 199
-    assert len(calls) < 20, len(calls)
 
 
 SAMPLE_PROBE = r"""
