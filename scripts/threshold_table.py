@@ -18,13 +18,13 @@ def report(name, form, n, seed):
     stats = qc.form_stats(form)
     draws = qc.sample(form, n, seed)
     print("%s: p=%d mean=%.4f u_sq=%.4f a+=%.4f a-=%.4f"
-          % (name, form.p, stats.mean, stats.u_sq, stats.a_plus, stats.a_minus))
+          % (name, form.p, stats.mean, stats.u**2, stats.a_plus, stats.a_minus))
     header = "%-6s %-10s %-12s %-12s %-12s %-22s" % (
         "tail", "x", "threshold", "bound", "p_hat", "99% CI")
     print(header)
     for direction, one in (("upper", qc.upper_threshold), ("lower", qc.lower_threshold)):
         tbs = [one(stats, x) for x in X_LEVELS]
-        ests = qc.empirical_tail(draws, np.array([tb.threshold for tb in tbs]), direction, seed=seed)
+        ests = qc.empirical_tail(draws, np.array([tb.threshold for tb in tbs]), direction)
         for x, tb, est in zip(X_LEVELS, tbs, ests):
             ci = "[%.3g, %.3g]" % (est.ci_low, est.ci_high)
             flag = "" if est.ci_low <= tb.prob_bound else "  <-- CONTRADICTED"

@@ -32,13 +32,10 @@ from .errors import (
 from .mgf import (
     EnvelopeCheck,
     MgfEnvelope,
-    ScalarGridCheck,
-    check_scalar_ineq,
     envelope_grid_check,
     envelope_y_grid,
     log_mgf_centered,
     log_mgf_term,
-    scalar_ineq_grid,
 )
 from .oracle import (
     TailEstimate,
@@ -46,7 +43,6 @@ from .oracle import (
     cdf_p1,
     empirical_tail,
     sample,
-    sample_quadratic,
 )
 from .spectral import QuadraticForm, SpectralReduction, eigen_sym, reduce, symmetrize
 
@@ -70,16 +66,12 @@ __all__ = [
     "reduce",
     "MgfEnvelope",
     "EnvelopeCheck",
-    "ScalarGridCheck",
     "log_mgf_term",
     "log_mgf_centered",
-    "check_scalar_ineq",
     "envelope_y_grid",
     "envelope_grid_check",
-    "scalar_ineq_grid",
     "TailEstimate",
     "sample",
-    "sample_quadratic",
     "empirical_tail",
     "cdf_p1",
     "cdf_cf",

@@ -2,12 +2,12 @@
 
 The random variable of interest is T = sum_k a_k z_k^2 + b_k z_k with
 z_1..z_p i.i.d. N(0,1).  Its mean is sum_k a_k, and the deviation scale is
-governed by two numbers: the variance proxy u_sq = sum_k (a_k^2 + b_k^2/2)
-and the extreme coefficient a_plus = max(max_k a_k, 0) (a_minus for the
-lower tail).  For every x > 0,
+governed by two numbers: u = sqrt(sum_k (a_k^2 + b_k^2/2)) and
+v = 2*a_plus, a_plus = max(max_k a_k, 0) (v = 2*a_minus for the lower
+tail).  For every x > 0,
 
-    P(T >= mean + 2*sqrt(u_sq)*sqrt(x) + 2*a_plus*x)  <= exp(-x)
-    P(T <= mean - 2*sqrt(u_sq)*sqrt(x) - 2*a_minus*x) <= exp(-x)
+    P(T >= mean + 2*u*sqrt(x) + 2*a_plus*x)  <= exp(-x)
+    P(T <= mean - 2*u*sqrt(x) - 2*a_minus*x) <= exp(-x)
 
 The sqrt(x) term dominates moderate deviations (sub-Gaussian regime), the
 linear term large ones (sub-exponential regime), the usual shape of bounds
@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DegenerateFormError, ValidationError
 
 DIRECTIONS = ("upper", "lower")
+_SIGN = {"upper": 1.0, "lower": -1.0}
 
 
 def _check_direction(direction):
@@ -93,24 +94,29 @@ class FormStats:
     """Scalars that determine both tails of a DiagonalForm.
 
     mean    = sum_k a_k
-    u_sq    = sum_k (a_k^2 + b_k^2 / 2)
+    u       = sqrt(sum_k (a_k^2 + b_k^2 / 2))
     a_plus  = max(max_k a_k, 0)
     a_minus = max(max_k -a_k, 0)
     """
 
     mean: float
-    u_sq: float
+    u: float
     a_plus: float
     a_minus: float
 
     def __post_init__(self):
-        vals = (self.mean, self.u_sq, self.a_plus, self.a_minus)
+        vals = (self.mean, self.u, self.a_plus, self.a_minus)
         if not all(_is_real(v) and math.isfinite(v) for v in vals):
             raise ValidationError("stats fields must be finite reals, got %r" % (vals,))
-        for name, v in zip(("mean", "u_sq", "a_plus", "a_minus"), vals):
+        for name, v in zip(("mean", "u", "a_plus", "a_minus"), vals):
             object.__setattr__(self, name, float(v))
-        if self.u_sq < 0 or self.a_plus < 0 or self.a_minus < 0:
-            raise ValidationError("u_sq, a_plus, a_minus must be nonnegative")
+        if self.u < 0 or self.a_plus < 0 or self.a_minus < 0:
+            raise ValidationError("u, a_plus, a_minus must be nonnegative")
+
+    def envelope(self, direction):
+        """(u, v) of one tail, v = 2*a_plus (upper) or 2*a_minus (lower)."""
+        _check_direction(direction)
+        return self.u, 2.0 * (self.a_plus if direction == "upper" else self.a_minus)
 
 
 @dataclass(frozen=True)
@@ -131,59 +137,84 @@ class TailBound:
 
 
 def form_stats(form: DiagonalForm) -> FormStats:
-    """Reduce a DiagonalForm to the four scalars driving its tails."""
+    """Reduce a DiagonalForm to the four scalars driving its tails.
+
+    As in eigen_sym, the sums run on (a, b) * 2^-e, 2^(e-1) <= max(|a|, |b|) < 2^e,
+    and scale back by 2^e, which rounds nothing while the results stay normal:
+    u is exact at any magnitude, and scaling the form by 2^k scales mean and u
+    by exactly 2^k.
+    """
     a, b = form.a, form.b
-    return FormStats(
-        mean=float(np.sum(a)),
-        u_sq=float(np.sum(a * a + 0.5 * b * b)),
+    e = math.frexp(max(float(np.max(np.abs(a))), float(np.max(np.abs(b)))))[1]
+    a_s, b_s = np.ldexp(a, -e), np.ldexp(b, -e)
+    u_s = math.sqrt(float(np.sum(a_s * a_s + 0.5 * b_s * b_s)))
+    with np.errstate(over="ignore"):  # FormStats refuses what overflows
+        mean, u = np.ldexp([np.sum(a_s), u_s], e).tolist()
+    stats = FormStats(
+        mean=mean,
+        u=u,
         a_plus=max(float(np.max(a)), 0.0),
         a_minus=max(float(np.max(-a)), 0.0),
     )
+    if math.ldexp(u, -e) != u_s:  # rounded into the subnormal range: digits lost
+        raise ValidationError("u = %r is below the normal floating-point range" % u)
+    return stats
+
+
+def _deviation(u, v, x):
+    """(2*u*sqrt(x), v*x): the two terms of the deviation that carries mass exp(-x).
+
+    Every threshold and envelope deviation is formed here.  One that
+    underflows to zero would put the threshold at the mean and raises
+    instead; a subnormal one is off by at most 2^-1075 and is kept.
+    """
+    gauss = 2.0 * u * math.sqrt(x)
+    linear = v * x
+    if (u > 0.0 or v > 0.0) and gauss + linear == 0.0:
+        raise ValidationError("deviation 2*u*sqrt(x) + v*x underflows to zero at x = %r" % x)
+    return gauss, linear
+
+
+def _threshold(stats, x, direction):
+    x = _check_exponent(x)
+    gauss, linear = _deviation(*stats.envelope(direction), x)
+    # (mean + gauss) + linear with signed terms: lower is the exact mirror of upper
+    sign = _SIGN[direction]
+    return TailBound(direction, x, stats.mean + sign * gauss + sign * linear)
 
 
 def upper_threshold(stats: FormStats, x: float) -> TailBound:
     """Threshold t with P(T >= t) <= exp(-x)."""
-    x = _check_exponent(x)
-    gauss = 2.0 * math.sqrt(stats.u_sq) * math.sqrt(x)
-    linear = 2.0 * stats.a_plus * x
-    return TailBound("upper", x, stats.mean + gauss + linear)
+    return _threshold(stats, x, "upper")
 
 
 def lower_threshold(stats: FormStats, x: float) -> TailBound:
     """Threshold t with P(T <= t) <= exp(-x).
 
-    Mirror of upper_threshold under (a, b) -> (-a, -b); the expressions are
-    kept in the exact mirrored order so the duality holds bitwise.
+    Mirror of upper_threshold under (a, b) -> (-a, -b), bit for bit.
     """
-    x = _check_exponent(x)
-    gauss = 2.0 * math.sqrt(stats.u_sq) * math.sqrt(x)
-    linear = 2.0 * stats.a_minus * x
-    return TailBound("lower", x, stats.mean - gauss - linear)
+    return _threshold(stats, x, "lower")
 
 
 def tail_exponent(stats: FormStats, deviation: float, direction: str) -> TailBound:
     """Invert the threshold map: find x with 2*u*sqrt(x) + v*x = deviation.
 
-    u = sqrt(u_sq) and v = 2*a_plus (upper) or 2*a_minus (lower).  The
-    returned bound has threshold = mean +/- deviation and prob_bound = exp(-x).
+    (u, v) is stats.envelope(direction).  x depends only on u : v : deviation,
+    so it is solved on the three scaled by 2^-e, 2^(e-1) <= max < 2^e, where
+    sqrt(u^2 + v*d) cannot overflow.  The returned bound has threshold
+    mean +/- deviation and prob_bound = exp(-x).
     """
-    _check_direction(direction)
+    u, v = stats.envelope(direction)
     deviation = _check_real(deviation, "deviation")
-    u = math.sqrt(stats.u_sq)
-    v = 2.0 * (stats.a_plus if direction == "upper" else stats.a_minus)
     if u == 0.0 and v == 0.0:
         raise DegenerateFormError("form is deterministic; no exponent reproduces a deviation")
-    if v > 0.0:
-        # conjugate form of (sqrt(u^2 + v*d) - u)/v: no cancellation when v*d << u^2
-        sqrt_x = deviation / (math.sqrt(u * u + v * deviation) + u)
-        x = sqrt_x * sqrt_x
-    else:
-        x = (deviation / (2.0 * u)) ** 2
-    if direction == "upper":
-        threshold = stats.mean + deviation
-    else:
-        threshold = stats.mean - deviation
-    return TailBound(direction, x, threshold)
+    e = math.frexp(max(u, v, deviation))[1]
+    u, v, d = (math.ldexp(w, -e) for w in (u, v, deviation))
+    # conjugate form of (sqrt(u^2 + v*d) - u)/v: no cancellation when v*d << u^2;
+    # an x past the float range comes out inf, which TailBound refuses
+    root = math.sqrt(u * u + v * d) + u
+    sqrt_x = d / root if root > 0.0 else math.inf
+    return TailBound(direction, sqrt_x * sqrt_x, stats.mean + _SIGN[direction] * deviation)
 
 
 def envelope_threshold(u: float, v: float, x: float) -> float:
@@ -196,8 +227,8 @@ def envelope_threshold(u: float, v: float, x: float) -> float:
     v = _check_real(v, "v", allow_zero=True)
     if u == 0.0 and v == 0.0:
         raise ValidationError("u and v cannot both be zero")
-    x = _check_exponent(x)
-    return 2.0 * u * math.sqrt(x) + v * x
+    gauss, linear = _deviation(u, v, _check_exponent(x))
+    return gauss + linear
 
 
 def union_threshold(stats_list, x: float, direction: str):
@@ -206,11 +237,9 @@ def union_threshold(stats_list, x: float, direction: str):
     Each member is evaluated at the inflated exponent x + ln M, so the union
     of the M violation events has probability at most M*exp(-x-ln M) = exp(-x).
     """
-    _check_direction(direction)
     x = _check_exponent(x)
     stats_list = list(stats_list)
     if not stats_list:
         raise ValidationError("union bound needs at least one form")
     x_adj = x + math.log(len(stats_list))
-    one = upper_threshold if direction == "upper" else lower_threshold
-    return [one(stats, x_adj) for stats in stats_list]
+    return [_threshold(stats, x_adj, direction) for stats in stats_list]

@@ -247,13 +247,13 @@ def cmd_verify(args) -> int:
     doc = load_document(args.input)
     diag = doc.resolve()
     stats = form_stats(diag)
-    if stats.u_sq == 0.0:
+    if stats.u == 0.0:
         raise ValidationError("form is deterministic; nothing to verify")
     one = upper_threshold if args.direction == "upper" else lower_threshold
     tail_bounds = [one(stats, x) for x in xs]
     draws = sample(diag, args.samples, args.seed)
     thresholds = np.array([tb.threshold for tb in tail_bounds])
-    estimates = empirical_tail(draws, thresholds, args.direction, seed=args.seed)
+    estimates = empirical_tail(draws, thresholds, args.direction)
     rows = [
         (x, tb.threshold, tb.prob_bound, est.p_hat, est.ci_low, est.ci_high,
          est.ci_low <= tb.prob_bound)

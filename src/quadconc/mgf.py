@@ -7,14 +7,14 @@ For a single term a*z^2 + b*z with z ~ N(0,1) and 1 - 2ay > 0,
 so the centered log-MGF of T - mean is a sum of explicit terms.  The whole
 bound machinery rests on the envelope
 
-    log E exp(y (T - mean)) <= u_sq * y^2 / (1 - 2*a_plus*y),
+    log E exp(y (T - mean)) <= (u*y)^2 / (1 - v*y),
 
-valid on 0 < y < 1/(2*a_plus), plus two scalar inequalities that prove it.
-This module evaluates all of these and checks them on grids, which is what
-`quadconc mgf-check` runs.
+with u = sqrt(sum_k (a_k^2 + b_k^2/2)) and v = 2*a_plus, valid on
+0 < y < 1/v.  MgfEnvelope.rhs is the one place the envelope is formed.
+This module evaluates both sides and checks the inequality on grids, which
+is what `quadconc mgf-check` runs.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +25,6 @@ from .errors import DomainError, ValidationError
 LINEAR_ONLY_Y_MAX = 10.0  # grid reach when a_plus = 0 and there is no pole
 POLE_FRACTION = 0.999  # grids stop at this fraction of the MGF pole
 ENVELOPE_SLACK = 1e-10
-SCALAR_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -41,13 +40,15 @@ class MgfEnvelope:
 
     @classmethod
     def from_stats(cls, stats: FormStats, direction: str = "upper"):
-        extreme = stats.a_plus if direction == "upper" else stats.a_minus
-        return cls(u=math.sqrt(stats.u_sq), v=2.0 * extreme)
+        return cls(*stats.envelope(direction))
 
-    def rhs(self, y: float) -> float:
-        if not (y > 0 and (self.v == 0.0 or y < 1.0 / self.v)):
+    def rhs(self, y):
+        """(u*y)^2 / (1 - v*y) at a point y, or at every point of an array of them."""
+        ys = np.asarray(y, dtype=float)
+        if not np.all((ys > 0.0) & (self.v * ys < 1.0)):
             raise DomainError("y = %r outside (0, 1/v)" % (y,))
-        return (self.u * y) ** 2 / (1.0 - self.v * y)
+        uy = self.u * ys
+        return (uy * uy / (1.0 - self.v * ys))[()]
 
 
 def _log_mgf_terms(a, b, ys):
@@ -80,28 +81,6 @@ def log_mgf_centered(form: DiagonalForm, y: float) -> float:
     return float(np.sum(terms + 0.5 * q))
 
 
-def _scalar_sides(r, a, y):
-    """Both sides of -log(1-2ry)/2 - ry <= r^2 y^2 / (1-2ay), elementwise."""
-    return -0.5 * np.log1p(-2.0 * r * y) - r * y, r * r * y * y / (1.0 - 2.0 * a * y)
-
-
-def check_scalar_ineq(r: float, a: float, y: float):
-    """Evaluate -log(1-2ry)/2 - ry <= r^2 y^2 / (1-2ay) at one point.
-
-    Returns (lhs, rhs, holds).  Valid for y in (0, 1/(2a)) when a > 0 (any
-    y > 0 otherwise) and 1 - 2ry > 0; covers both the 0 < r <= a and the
-    r <= 0 < a cases used to prove the envelope.
-    """
-    if not y > 0:
-        raise DomainError("y must be positive, got %r" % (y,))
-    if a > 0 and not 1.0 - 2.0 * a * y > 0.0:
-        raise DomainError("y = %r at or past 1/(2a)" % (y,))
-    if not 1.0 - 2.0 * r * y > 0.0:
-        raise DomainError("1 - 2ry = %r <= 0" % (1.0 - 2.0 * r * y,))
-    lhs, rhs = (float(side) for side in _scalar_sides(r, a, y))
-    return lhs, rhs, lhs <= rhs + SCALAR_SLACK * (1.0 + abs(rhs))
-
-
 def envelope_y_grid(a_plus: float, n: int) -> np.ndarray:
     """n evaluation points spread over (0, y_max], y_max just inside the pole."""
     if not (_is_integer(n) and n >= 1):
@@ -132,14 +111,17 @@ def envelope_grid_check(form: DiagonalForm, n: int) -> EnvelopeCheck:
     """Compare centered log-MGF against the envelope on an n-point y-grid.
 
     A point counts as a violation when lhs exceeds rhs by more than
-    ENVELOPE_SLACK * (1 + |rhs|).
+    ENVELOPE_SLACK * (1 + |rhs|).  A grid whose values leave the float
+    range, as at coefficient scales far from 1, raises ValidationError.
     """
     stats = form_stats(form)
     ys = envelope_y_grid(stats.a_plus, n)
-    terms, q = _log_mgf_terms(form.a, form.b, ys)
-    lhs = np.sum(terms + 0.5 * q, axis=0)
-    rhs = stats.u_sq * ys**2 / (1.0 - 2.0 * stats.a_plus * ys)
-    slack = lhs - rhs
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        terms, q = _log_mgf_terms(form.a, form.b, ys)
+        rhs = MgfEnvelope.from_stats(stats).rhs(ys)
+        slack = np.sum(terms + 0.5 * q, axis=0) - rhs
+    if not np.isfinite(slack).all():
+        raise ValidationError("the log-MGF grid leaves the float range for this form")
     worst = int(np.argmax(slack))
     violations = int(np.count_nonzero(slack > ENVELOPE_SLACK * (1.0 + np.abs(rhs))))
     return EnvelopeCheck(
@@ -148,38 +130,4 @@ def envelope_grid_check(form: DiagonalForm, n: int) -> EnvelopeCheck:
         max_slack=float(slack[worst]),
         worst_y=float(ys[worst]),
         violations=violations,
-    )
-
-
-@dataclass(frozen=True)
-class ScalarGridCheck:
-    points: int
-    violations: int
-    max_excess: float
-
-    @property
-    def ok(self):
-        return self.violations == 0
-
-
-def scalar_ineq_grid(n: int = 64, r_min: float = -5.0, a_max: float = 5.0) -> ScalarGridCheck:
-    """Check the scalar inequality on the full n^3 lattice.
-
-    a ranges over (0, a_max], r over [r_min, a] for each a, and y over
-    (0, POLE_FRACTION/(2a)) for each a.  Everything is broadcast so the
-    64^3 default stays fast.
-    """
-    if not (_is_integer(n) and n >= 2):
-        raise ValidationError("grid size must be an integer >= 2, got %r" % (n,))
-    n = int(n)
-    a = (a_max * np.arange(1, n + 1) / n)[:, None, None]
-    frac_r = (np.arange(n) / (n - 1))[None, :, None]
-    r = r_min + (a - r_min) * frac_r
-    y = (POLE_FRACTION / (2.0 * a)) * (np.arange(1, n + 1) / (n + 1))[None, None, :]
-    lhs, rhs = _scalar_sides(r, a, y)
-    excess = lhs - rhs - SCALAR_SLACK * (1.0 + np.abs(rhs))
-    return ScalarGridCheck(
-        points=int(excess.size),
-        violations=int(np.count_nonzero(excess > 0)),
-        max_excess=float(np.max(excess)),
     )

@@ -8,14 +8,14 @@ Three routes, none sharing code with the bounds machinery they validate:
 * a characteristic-function inversion (Gil-Pelaez / Imhof style) for
   general p, cross-validated against the other two.
 
-Sampling uses counter-based Philox streams: sample block c of a run is
-generated from counter c * 2^128 regardless of how blocks are scheduled,
-so serial and parallel execution, or runs of different total size, agree
-bit for bit on the shared prefix.  Normals come from an explicit
-Box-Muller transform rather than a library-version-dependent method.
-The blocks run one after the other on the calling thread.  A block of m
-draws of a p-coordinate form holds about 2.5 m p doubles while its normals
-are made, so peak memory is the output plus that much.
+Sampling uses counter-based Philox streams: block c of DEFAULT_CHUNK draws
+is generated from counter c * 2^128, so runs of different total size agree
+bit for bit on the shared prefix.  The block size is part of what defines a
+stream, so it is a module constant, not a parameter.  Normals come from an
+explicit Box-Muller transform rather than a library-version-dependent
+method.  The blocks run one after the other on the calling thread.  A block
+of m draws of a p-coordinate form holds about 2.5 m p doubles while its
+normals are made, so peak memory is the output plus that much.
 
 scipy is imported inside the two routines that use it, the binomial
 interval and cdf_cf, so importing the package loads numpy only.
@@ -28,7 +28,6 @@ import numpy as np
 
 from .bounds import DiagonalForm, _check_direction, _is_integer
 from .errors import DegenerateFormError, NumericalError, ValidationError
-from .spectral import QuadraticForm
 
 DEFAULT_CHUNK = 65536
 DEFAULT_CONFIDENCE = 0.99
@@ -50,7 +49,6 @@ class TailEstimate:
     ci_low: float
     ci_high: float
     n: int
-    seed: int
 
     def __post_init__(self):
         if not 0.0 <= self.ci_low <= self.p_hat <= self.ci_high <= 1.0:
@@ -100,48 +98,21 @@ def _chunk_normals(seed, chunk_index, count):
     return out[:count]
 
 
-def _validate_counts(n, chunk_size):
+def sample(form: DiagonalForm, n: int, seed: int) -> np.ndarray:
+    """n realizations of the diagonal form, reproducible for a fixed seed."""
     if not (_is_integer(n) and n >= 1):
         raise ValidationError("n must be a positive integer, got %r" % (n,))
-    if not (_is_integer(chunk_size) and chunk_size >= 1):
-        raise ValidationError("chunk_size must be a positive integer")
-    return int(n), int(chunk_size)
-
-
-def _draw(form, n, seed, chunk_size, evaluate):
-    """n values of evaluate(z), z an (m, p) block of normals from each chunk in turn."""
-    n, chunk_size = _validate_counts(n, chunk_size)
     seed = _check_seed(seed)
-    p = form.p
+    n, p, size = int(n), form.p, DEFAULT_CHUNK
     out = np.empty(n)
-    for chunk in range((n + chunk_size - 1) // chunk_size):
-        lo = chunk * chunk_size
-        m = min(chunk_size, n - lo)
+    for chunk, lo in enumerate(range(0, n, size)):
+        m = min(size, n - lo)
         z = _chunk_normals(seed, chunk, m * p).reshape(m, p)
-        out[lo : lo + m] = evaluate(z)
-    return out
-
-
-def sample(form: DiagonalForm, n: int, seed: int, chunk_size: int = DEFAULT_CHUNK) -> np.ndarray:
-    """n realizations of the diagonal form, reproducible for fixed (seed, chunk_size)."""
-
-    def evaluate(z):
         # (z * z) @ a + z @ b, squaring z in place once z @ b is taken
         linear = z @ form.b
         np.multiply(z, z, out=z)
-        return z @ form.a + linear
-
-    return _draw(form, n, seed, chunk_size, evaluate)
-
-
-def sample_quadratic(
-    form: QuadraticForm, n: int, seed: int, chunk_size: int = DEFAULT_CHUNK
-) -> np.ndarray:
-    """n realizations of z'Az + b'z sampled in matrix form (no reduction involved)."""
-    return _draw(
-        form, n, seed, chunk_size,
-        lambda z: np.einsum("ij,jk,ik->i", z, form.matrix, z) + z @ form.b,
-    )
+        out[lo : lo + m] = z @ form.a + linear
+    return out
 
 
 def _clopper_pearson(k, n, confidence):
@@ -155,9 +126,7 @@ def _clopper_pearson(k, n, confidence):
     return low, high
 
 
-def empirical_tail(
-    samples, t, direction: str, confidence: float = DEFAULT_CONFIDENCE, seed: int = 0
-):
+def empirical_tail(samples, t, direction: str):
     """Exact-binomial estimates of P(T >= t) (upper) or P(T <= t) (lower).
 
     `t` is one threshold, giving one TailEstimate, or a 1-D array of them,
@@ -165,12 +134,10 @@ def empirical_tail(
     in DEFAULT_CHUNK blocks: a sorted copy of each block locates every
     threshold by binary search, so one pass over the samples, with O(block)
     extra memory, counts them all exactly.  NaN samples are refused rather
-    than counted as misses.  `seed` is carried through into the estimates
-    for provenance; it does not affect the computation.
+    than counted as misses.  The intervals are two-sided at
+    DEFAULT_CONFIDENCE.
     """
     _check_direction(direction)
-    if not 0.0 < confidence < 1.0:
-        raise ValidationError("confidence must be in (0, 1)")
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValidationError("samples must be a nonempty vector")
@@ -180,7 +147,6 @@ def empirical_tail(
     flat = thresholds.reshape(-1)
     if np.isnan(flat).any():
         raise ValidationError("threshold must not be NaN")
-    seed = _check_seed(seed)
     # upper counts x >= t as the x not below t; lower counts x <= t directly
     side = "left" if direction == "upper" else "right"
     located = np.zeros(flat.size, dtype=np.int64)
@@ -193,8 +159,8 @@ def empirical_tail(
     counts = n - located if direction == "upper" else located
     estimates = []
     for k in counts.tolist():
-        low, high = _clopper_pearson(k, n, confidence)
-        estimates.append(TailEstimate(p_hat=k / n, ci_low=low, ci_high=high, n=n, seed=seed))
+        low, high = _clopper_pearson(k, n, DEFAULT_CONFIDENCE)
+        estimates.append(TailEstimate(p_hat=k / n, ci_low=low, ci_high=high, n=n))
     return estimates if thresholds.ndim else estimates[0]
 
 
@@ -312,22 +278,20 @@ def _death_floor(lam, half_b_sq, u_lo, u_hi):
 
         G(u) <= sum_k log1p(4 a_k^2 u^2) / 4 + u^2 |b|^2 / 2,
 
-    which holds at u_lo = sqrt(2 _G_STOP) / sd by log1p(x) <= x.  The log1p
-    terms are evaluated in log space, as logaddexp(0, 2 log(2 |a_k| u)), so
-    none overflows, on at most 64 geometric rungs from u_lo to u_hi; the
-    bound is increasing, and the last rung that keeps it under _G_STOP is
-    returned.  No phase kernel runs, so coefficient scales that would
-    overflow the kernel are refused by _split_rounding at this point first.
+    which holds at u_lo = sqrt(2 _G_STOP) / sd by log1p(x) <= x.  It is
+    evaluated on at most 64 geometric rungs from u_lo to u_hi, where a term
+    that overflows is past the stop; the bound is increasing, and the last
+    rung that keeps it under _G_STOP is returned.  No phase kernel runs, so
+    coefficient scales that would overflow the kernel are refused by
+    _split_rounding at this point first.
     """
     if not 0.0 < u_lo < u_hi:
         return min(u_lo, u_hi)
     rungs = min(64, max(2, math.ceil(math.log2(u_hi) - math.log2(u_lo)) + 1))
-    log_u = np.linspace(math.log(u_lo), math.log(u_hi), rungs)
-    log_2a = np.log(np.abs(lam)) + math.log(2.0)
-    g_up = 0.25 * np.logaddexp(0.0, 2.0 * (log_2a[:, None] + log_u)).sum(axis=0)
-    u = np.exp(log_u)
+    u = np.geomspace(u_lo, u_hi, rungs)
     with np.errstate(over="ignore"):
-        g_up += half_b_sq * u * u
+        two_au = np.multiply.outer(2.0 * np.abs(lam), u)
+        g_up = 0.25 * np.log1p(two_au * two_au).sum(axis=0) + half_b_sq * u * u
     below = int(np.count_nonzero(g_up <= _G_STOP))
     return u_lo if below == 0 else max(u_lo, min(u_hi, float(u[below - 1])))
 
@@ -397,19 +361,27 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     b_k^2 u/(4|a_k|), and a tiny a_k alone stretches the head to u_settle
     ~ 5/|a_k|, where omega u keeps few correct digits.  Such forms raise
     before the integral that cannot be certified is computed.
+
+    F depends on (a, b, t) only up to a common scale, so it is evaluated on
+    (a, b, t) * 2^-e, 2^(e-1) <= max(|a|, |b|) < 2^e: nothing squared then
+    leaves the float range, and scaling the form and t by 2^k moves no bit.
     """
     from scipy.integrate import quad
 
     if math.isnan(t) or math.isinf(t):
         raise ValidationError("t must be finite")
-    a, b = form.a, form.b
+    peak = max(float(np.max(np.abs(form.a))), float(np.max(np.abs(form.b))))
+    if peak == 0.0:
+        raise DegenerateFormError("form is deterministic; its CDF is a step function")
+    e = math.frexp(peak)[1]
+    a, b = np.ldexp(form.a, -e), np.ldexp(form.b, -e)
+    with np.errstate(over="ignore"):  # an infinite t lands in the clamps below
+        t = float(np.ldexp(t, -e))
     quad_mask = a != 0.0
     lam = a[quad_mask]
     lb = b[quad_mask]
     sigma_sq = float(np.sum(b[~quad_mask] ** 2))
     if lam.size == 0:
-        if sigma_sq == 0.0:
-            raise DegenerateFormError("form is deterministic; its CDF is a step function")
         return _phi(t / math.sqrt(sigma_sq))
 
     mean = float(np.sum(a))
@@ -433,11 +405,14 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
             "coefficient scales overflow the characteristic-function phase",
             accuracy=float("inf"),
         )
-    # the unweighted integrals reach u_settle or the death point, whichever
-    # comes first, so at least this far; refuse a hopeless split before the
-    # phase is ever evaluated
+    # G(u) >= log1p(4 a_max^2 u^2)/4 > log(2 a_max u)/2 passes _G_STOP by
+    # exp(2 _G_STOP)/a_max, where the head ends even if the phase never
+    # settles; the unweighted integrals reach the head's end or the death
+    # point, so at least the floor: refuse a hopeless split before any phase
+    a_max = float(np.max(np.abs(lam)))
+    head = min(u_settle, math.exp(2.0 * _G_STOP) / a_max)
     half_b_sq = 0.5 * float(np.sum(b * b))
-    floor = _death_floor(lam, half_b_sq, math.sqrt(2.0 * _G_STOP) / sd, u_settle)
+    floor = _death_floor(lam, half_b_sq, math.sqrt(2.0 * _G_STOP) / sd, head)
     _split_rounding(lam, s_terms, omega, floor)
     phase = _phase_kernel(lam, delta_sq, sigma_sq)
 
@@ -450,25 +425,23 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
         g, ps = phase(u)
         return math.exp(-g) * math.sin(ps + omega * u) / u
 
-    total = 0.0
-    err = 0.0
-
-    if g_decay(u_settle) >= _G_STOP:
-        # amplitude dies before the phase settles; integrate to the death
-        # point (G is increasing, so bisection brackets cleanly) and drop
-        # the provably negligible rest
-        _, up = _death_bracket(g_decay, u_settle)
-        split = _split_rounding(lam, s_terms, omega, up)
-        val, e, *_ = quad(integrand, 0.0, up, epsabs=1e-11, epsrel=1e-10, limit=2000, full_output=1)
-        total += val
-        err += e + 2.0 * ENVELOPE_CUTOFF + split
+    # when the amplitude dies before the phase settles, the head ends at the
+    # death point (G is increasing, so bisection brackets cleanly) and the
+    # provably negligible rest is dropped
+    dies = g_decay(head) >= _G_STOP
+    end = _death_bracket(g_decay, head)[1] if dies else u_settle
+    split = _split_rounding(lam, s_terms, omega, end)
+    # quad's first rule samples [0, end] no nearer 0 than 0.002 end, so a head
+    # reaching far past the scale 1/a_max of the mass near 0 could miss it;
+    # such a head is split at points doubling from 256/a_max
+    knee = 256.0 / a_max
+    points = knee * 2.0 ** np.arange(math.ceil(math.log2(end / knee))) if end > knee else None
+    total, err, *_ = quad(
+        integrand, 0.0, end, epsabs=1e-11, epsrel=1e-10, limit=2000, points=points, full_output=1
+    )
+    if dies:
+        err = err + 2.0 * ENVELOPE_CUTOFF + split
     else:
-        _split_rounding(lam, s_terms, omega, u_settle)
-        val, e, *_ = quad(
-            integrand, 0.0, u_settle, epsabs=1e-11, epsrel=1e-10, limit=2000, full_output=1
-        )
-        total += val
-        err += e
         u = u_settle
         w = abs(omega)
         finished = False

@@ -6,10 +6,11 @@ for a = (1,...,1), b = 0 with p = 5 the upper threshold at x = 1 is
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadconc as qc
@@ -31,7 +32,7 @@ exponents = st.floats(1e-3, 50.0, allow_nan=False, allow_infinity=False)
 def test_form_stats_chi5():
     stats = chi5_stats()
     assert stats.mean == 5.0
-    assert stats.u_sq == 5.0
+    assert stats.u == math.sqrt(5.0)
     assert stats.a_plus == 1.0
     assert stats.a_minus == 0.0
 
@@ -39,14 +40,14 @@ def test_form_stats_chi5():
 def test_form_stats_mixed_signs():
     stats = qc.form_stats(qc.DiagonalForm(np.array([-2.0, 3.0]), np.array([1.0, 0.0])))
     assert stats.mean == 1.0
-    assert stats.u_sq == 13.5
+    assert stats.u == math.sqrt(13.5)
     assert stats.a_plus == 3.0
     assert stats.a_minus == 2.0
 
 
 def test_form_stats_all_zero():
     stats = qc.form_stats(qc.DiagonalForm(np.zeros(3), np.zeros(3)))
-    assert stats.mean == 0.0 and stats.u_sq == 0.0
+    assert stats.mean == 0.0 and stats.u == 0.0
     assert stats.a_plus == 0.0 and stats.a_minus == 0.0
 
 
@@ -85,17 +86,17 @@ def test_degenerate_form_threshold_is_mean():
 
 def test_tail_exponent_frozen():
     # u = 1, v = 2: deviation 2*1*sqrt(x) + 2*x = 4 at x = 1
-    stats = qc.FormStats(mean=0.0, u_sq=1.0, a_plus=1.0, a_minus=0.0)
+    stats = qc.FormStats(mean=0.0, u=1.0, a_plus=1.0, a_minus=0.0)
     tb = qc.tail_exponent(stats, 4.0, "upper")
     assert tb.x == 1.0
     assert tb.threshold == 4.0
     # v = 0: deviation 2*sqrt(x) = 2 at x = 1
-    stats0 = qc.FormStats(mean=0.0, u_sq=1.0, a_plus=0.0, a_minus=0.0)
+    stats0 = qc.FormStats(mean=0.0, u=1.0, a_plus=0.0, a_minus=0.0)
     assert qc.tail_exponent(stats0, 2.0, "upper").x == 1.0
 
 
 def test_tail_exponent_lower_uses_a_minus():
-    stats = qc.FormStats(mean=0.0, u_sq=1.0, a_plus=0.0, a_minus=1.0)
+    stats = qc.FormStats(mean=0.0, u=1.0, a_plus=0.0, a_minus=1.0)
     tb = qc.tail_exponent(stats, 4.0, "lower")
     assert tb.x == 1.0
     assert tb.threshold == -4.0
@@ -106,7 +107,7 @@ def test_envelope_threshold_examples():
     assert qc.envelope_threshold(0.0, 1.0, 3.0) == 3.0
     stats = chi5_stats()
     want = qc.upper_threshold(stats, 1.0).threshold - stats.mean
-    got = qc.envelope_threshold(math.sqrt(stats.u_sq), 2.0 * stats.a_plus, 1.0)
+    got = qc.envelope_threshold(stats.u, 2.0 * stats.a_plus, 1.0)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -159,7 +160,7 @@ def test_threshold_monotone_in_x(a_list, data):
 def test_inversion_round_trip(a_list, x, data):
     b_list = data.draw(st.lists(finite, min_size=len(a_list), max_size=len(a_list)))
     stats = qc.form_stats(qc.DiagonalForm(np.array(a_list), np.array(b_list)))
-    if stats.u_sq == 0.0:
+    if stats.u == 0.0:
         return
     for direction, one in (("upper", qc.upper_threshold), ("lower", qc.lower_threshold)):
         deviation = abs(one(stats, x).threshold - stats.mean)
@@ -168,6 +169,95 @@ def test_inversion_round_trip(a_list, x, data):
         back = qc.tail_exponent(stats, deviation, direction)
         assert abs(back.x - x) <= 1e-10 * (1.0 + x)
         assert abs(abs(back.threshold - stats.mean) - deviation) <= 1e-10 * (1.0 + deviation)
+
+
+def _in_range(*values):
+    """Every value is zero or a finite normal float."""
+    return all(v == 0.0 or sys.float_info.min <= abs(v) < math.inf for v in values)
+
+
+def _scaled(values, k):
+    """values * 2^k, each rounded once."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.asarray(values, dtype=float), k).tolist()
+
+
+# short mantissas across 2^-64..2^6, so that 2^-1000 pushes them exactly into
+# the subnormal range
+short = st.builds(math.ldexp, st.integers(-64, 64).map(float), st.integers(-70, 0))
+scalable = st.one_of(finite, short)
+scales = st.one_of(st.integers(-1000, 1000), st.integers(-1000, -940), st.integers(940, 1000))
+
+
+@settings(max_examples=300)
+@given(st.lists(scalable, min_size=1, max_size=8), exponents, scales, st.data())
+def test_scale_covariance_at_any_scale(a_list, x, k, data):
+    # c = 2^k scales form_stats and both thresholds by exactly c, and leaves
+    # tail_exponent's x alone, wherever no intermediate leaves the normal
+    # range; elsewhere the call raises a typed error or rounds within the
+    # subnormal spacing
+    b_list = data.draw(st.lists(scalable, min_size=len(a_list), max_size=len(a_list)))
+    a, b = np.array(a_list), np.array(b_list)
+    ca, cb = _scaled(a, k), _scaled(b, k)
+    if _scaled(ca, -k) != a.tolist() or _scaled(cb, -k) != b.tolist():
+        return  # scaling rounded a coefficient: another form
+    try:
+        stats = qc.form_stats(qc.DiagonalForm(a, b))
+    except ValidationError:
+        return  # u of the form itself is rounded into the subnormal range
+    fields = (stats.mean, stats.u, stats.a_plus, stats.a_minus)
+    if not _in_range(*fields):
+        return
+    want = _scaled(fields, k)
+    try:
+        scaled = qc.form_stats(qc.DiagonalForm(ca, cb))
+    except ValidationError:
+        assert 0.0 < want[1] < sys.float_info.min  # only a u rounded below the range
+        return
+    assert [scaled.mean, scaled.u, scaled.a_plus, scaled.a_minus] == want
+    for direction, one, sign in (
+        ("upper", qc.upper_threshold, 1.0), ("lower", qc.lower_threshold, -1.0)
+    ):
+        u, v = stats.envelope(direction)
+        gauss, linear = 2.0 * u * math.sqrt(x), v * x
+        tb = one(stats, x)
+        parts = [stats.mean, stats.u, gauss, linear, stats.mean + sign * gauss, tb.threshold]
+        try:
+            got = one(scaled, x).threshold
+        except ValidationError:
+            assert _scaled([gauss + linear], k)[0] <= 2.0**-1074  # deviation underflows
+            continue
+        want_t = _scaled([tb.threshold], k)[0]
+        if _in_range(*parts, *_scaled(parts, k)):
+            assert got == want_t
+        else:
+            spread = max(abs(w) for w in _scaled(parts, k))
+            assert abs(got - want_t) <= 4.0 * math.ulp(spread) + 2.0**-1072
+        deviation = gauss + linear
+        if deviation == 0.0 or _scaled(_scaled([deviation], k), -k)[0] != deviation:
+            continue
+        back = qc.tail_exponent(stats, deviation, direction)
+        got = qc.tail_exponent(scaled, _scaled([deviation], k)[0], direction)
+        assert got.x == back.x
+        if _in_range(back.threshold, _scaled([back.threshold], k)[0], deviation):
+            assert got.threshold == _scaled([back.threshold], k)[0]
+
+
+def test_extreme_scales_refuse_rather_than_round_down():
+    # u = 2^-1074 / sqrt(2) has to be rounded into the subnormal range
+    with pytest.raises(ValidationError, match="normal"):
+        qc.form_stats(qc.DiagonalForm(np.zeros(1), np.array([5e-324])))
+    # a subnormal u that is exact is kept
+    assert qc.form_stats(qc.DiagonalForm(np.array([1e-310]), np.zeros(1))).u == 1e-310
+    # 2 u sqrt(x) underflows to zero and would put the threshold at the mean
+    stats = qc.form_stats(qc.DiagonalForm(np.zeros(1), np.array([1e-300])))
+    for one in (qc.upper_threshold, qc.lower_threshold):
+        with pytest.raises(ValidationError, match="underflows"):
+            one(stats, 1e-300)
+    # b = 1e-170 once gave u_sq = 0 and threshold = mean = 0; now 2u sqrt(x) = b sqrt(2x)
+    tiny = qc.form_stats(qc.DiagonalForm(np.zeros(1), np.array([1e-170])))
+    assert qc.upper_threshold(tiny, 2.0).threshold == pytest.approx(2e-170, rel=1e-15)
+    assert qc.tail_exponent(tiny, 1e-170, "upper").x == pytest.approx(0.5, rel=1e-15)
 
 
 def test_matrix_and_diagonal_stats_agree():
@@ -182,7 +272,7 @@ def test_matrix_and_diagonal_stats_agree():
         eigs = np.linalg.eigvalsh(sym)
         assert stats.mean == pytest.approx(np.trace(mat), rel=1e-10, abs=1e-10)
         want_u = 0.25 * np.linalg.norm(mat + mat.T, "fro") ** 2 + 0.5 * b @ b
-        assert stats.u_sq == pytest.approx(want_u, rel=1e-10)
+        assert stats.u**2 == pytest.approx(want_u, rel=1e-10)
         assert stats.a_plus == pytest.approx(max(eigs.max(), 0.0), rel=1e-10, abs=1e-12)
         assert stats.a_minus == pytest.approx(max(-eigs.min(), 0.0), rel=1e-10, abs=1e-12)
 
@@ -240,10 +330,10 @@ def test_bools_are_not_reals():
 
 
 def test_form_stats_fields_are_reals_not_bools():
-    plain = qc.FormStats(mean=-1.0, u_sq=2.0, a_plus=0.5, a_minus=0.0)
+    plain = qc.FormStats(mean=-1.0, u=2.0, a_plus=0.5, a_minus=0.0)
     got = qc.FormStats(np.float32(-1.0), np.float64(2.0), np.float32(0.5), np.int64(0))
     assert got == plain
-    assert all(type(v) is float for v in (got.mean, got.u_sq, got.a_plus, got.a_minus))
+    assert all(type(v) is float for v in (got.mean, got.u, got.a_plus, got.a_minus))
     assert qc.upper_threshold(got, 1.0) == qc.upper_threshold(plain, 1.0)
     for bad in (True, np.bool_(True), False):
         for pos in range(4):

@@ -8,6 +8,7 @@ status the process reports.
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -193,6 +194,38 @@ def test_verify_rejects_degenerate(tmp_path):
         "--x-grid", "1:2:1", "--out", tmp_path / "r",
     )
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "a, b", [(0.0, 1e-170), (0.0, 1e-160), (0.0, 1e160), (1e160, 1e160), (0.0, 1e-320)]
+)
+def test_extreme_scales_end_in_a_valid_threshold_or_exit_2(tmp_path, a, b):
+    # u_sq = b^2/2 once underflowed to 0 (threshold 0.0, "deterministic"), lost
+    # digits as a subnormal, or overflowed; pytest turns a RuntimeWarning into
+    # an error, so none is emitted either
+    doc = tmp_path / "form.json"
+    doc.write_text('{"a": [%r], "b": [%r]}\n' % (a, b))
+    u, v = math.hypot(a, b / math.sqrt(2.0)), 2.0 * a
+    res = run("bound", "--input", doc, "--x", "2", "--format", "json")
+    if res.returncode == 2:  # only where u itself is below the normal range
+        assert u < sys.float_info.min, res.stderr
+        return
+    assert res.returncode == 0, res.stderr
+    want = a + 2.0 * u * math.sqrt(2.0) + 2.0 * v
+    assert json.loads(res.stdout)["rows"][0]["threshold"] == pytest.approx(want, rel=1e-15)
+    res = run("invert", "--input", doc, "--deviation", repr(b), "--format", "json")
+    assert res.returncode == 0, res.stderr
+    x = json.loads(res.stdout)["x"]
+    assert 2.0 * u * math.sqrt(x) + v * x == pytest.approx(b, rel=1e-15)
+    if a == 0.0:  # x = (b / (2u))^2 = 1/2
+        assert abs(x - 0.5) <= math.ulp(0.5)
+    res = run(
+        "verify", "--input", doc, "--samples", 10000, "--seed", 1,
+        "--x-grid", "1:3:1", "--out", tmp_path / "r",
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.endswith("all rows ok (3 rows, wrote %s and %s)\n" % (
+        tmp_path / "r.csv", tmp_path / "r.json"))
 
 
 def test_verify_bad_grid(chi5, tmp_path):

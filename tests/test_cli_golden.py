@@ -33,10 +33,9 @@ def _stem(document):
     return document.replace(".", "_")
 
 
-def _fixed_interval(samples, t, direction, seed=0):
+def _fixed_interval(samples, t, direction):
     # one interval per threshold, above every bound past x = 0.5, so those rows must FAIL
-    return [TailEstimate(p_hat=0.5, ci_low=0.4, ci_high=0.6, n=len(samples), seed=seed)
-            for _ in t]
+    return [TailEstimate(p_hat=0.5, ci_low=0.4, ci_high=0.6, n=len(samples)) for _ in t]
 
 
 def _cases():

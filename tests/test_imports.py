@@ -1,4 +1,4 @@
-"""scipy stays unloaded until an oracle that needs it runs.
+"""scipy stays unloaded until an oracle that needs it runs, and the public API is pinned.
 
 `bound`, `invert` and `mgf-check` need numpy arithmetic only, so a cold
 call must not pay for importing scipy.  Each check runs in a fresh
@@ -73,3 +73,44 @@ def test_cold_paths_do_not_import_scipy():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "ok"
+
+
+def test_public_api_is_pinned():
+    # an addition to or removal from the public API shows up here as a one-line diff
+    import quadconc
+
+    assert quadconc.__all__ == [
+        "DIRECTIONS",
+        "DiagonalForm",
+        "FormStats",
+        "TailBound",
+        "form_stats",
+        "upper_threshold",
+        "lower_threshold",
+        "tail_exponent",
+        "envelope_threshold",
+        "union_threshold",
+        "QuadraticForm",
+        "SpectralReduction",
+        "symmetrize",
+        "eigen_sym",
+        "reduce",
+        "MgfEnvelope",
+        "EnvelopeCheck",
+        "log_mgf_term",
+        "log_mgf_centered",
+        "envelope_y_grid",
+        "envelope_grid_check",
+        "TailEstimate",
+        "sample",
+        "empirical_tail",
+        "cdf_p1",
+        "cdf_cf",
+        "ValidationError",
+        "DomainError",
+        "DegenerateFormError",
+        "InputError",
+        "NumericalError",
+        "__version__",
+    ]
+    assert all(hasattr(quadconc, name) for name in quadconc.__all__)

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from _scalar_lemma import check_scalar_ineq, scalar_ineq_grid
 from scipy.integrate import quad
 
 import quadconc as qc
@@ -85,7 +86,7 @@ def test_log_mgf_domain():
 
 
 def test_envelope_rhs_frozen():
-    stats = qc.FormStats(mean=1.0, u_sq=1.0625, a_plus=1.0, a_minus=0.0)
+    stats = qc.FormStats(mean=1.0, u=math.sqrt(1.0625), a_plus=1.0, a_minus=0.0)
     env = qc.MgfEnvelope.from_stats(stats)
     assert env.rhs(0.25) == pytest.approx(0.1328125, rel=1e-15)
     with pytest.raises(DomainError):
@@ -97,39 +98,41 @@ def test_envelope_rhs_frozen():
 
 
 def test_envelope_object_matches_function():
-    stats = qc.FormStats(mean=1.0, u_sq=1.0625, a_plus=1.0, a_minus=0.0)
+    stats = qc.FormStats(mean=1.0, u=math.sqrt(1.0625), a_plus=1.0, a_minus=0.0)
     env = qc.MgfEnvelope.from_stats(stats)
-    assert env.u == math.sqrt(stats.u_sq)
-    assert env.v == 2.0 * stats.a_plus
-    # the same envelope written with u_sq: u_sq y^2 / (1 - 2 a_plus y)
-    assert env.rhs(0.25) == stats.u_sq * 0.25 * 0.25 / (1.0 - 2.0 * stats.a_plus * 0.25)
+    assert (env.u, env.v) == stats.envelope("upper") == (stats.u, 2.0 * stats.a_plus)
+    # one kernel: a grid of points gives each point's value bit for bit
+    ys = np.array([0.25, 0.125, 0.4])
+    assert env.rhs(ys).tolist() == [env.rhs(y) for y in ys.tolist()]
+    with pytest.raises(DomainError):
+        env.rhs(np.array([0.25, 0.5]))
     lower = qc.MgfEnvelope.from_stats(
-        qc.FormStats(mean=0.0, u_sq=1.0, a_plus=3.0, a_minus=0.5), "lower"
+        qc.FormStats(mean=0.0, u=1.0, a_plus=3.0, a_minus=0.5), "lower"
     )
     assert lower.v == 1.0
 
 
 def test_check_scalar_ineq_frozen():
-    lhs, rhs, holds = qc.check_scalar_ineq(-1.0, 1.0, 0.25)
+    lhs, rhs, holds = check_scalar_ineq(-1.0, 1.0, 0.25)
     assert lhs == pytest.approx(0.04726744594591781, rel=1e-13)
     assert rhs == pytest.approx(0.125, rel=1e-15)
     assert holds
-    lhs, rhs, holds = qc.check_scalar_ineq(1.0, 1.0, 0.125)
+    lhs, rhs, holds = check_scalar_ineq(1.0, 1.0, 0.125)
     assert lhs == pytest.approx(0.01884103622589045, rel=1e-13)
     assert rhs == pytest.approx(0.020833333333333332, rel=1e-13)
     assert holds
     # equality case r = a: lhs touches the centered term itself
-    lhs, rhs, holds = qc.check_scalar_ineq(1.0, 1.0, 0.25)
+    lhs, rhs, holds = check_scalar_ineq(1.0, 1.0, 0.25)
     assert holds and lhs <= rhs
 
 
 def test_check_scalar_ineq_domain():
     with pytest.raises(DomainError):
-        qc.check_scalar_ineq(1.0, 1.0, 0.5)
+        check_scalar_ineq(1.0, 1.0, 0.5)
     with pytest.raises(DomainError):
-        qc.check_scalar_ineq(1.0, 1.0, 0.0)
+        check_scalar_ineq(1.0, 1.0, 0.0)
     with pytest.raises(DomainError):
-        qc.check_scalar_ineq(3.0, 1.0, 0.2)  # 1 - 2ry <= 0
+        check_scalar_ineq(3.0, 1.0, 0.2)  # 1 - 2ry <= 0
 
 
 def test_envelope_y_grid_shape():
@@ -154,7 +157,7 @@ def test_envelope_grid_random_forms():
 
 
 def test_scalar_grid_quick():
-    check = qc.scalar_ineq_grid(16)
+    check = scalar_ineq_grid(16)
     assert check.ok
     assert check.violations == 0
     assert check.points == 16**3
@@ -165,13 +168,13 @@ def test_grid_sizes_accept_numpy_ints_reject_bools():
     plain = qc.envelope_grid_check(form, 64)
     got = qc.envelope_grid_check(form, np.int64(64))
     assert got == plain and type(got.grid_size) is int
-    assert qc.scalar_ineq_grid(np.int32(16)) == qc.scalar_ineq_grid(16)
+    assert scalar_ineq_grid(np.int32(16)) == scalar_ineq_grid(16)
     assert np.array_equal(envelope_y_grid(2.0, np.uint8(10)), envelope_y_grid(2.0, 10))
     for bad in (True, False, np.bool_(True), 64.0):
         with pytest.raises(ValidationError):
             qc.envelope_grid_check(form, bad)
         with pytest.raises(ValidationError):
-            qc.scalar_ineq_grid(bad)
+            scalar_ineq_grid(bad)
 
 
 def test_chernoff_closure():
@@ -181,7 +184,7 @@ def test_chernoff_closure():
         p = int(rng.integers(1, 8))
         form = qc.DiagonalForm(rng.uniform(-3, 3, p), rng.uniform(-3, 3, p))
         stats = qc.form_stats(form)
-        if stats.u_sq == 0.0:
+        if stats.u == 0.0:
             continue
         env = qc.MgfEnvelope.from_stats(stats)
         for x in (0.5, 2.0):

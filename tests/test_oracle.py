@@ -52,13 +52,14 @@ def test_sample_prefix_stable_across_n():
     assert np.array_equal(long[:100000], short)
 
 
-def test_sample_chunk_size_changes_stream_layout():
+def test_sample_chunk_size_changes_stream_layout(monkeypatch):
     form = qc.DiagonalForm(np.ones(2), np.zeros(2))
     default = qc.sample(form, 1000, 5)
-    small = qc.sample(form, 1000, 5, chunk_size=128)
+    monkeypatch.setattr(oracle, "DEFAULT_CHUNK", 128)
+    small = qc.sample(form, 1000, 5)
     # different chunking is a different (still deterministic) stream
     assert small.shape == default.shape
-    assert np.array_equal(small, qc.sample(form, 1000, 5, chunk_size=128))
+    assert np.array_equal(small, qc.sample(form, 1000, 5))
 
 
 def test_sample_degenerate_form_is_constant():
@@ -75,7 +76,8 @@ def test_sample_moments():
 
 
 def _sample_loop_referee(form, n, seed, chunk_size, matrix):
-    # the chunk loops sample and sample_quadratic each ran before they shared one
+    # sample's chunk loop written out; in matrix form it samples z'Az + b'z
+    # without any reduction, the referee of reduce in law
     out = np.empty(n)
     for chunk in range((n + chunk_size - 1) // chunk_size):
         lo = chunk * chunk_size
@@ -89,14 +91,12 @@ def _sample_loop_referee(form, n, seed, chunk_size, matrix):
 
 
 @pytest.mark.parametrize("n, chunk_size", [(1, 4096), (4096, 4096), (10007, 4096), (777, 1)])
-def test_samplers_match_their_chunk_loops_bitwise(n, chunk_size):
+def test_samplers_match_their_chunk_loops_bitwise(n, chunk_size, monkeypatch):
     rng = np.random.default_rng(2009)
     diag = qc.DiagonalForm(rng.uniform(-2, 2, 5), rng.uniform(-2, 2, 5))
-    quad = qc.QuadraticForm(rng.normal(size=(5, 5)), rng.normal(size=5))
-    got = qc.sample(diag, n, 77, chunk_size=chunk_size)
+    monkeypatch.setattr(oracle, "DEFAULT_CHUNK", chunk_size)
+    got = qc.sample(diag, n, 77)
     assert got.tobytes() == _sample_loop_referee(diag, n, 77, chunk_size, False).tobytes()
-    got = qc.sample_quadratic(quad, n, 77, chunk_size=chunk_size)
-    assert got.tobytes() == _sample_loop_referee(quad, n, 77, chunk_size, True).tobytes()
 
 
 def test_sample_validation():
@@ -116,8 +116,6 @@ def test_counts_and_seed_reject_bools_accept_numpy_ints():
             oracle._check_seed(bad)
         with pytest.raises(ValidationError):
             qc.sample(CHI1, bad, 1)
-        with pytest.raises(ValidationError):
-            qc.sample(CHI1, 10, 1, chunk_size=bad)
     assert oracle._check_seed(np.uint64(2**64 - 1)) == 2**64 - 1
     assert np.array_equal(qc.sample(CHI1, np.int64(100), np.int64(5)), qc.sample(CHI1, 100, 5))
 
@@ -190,7 +188,7 @@ def test_empirical_tail_lower_direction():
 
 def test_tail_estimate_ordering_enforced():
     with pytest.raises(ValidationError):
-        qc.TailEstimate(p_hat=0.5, ci_low=0.6, ci_high=0.7, n=10, seed=0)
+        qc.TailEstimate(p_hat=0.5, ci_low=0.6, ci_high=0.7, n=10)
     with pytest.raises(ValidationError):
         qc.empirical_tail(np.arange(10.0), math.nan, "upper")
     with pytest.raises(ValidationError):
@@ -212,9 +210,9 @@ def test_empirical_tail_vector_matches_scalar_calls():
     draws = qc.sample(CHI3, 200003, 9)
     thresholds = np.array([-1.0, 0.5, 3.0, 3.0, 7.5, 20.0, math.inf])
     for direction in ("upper", "lower"):
-        vector = qc.empirical_tail(draws, thresholds, direction, seed=9)
+        vector = qc.empirical_tail(draws, thresholds, direction)
         assert isinstance(vector, list) and len(vector) == thresholds.size
-        assert vector == [qc.empirical_tail(draws, t, direction, seed=9) for t in thresholds]
+        assert vector == [qc.empirical_tail(draws, t, direction) for t in thresholds]
     assert qc.empirical_tail(draws, np.array([]), "upper") == []
     with pytest.raises(ValidationError):
         qc.empirical_tail(draws, np.ones((2, 2)), "upper")
@@ -357,11 +355,13 @@ def test_cdf_cf_tiny_curvature_with_shift_is_right_or_refused(eps, t):
     assert abs(got - want) <= 1e-6, (got, want)
 
 
-@pytest.mark.parametrize("t", [1.0, 3.0])
-@pytest.mark.parametrize("eps", [1e-16, 1e-20, 1e-50, 1e-100, 1e-150])
+@pytest.mark.parametrize("t", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize("eps", [1e-8, 1e-16, 1e-20, 1e-50, 1e-100, 1e-150, 1e-200])
 def test_cdf_cf_tiny_curvature_without_shift_is_right_or_refused(eps, t):
     # T = eps z0^2 + z1^2 is chi-square(1) up to about eps, but u_settle ~ 5/eps
-    # stretches the head integral over ~1/eps oscillations of sin(omega u)
+    # stretches the head integral over ~1/eps oscillations of sin(omega u).
+    # At t = 0 there is no oscillation, and a head reaching 5/eps once let
+    # quad miss the mass near 0 and return 0.5 (or, at 1e-200, overflow)
     form = qc.DiagonalForm(np.array([eps, 1.0]), np.zeros(2))
     try:
         got = qc.cdf_cf(form, t)
@@ -383,6 +383,46 @@ def test_cdf_cf_refuses_tiny_curvature_before_the_phase_overflows(monkeypatch):
         with pytest.raises(NumericalError) as info:
             qc.cdf_cf(form, t)
         assert info.value.accuracy > 1.0
+
+
+def test_cdf_cf_at_tiny_scales():
+    # sd underflowed to 0 here and the clamp returned 0.0; b alone was "deterministic"
+    tiny = qc.DiagonalForm(np.array([1e-170, 2e-170]), np.zeros(2))
+    unit = qc.DiagonalForm(np.array([1.0, 2.0]), np.zeros(2))
+    assert qc.cdf_cf(tiny, 2e-170) == pytest.approx(qc.cdf_cf(unit, 2.0), abs=1e-9)
+    assert qc.cdf_cf(unit, 2.0) == pytest.approx(0.49958, abs=1e-5)
+    shift = qc.DiagonalForm(np.zeros(1), np.array([1e-170]))
+    assert qc.cdf_cf(shift, 1e-170) == qc.cdf_p1(0.0, 1.0, 1.0)
+    assert qc.cdf_cf(shift, 1e300) == 1.0 and qc.cdf_cf(tiny, -1e300) == 0.0
+
+
+@settings(max_examples=40)
+@given(
+    st.lists(st.floats(0.1, 4.0), min_size=1, max_size=4),
+    st.integers(-1000, 1000),
+    st.floats(-3.0, 3.0),
+    st.data(),
+)
+def test_cdf_cf_scale_covariance_bitwise(mags, k, z, data):
+    # cdf_cf runs on (a, b, t) normalized by a power of two, so scaling all
+    # three by 2^k changes no bit of the answer, or of the refusal
+    p = len(mags)
+    a = np.array(mags) * np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=p,
+                                                     max_size=p)))
+    b = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=p, max_size=p)))
+    t = float(np.sum(a) + z * math.sqrt(np.sum(2.0 * a * a + b * b)))
+    ca, cb, ct = np.ldexp(a, k), np.ldexp(b, k), float(np.ldexp(t, k))
+    if not (np.array_equal(np.ldexp(ca, -k), a) and np.array_equal(np.ldexp(cb, -k), b)
+            and float(np.ldexp(ct, -k)) == t):
+        return  # scaling rounded an input: another question
+
+    def outcome(form, at):
+        try:
+            return qc.cdf_cf(form, at).hex()
+        except NumericalError as exc:
+            return str(exc)
+
+    assert outcome(qc.DiagonalForm(ca, cb), ct) == outcome(qc.DiagonalForm(a, b), t)
 
 
 def test_death_floor_is_below_the_death_point():
@@ -503,6 +543,6 @@ def test_matrix_and_diagonal_samplers_agree_in_law():
     mat = rng.normal(size=(5, 5))
     b = rng.normal(size=5)
     qf = qc.QuadraticForm(mat, b)
-    direct = qc.sample_quadratic(qf, 10**5, 111)
+    direct = _sample_loop_referee(qf, 10**5, 111, oracle.DEFAULT_CHUNK, True)
     reduced = qc.sample(qc.reduce(qf).diagonal_form(), 10**5, 222)
     assert ks_2samp(direct, reduced).pvalue > 1e-3

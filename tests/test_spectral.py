@@ -248,10 +248,10 @@ def test_reduction_preserves_distribution_stats():
     b = rng.normal(size=5)
     diag = qc.reduce(qc.QuadraticForm(mat, b)).diagonal_form()
     stats = qc.form_stats(diag)
-    # variance of T is 2*sum(a_k^2) + sum(b_k^2) = 2*u_sq
+    # variance of T is 2*sum(a_k^2) + sum(b_k^2) = 2*u^2
     sym = 0.5 * (mat + mat.T)
     want_var = 2.0 * np.sum(np.linalg.eigvalsh(sym) ** 2) + b @ b
-    assert 2.0 * stats.u_sq == pytest.approx(want_var, rel=1e-10)
+    assert 2.0 * stats.u**2 == pytest.approx(want_var, rel=1e-10)
 
 
 def test_reduce_rejects_non_form():
