@@ -43,16 +43,28 @@ def _is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _finite_real(value):
+    """`value` as a float if it is a finite real, else None.
+
+    An integer past the float range is not finite here, rather than an
+    OverflowError.
+    """
+    if not _is_real(value):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _check_real(value, name, allow_zero=False):
     """`value` as a float if it is a finite real > 0 (>= 0 with allow_zero)."""
-    if not (
-        _is_real(value)
-        and math.isfinite(value)
-        and (value >= 0 if allow_zero else value > 0)
-    ):
+    x = _finite_real(value)
+    if x is None or not (x >= 0 if allow_zero else x > 0):
         kind = "nonnegative" if allow_zero else "positive"
         raise ValidationError("%s must be a %s finite real, got %r" % (name, kind, value))
-    return float(value)
+    return x
 
 
 def _check_exponent(x):
@@ -106,10 +118,11 @@ class FormStats:
 
     def __post_init__(self):
         vals = (self.mean, self.u, self.a_plus, self.a_minus)
-        if not all(_is_real(v) and math.isfinite(v) for v in vals):
+        reals = [_finite_real(v) for v in vals]
+        if None in reals:
             raise ValidationError("stats fields must be finite reals, got %r" % (vals,))
-        for name, v in zip(("mean", "u", "a_plus", "a_minus"), vals):
-            object.__setattr__(self, name, float(v))
+        for name, v in zip(("mean", "u", "a_plus", "a_minus"), reals):
+            object.__setattr__(self, name, v)
         if self.u < 0 or self.a_plus < 0 or self.a_minus < 0:
             raise ValidationError("u, a_plus, a_minus must be nonnegative")
 

@@ -15,6 +15,7 @@ This module evaluates both sides and checks the inequality on grids, which
 is what `quadconc mgf-check` runs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,23 +112,39 @@ def envelope_grid_check(form: DiagonalForm, n: int) -> EnvelopeCheck:
     """Compare centered log-MGF against the envelope on an n-point y-grid.
 
     A point counts as a violation when lhs exceeds rhs by more than
-    ENVELOPE_SLACK * (1 + |rhs|).  A grid whose values leave the float
-    range, as at coefficient scales far from 1, raises ValidationError.
+    ENVELOPE_SLACK * (1 + |rhs|).
+
+    Both sides depend on y only through y a_k, y b_k, y u and y v, so when
+    a_plus > 0 the grid runs on (a, b, u, v) * 2^-e, 2^(e-1) <= max(|a|, |b|)
+    < 2^e, with y * 2^e, and y_max and worst_y are scaled back: the same
+    bits wherever nothing is subnormal, at any coefficient scale.  Without
+    a pole (a_plus = 0) the grid reaches LINEAR_ONLY_Y_MAX in the form's own
+    units.  A grid whose values still leave the float range raises
+    ValidationError.
     """
     stats = form_stats(form)
-    ys = envelope_y_grid(stats.a_plus, n)
+    a, b, a_plus, u = form.a, form.b, stats.a_plus, stats.u
+    e = 0
+    if a_plus > 0.0:
+        e = math.frexp(max(float(np.max(np.abs(a))), float(np.max(np.abs(b)))))[1]
+        a, b = np.ldexp(a, -e), np.ldexp(b, -e)
+        a_plus, u = math.ldexp(a_plus, -e), math.ldexp(u, -e)
+    ys = envelope_y_grid(a_plus, n)
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        terms, q = _log_mgf_terms(form.a, form.b, ys)
-        rhs = MgfEnvelope.from_stats(stats).rhs(ys)
-        slack = np.sum(terms + 0.5 * q, axis=0) - rhs
-    if not np.isfinite(slack).all():
+        y_max = float(np.ldexp(ys[-1], -e))
+        # past the float range (a subnormal a_plus) the grid would read as a diverging MGF
+        if math.isfinite(y_max):
+            terms, q = _log_mgf_terms(a, b, ys)
+            rhs = MgfEnvelope(u, 2.0 * a_plus).rhs(ys)
+            slack = np.sum(terms + 0.5 * q, axis=0) - rhs
+    if not (math.isfinite(y_max) and np.isfinite(slack).all()):
         raise ValidationError("the log-MGF grid leaves the float range for this form")
     worst = int(np.argmax(slack))
     violations = int(np.count_nonzero(slack > ENVELOPE_SLACK * (1.0 + np.abs(rhs))))
     return EnvelopeCheck(
         grid_size=ys.size,
-        y_max=float(ys[-1]),
+        y_max=y_max,
         max_slack=float(slack[worst]),
-        worst_y=float(ys[worst]),
+        worst_y=float(np.ldexp(ys[worst], -e)),
         violations=violations,
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DiagonalForm, _check_direction, _is_integer
+from .bounds import DiagonalForm, _check_direction, _finite_real, _is_integer
 from .errors import DegenerateFormError, NumericalError, ValidationError
 
 DEFAULT_CHUNK = 65536
@@ -39,6 +39,10 @@ _G_STOP = -math.log(ENVELOPE_CUTOFF)
 ACCURACY_TARGET = 1e-6
 _EPS = float(np.finfo(float).eps)
 _MAX_BLOCKS = 200
+# _phase_kernel's cache: (key, {u: (G, psi)}) for the last normalized form,
+# emptied at 2^14 nodes (about 3 MB)
+_PHASE_MEMO_CAP = 2**14
+_phase_memo = (None, {})
 
 
 @dataclass(frozen=True)
@@ -164,6 +168,13 @@ def empirical_tail(samples, t, direction: str):
     return estimates if thresholds.ndim else estimates[0]
 
 
+def _check_finite(value, name):
+    x = _finite_real(value)
+    if x is None:
+        raise ValidationError("%s must be a finite real, got %r" % (name, value))
+    return x
+
+
 def _phi(x):
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
@@ -174,10 +185,9 @@ def cdf_p1(a: float, b: float, t: float) -> float:
     a != 0 reduces to which z solve the quadratic a z^2 + b z - t <= 0: an
     interval between the roots when a > 0, the complement when a < 0, and
     empty or everything when the discriminant b^2 + 4at is negative.
+    a, b and t must be finite reals; bools are refused.
     """
-    for name, val in (("a", a), ("b", b), ("t", t)):
-        if math.isnan(val):
-            raise ValidationError("%s must not be NaN" % name)
+    a, b, t = (_check_finite(val, name) for name, val in (("a", a), ("b", b), ("t", t)))
     if a == 0.0:
         if b == 0.0:
             return 1.0 if t >= 0.0 else 0.0
@@ -211,19 +221,38 @@ def _phase_kernel(lam, delta_sq, sigma_sq):
     rewrite of the textbook expressions (tests/_cf_reference.py) hoists a
     left factor or regroups a power-of-two scaling, so the results are
     bitwise equal to them wherever no intermediate overflows or is
-    subnormal.  The memo lets integration passes that visit the same node
-    (the sine and cosine tails of cdf_cf) evaluate it once.
+    subnormal.
+
+    The memo outlives the call.  It sits in a one-slot module cache keyed
+    on the exact bytes of (lam, delta_sq, sigma_sq), so every kernel made
+    for the same inputs, by any later cdf_cf call on the same normalized
+    form (a form and its 2^k multiples normalize alike), reuses the nodes
+    evaluated before; a kernel for other inputs takes the slot with a fresh
+    memo.  G and psi do not depend on t and the kernel is deterministic, so
+    a reused node has the bits a new evaluation would give.  The memo is
+    emptied when it reaches _PHASE_MEMO_CAP nodes, which bounds its memory
+    on forms whose weighted tails add new nodes at every t.  The work
+    buffers belong to one kernel, so concurrent calls share only the memo,
+    whose entries are the same whoever writes them; threads that take the
+    slot from each other can cost each other reuse, never a value.
     """
+    global _phase_memo
+    key = (lam.tobytes(), delta_sq.tobytes(), float(sigma_sq).hex())
+    slot_key, memo = _phase_memo
+    if slot_key != key:
+        memo = {}
+        _phase_memo = (key, memo)
     two_delta_sq = 2.0 * delta_sq
     lam_delta_sq = lam * delta_sq
     half_sigma_sq = 0.5 * sigma_sq
     lu, l2, q, den, g = (np.empty_like(lam) for _ in range(5))
-    memo = {}
 
     def phase(u):
         hit = memo.get(u)
         if hit is not None:
             return hit
+        if len(memo) >= _PHASE_MEMO_CAP:
+            memo.clear()
         # G terms into g: 0.25 log1p(4 l^2) + (2 d^2) l^2 / (1 + 4 l^2)
         np.multiply(lam, u, lu)
         np.multiply(lu, lu, l2)
@@ -344,8 +373,14 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     with H(u) = psi(u) + omega u split into its nonlinear part psi and the
     linear slope omega = -sum_k b_k^2/(4 a_k) - t that remains once arctan
     and the noncentral terms saturate.  One kernel, _phase_kernel, computes
-    G and psi together for each u; it is memoized within the call, so the
-    sine and cosine tail passes below share the nodes they both visit.
+    G and psi together for each u.  G and psi do not depend on t, so its memo
+    is kept across calls on the same normalized form: the sine and cosine
+    tail passes below share the nodes they both visit, and a later call on
+    the form (at another t, or on a 2^k multiple) reuses every node an
+    earlier one evaluated in its death search, head, ladder and tail, with
+    the same bits.  The memo holds one form at a time and is emptied at
+    _PHASE_MEMO_CAP nodes; each call has its own work buffers, so calls
+    from several threads give the values of serial calls.
 
     The integral is split into a head up to the point where the nonlinear
     phase has settled, a ladder of doubling blocks (so no adaptive pass can
@@ -368,14 +403,13 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     """
     from scipy.integrate import quad
 
-    if math.isnan(t) or math.isinf(t):
-        raise ValidationError("t must be finite")
+    t = _check_finite(t, "t")
     peak = max(float(np.max(np.abs(form.a))), float(np.max(np.abs(form.b))))
     if peak == 0.0:
         raise DegenerateFormError("form is deterministic; its CDF is a step function")
     e = math.frexp(peak)[1]
     a, b = np.ldexp(form.a, -e), np.ldexp(form.b, -e)
-    with np.errstate(over="ignore"):  # an infinite t lands in the clamps below
+    with np.errstate(over="ignore"):  # a t that overflows here lands in the clamps below
         t = float(np.ldexp(t, -e))
     quad_mask = a != 0.0
     lam = a[quad_mask]

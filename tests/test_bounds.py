@@ -292,6 +292,21 @@ def test_validation_errors():
         qc.DiagonalForm(np.ones(0), np.ones(0))
 
 
+def test_integers_past_the_float_range_are_refused():
+    # math.isfinite(10**400) raises OverflowError; these must be typed errors
+    stats = chi5_stats()
+    huge = 10**400
+    for call in (
+        lambda: qc.upper_threshold(stats, huge),
+        lambda: qc.tail_exponent(stats, huge, "upper"),
+        lambda: qc.envelope_threshold(huge, 1.0, 1.0),
+        lambda: qc.FormStats(huge, 1.0, 1.0, 0.0),
+        lambda: qc.MgfEnvelope(1.0, huge),
+    ):
+        with pytest.raises(ValidationError):
+            call()
+
+
 def test_numpy_scalars_match_python_floats():
     stats = qc.form_stats(qc.DiagonalForm(np.array([1.0, -0.5]), np.array([0.3, 2.0])))
     for value in (np.float32(1.0), np.int64(2), np.float64(0.3), np.float32(0.1)):

@@ -315,6 +315,17 @@ def test_mgf_check(chi5):
     assert "holds" in res.stdout
 
 
+@pytest.mark.parametrize("a, b, code", [(1e-170, 1e-170, 0), (0.0, 1e160, 2)])
+def test_mgf_check_at_extreme_scales(tmp_path, a, b, code):
+    doc = tmp_path / "form.json"
+    doc.write_text('{"a": [%r], "b": [%r]}\n' % (a, b))
+    res = run("mgf-check", "--input", doc, "--grid", 16)
+    assert res.returncode == code, res.stderr
+    if code == 0:
+        assert res.stdout.startswith("grid_size=16 y_max=4.995e+169\n")
+        assert res.stdout.endswith("envelope holds (0 violations)\n")
+
+
 def test_mgf_check_zero_grid(chi5):
     res = run("mgf-check", "--input", chi5, "--grid", 0)
     assert res.returncode == 1

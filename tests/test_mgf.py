@@ -156,6 +156,27 @@ def test_envelope_grid_random_forms():
         assert check.grid_size == 128
 
 
+def test_envelope_grid_is_scale_safe():
+    # with a_plus = 1e-170 the grid reaches y = 5e169, whose square overflowed;
+    # it runs in normalized units now, with the bits of the unit-scale form
+    unit = qc.envelope_grid_check(qc.DiagonalForm(np.array([1.0]), np.array([1.0])), 16)
+    for k in (-1000, -565, 500, 1000):
+        c = 2.0**k
+        got = qc.envelope_grid_check(qc.DiagonalForm(np.array([c]), np.array([c])), 16)
+        assert got.max_slack == unit.max_slack and got.violations == unit.violations == 0
+        assert (got.y_max, got.worst_y) == (unit.y_max / c, unit.worst_y / c)
+    tiny = qc.envelope_grid_check(qc.DiagonalForm(np.array([1e-170]), np.array([1e-170])), 16)
+    assert tiny.ok and tiny.y_max == pytest.approx(0.999 / 2e-170, rel=1e-15)
+    # without a pole the grid reaches y = 10 in the form's units: b^2 y^2 overflows
+    with pytest.raises(ValidationError, match="float range"):
+        qc.envelope_grid_check(qc.DiagonalForm(np.zeros(1), np.array([1e160])), 16)
+    # a pole at y = 5e319 is past the float range; the MGF does not diverge on the grid
+    for a in ([1e-320], [-1.0, 1e-310]):
+        form = qc.DiagonalForm(np.array(a), np.zeros(len(a)))
+        with pytest.raises(ValidationError, match="float range"):
+            qc.envelope_grid_check(form, 16)
+
+
 def test_scalar_grid_quick():
     check = scalar_ineq_grid(16)
     assert check.ok

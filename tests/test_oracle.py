@@ -277,6 +277,26 @@ def test_cdf_p1_rejects_nan():
         qc.cdf_p1(1.0, 0.0, math.nan)
 
 
+@pytest.mark.parametrize("bad", [True, np.bool_(True), "1", None, 10**400, math.inf, -math.inf])
+def test_cdf_inputs_must_be_finite_reals(bad):
+    # bools once passed as 1 (cdf_p1 gave 0.6827, cdf_cf 0.4996); a str or None
+    # raised TypeError and 10**400 OverflowError
+    with pytest.raises(ValidationError):
+        qc.cdf_cf(CHI3, bad)
+    for args in ((bad, 0.0, 1.0), (1.0, bad, 1.0), (1.0, 0.0, bad)):
+        with pytest.raises(ValidationError):
+            qc.cdf_p1(*args)
+
+
+def test_cdf_numpy_scalars_match_python_floats():
+    form = qc.DiagonalForm(np.array([1.0, -0.5]), np.array([0.3, 2.0]))
+    want = qc.cdf_cf(form, 1.0).hex()
+    for t in (np.float32(1.0), np.float64(1.0), np.int64(1), 1):
+        assert qc.cdf_cf(form, t).hex() == want, type(t)
+    want = qc.cdf_p1(1.0, 2.0, 1.0).hex()
+    assert qc.cdf_p1(np.float32(1.0), np.int32(2), np.float64(1.0)).hex() == want
+
+
 def test_cdf_cf_matches_chi_square():
     assert qc.cdf_cf(CHI1, 3.841) == pytest.approx(qc.cdf_p1(1.0, 0.0, 3.841), abs=1e-9)
     assert qc.cdf_cf(CHI3, 3.0) == pytest.approx(0.6083748237289109, abs=1e-9)
@@ -536,6 +556,109 @@ def test_death_search_stops_once_the_bracket_is_tight(monkeypatch):
     assert got.hex() == want.hex()
     # the form takes the dying branch; the fixed 200-step loop needs more than 200
     assert 0 < early < 100 and full > 200, (early, full)
+
+
+def _cold_cdf_cf(form, t):
+    # cdf_cf with the phase memo emptied first: every node evaluated afresh
+    oracle._phase_memo = (None, {})
+    return qc.cdf_cf(form, t)
+
+
+def _thresholds(form, count):
+    stats = qc.form_stats(form)
+    sd = math.sqrt(float(np.sum(2.0 * form.a**2 + form.b**2)))
+    return (stats.mean + sd * np.linspace(-2.0, 3.0, count)).tolist()
+
+
+def test_phase_memo_shared_across_forms_gives_cold_bits():
+    # A and 2A normalize to one form and share a memo; B takes the weighted
+    # tail branch and evicts it.  Interleaved, every value must have the bits
+    # of a call that starts from an empty memo
+    rng = np.random.default_rng(24)
+    form_a = qc.DiagonalForm(rng.normal(size=24), rng.normal(size=24))
+    form_b = qc.DiagonalForm(np.array([1.0, -0.5]), np.array([0.3, 2.0]))
+    form_2a = qc.DiagonalForm(2.0 * form_a.a, 2.0 * form_a.b)
+    cases = []
+    for t_a, t_b in zip(_thresholds(form_a, 20), _thresholds(form_b, 20)):
+        cases += [(form_a, t_a), (form_b, t_b), (form_2a, 2.0 * t_a), (form_a, -t_a)]
+    warm = [qc.cdf_cf(form, t).hex() for form, t in cases]
+    cold = [_cold_cdf_cf(form, t).hex() for form, t in cases]
+    assert warm == cold
+    assert warm[0::4] == warm[2::4]  # scaling by 2 moves no bit
+
+
+def test_phase_memo_concurrent_calls_match_serial_bits():
+    # four threads on two forms with a short switch interval: the threads
+    # take the memo slot from each other mid-call, and every value must
+    # still have the bits of a serial call
+    import threading
+
+    rng = np.random.default_rng(48)
+    forms = [
+        qc.DiagonalForm(rng.normal(size=24), rng.normal(size=24)),
+        qc.DiagonalForm(np.array([1.0, -0.5]), np.array([0.3, 2.0])),
+    ]
+    jobs = [[(form, t) for t in _thresholds(form, 12)] for form in forms]
+    jobs += [job[::-1] for job in jobs]
+    serial = [[_cold_cdf_cf(form, t).hex() for form, t in job] for job in jobs]
+    oracle._phase_memo = (None, {})
+    got = [None] * len(jobs)
+    start = threading.Barrier(len(jobs))
+
+    def worker(k):
+        start.wait()
+        got[k] = [qc.cdf_cf(form, t).hex() for form, t in jobs[k]]
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == serial
+
+
+def test_phase_memo_is_capped():
+    # chi-square(1) takes the weighted QUADPACK tail, which adds a few
+    # hundred new nodes at every threshold; the memo must stay bounded
+    oracle._phase_memo = (None, {})
+    sizes = []
+    values = []
+    for t in np.linspace(0.05, 12.0, 400).tolist():
+        values.append(qc.cdf_cf(CHI1, t))
+        sizes.append(len(oracle._phase_memo[1]))
+    assert max(sizes) <= oracle._PHASE_MEMO_CAP
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:])), "never emptied"
+    # values computed on a memo that was emptied part way keep the cold bits
+    for t, value in list(zip(np.linspace(0.05, 12.0, 400).tolist(), values))[-3:]:
+        assert value.hex() == _cold_cdf_cf(CHI1, t).hex()
+
+
+def test_phase_memo_spares_evaluations_on_a_seen_form(monkeypatch):
+    # kernel evaluations are counted by the log1p the kernel writes into its buffer
+    evaluations = [0]
+    log1p = np.log1p
+
+    def counting_log1p(*args, **kwargs):
+        evaluations[0] += len(args) == 2
+        return log1p(*args, **kwargs)
+
+    monkeypatch.setattr(np, "log1p", counting_log1p)
+    rng = np.random.default_rng(24)
+    form = qc.DiagonalForm(rng.normal(size=24), rng.normal(size=24))
+    oracle._phase_memo = (None, {})
+    counts = []
+    for t in (3.0, 1.0, -2.0):
+        before = evaluations[0]
+        qc.cdf_cf(form, t)
+        counts.append(evaluations[0] - before)
+    first, *later = counts
+    assert first > 100 and all(10 * n < first for n in later), counts
 
 
 def test_matrix_and_diagonal_samplers_agree_in_law():
