@@ -71,6 +71,33 @@ def _check_exponent(x):
     return _check_real(x, "exponent x")
 
 
+def _float_array(values, name, ndim=1):
+    """`values` as a read-only `ndim`-dimensional float array of its own.
+
+    Every entry must be a finite real: bools, strings, None, ragged nestings
+    and integers past the float range raise ValidationError, as does a
+    shape of another dimension.  A scalar counts as one-dimensional.
+    """
+    arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if arr.dtype == object:
+        numeric = all(_is_real(v) for v in arr.flat)
+    else:
+        numeric = arr.dtype.kind in "iuf"
+    if not numeric:
+        raise ValidationError("%s entries must be real numbers" % name)
+    try:
+        arr = np.array(arr, dtype=float, ndmin=1)
+        finite = np.isfinite(arr).all()
+    except OverflowError:  # an integer past the float range
+        finite = False
+    if not finite:
+        raise ValidationError("%s entries must be finite" % name)
+    if arr.ndim != ndim:
+        raise ValidationError("%s must be %d-dimensional, got shape %r" % (name, ndim, arr.shape))
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class DiagonalForm:
     """Coefficients of T = sum_k a_k z_k^2 + b_k z_k."""
@@ -79,20 +106,11 @@ class DiagonalForm:
     b: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if a.ndim != 1 or b.ndim != 1:
-            raise ValidationError("a and b must be one-dimensional")
+        a, b = _float_array(self.a, "a"), _float_array(self.b, "b")
         if a.size != b.size or a.size < 1:
             raise ValidationError(
                 "a and b must have equal positive length, got %d and %d" % (a.size, b.size)
             )
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise ValidationError("form coefficients must be finite")
-        a = a.copy()
-        b = b.copy()
-        a.flags.writeable = False
-        b.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 

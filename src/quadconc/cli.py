@@ -20,13 +20,12 @@ failing routine reported), 4 verification failure.
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
 import unicodedata
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -44,25 +43,9 @@ from .oracle import DEFAULT_CONFIDENCE, empirical_tail, sample
 from .spectral import QuadraticForm, reduce as spectral_reduce
 
 
-@dataclass(frozen=True)
-class FormDocument:
-    label: Optional[str]
-    diagonal: Optional[DiagonalForm]
-    quadratic: Optional[QuadraticForm]
-
-    def resolve(self) -> DiagonalForm:
-        """Diagonal coefficients, reducing the matrix representation if needed."""
-        if self.diagonal is not None:
-            return self.diagonal
-        return spectral_reduce(self.quadratic).diagonal_form()
-
-
-def _load_csv(path: Path) -> FormDocument:
-    try:
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise InputError("%s: %s" % (path, exc.strerror or exc))
+def _csv_columns(path, text):
+    """{"a": [...], "b": [...]} of a two-column CSV document with header 'a,b'."""
+    rows = list(csv.reader(io.StringIO(text)))
     if not rows or [c.strip().lower() for c in rows[0]] != ["a", "b"]:
         raise InputError("%s:1: header row must be exactly 'a,b'" % path)
     if len(rows) < 2:
@@ -76,21 +59,11 @@ def _load_csv(path: Path) -> FormDocument:
             b_vals.append(float(row[1]))
         except ValueError:
             raise InputError("%s:%d: non-numeric value %r" % (path, lineno, row))
-    try:
-        diag = DiagonalForm(np.array(a_vals), np.array(b_vals))
-    except ValidationError as exc:
-        raise InputError("%s: %s" % (path, exc))
-    return FormDocument(label=None, diagonal=diag, quadratic=None)
+    return {"a": a_vals, "b": b_vals}
 
 
-def load_document(path) -> FormDocument:
-    path = Path(path)
-    if path.suffix.lower() == ".csv":
-        return _load_csv(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InputError("%s: %s" % (path, exc.strerror or exc))
+def _json_object(path, text):
+    """The JSON document as a dict whose keys and label are checked."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -110,18 +83,28 @@ def load_document(path) -> FormDocument:
     # a control or line-break character would let a label forge output lines
     if label and any(unicodedata.category(ch) in ("Cc", "Zl", "Zp") for ch in label):
         raise InputError("%s: label must not contain control or line-break characters" % path)
+    return obj
+
+
+def load_document(path):
+    """(label, DiagonalForm) of a JSON or CSV document; a matrix form is reduced here.
+
+    A malformed document raises InputError; the reduction runs outside that
+    net, so its ValidationError and NumericalError keep exit codes 2 and 3.
+    """
+    path = Path(path)
     try:
-        if "matrix" in obj:
-            quadratic = QuadraticForm(
-                np.asarray(obj["matrix"], dtype=float), np.asarray(obj["b"], dtype=float)
-            )
-            return FormDocument(label=label, diagonal=None, quadratic=quadratic)
-        diagonal = DiagonalForm(
-            np.asarray(obj["a"], dtype=float), np.asarray(obj["b"], dtype=float)
-        )
-        return FormDocument(label=label, diagonal=diagonal, quadratic=None)
-    except (ValidationError, ValueError, TypeError) as exc:
+        text = path.read_text()
+    except OSError as exc:
+        raise InputError("%s: %s" % (path, exc.strerror or exc))
+    obj = (_csv_columns if path.suffix.lower() == ".csv" else _json_object)(path, text)
+    try:
+        if "a" in obj:
+            return obj.get("label"), DiagonalForm(obj["a"], obj["b"])
+        quadratic = QuadraticForm(obj["matrix"], obj["b"])
+    except ValidationError as exc:
         raise InputError("%s: %s" % (path, exc))
+    return obj.get("label"), spectral_reduce(quadratic).diagonal_form()
 
 
 def _fmt(value) -> str:
@@ -215,25 +198,25 @@ def _write(fmt, columns, rows, payload, comments=()):
 
 
 def cmd_bound(args) -> int:
-    doc = load_document(args.input)
-    stats = form_stats(doc.resolve())
+    label, form = load_document(args.input)
+    stats = form_stats(form)
     xs = _parse_x_list(args.x)
     one = upper_threshold if args.direction == "upper" else lower_threshold
     columns = ("x", "threshold", "bound")
     rows = [(tb.x, tb.threshold, tb.prob_bound) for tb in (one(stats, x) for x in xs)]
-    comments = ([("label", doc.label)] if doc.label else []) + [("direction", args.direction)]
-    payload = dict(_header(doc.label, args.direction), rows=_records(columns, rows))
+    comments = ([("label", label)] if label else []) + [("direction", args.direction)]
+    payload = dict(_header(label, args.direction), rows=_records(columns, rows))
     _write(args.format, columns, rows, payload, comments)
     return 0
 
 
 def cmd_invert(args) -> int:
-    doc = load_document(args.input)
-    stats = form_stats(doc.resolve())
+    label, form = load_document(args.input)
+    stats = form_stats(form)
     tb = tail_exponent(stats, args.deviation, args.direction)
     columns = ("deviation", "x", "bound", "threshold")
     rows = [(args.deviation, tb.x, tb.prob_bound, tb.threshold)]
-    payload = dict(_header(doc.label, args.direction), **_records(columns, rows)[0])
+    payload = dict(_header(label, args.direction), **_records(columns, rows)[0])
     _write(args.format, columns, rows, payload)
     return 0
 
@@ -241,17 +224,14 @@ def cmd_invert(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples < 10**4:
         raise ValidationError("need at least 10^4 samples for a meaningful check")
-    if not 0 <= args.seed < 2**64:
-        raise ValidationError("seed must fit in an unsigned 64-bit integer")
     xs = _parse_x_grid(args.x_grid)
-    doc = load_document(args.input)
-    diag = doc.resolve()
-    stats = form_stats(diag)
+    label, form = load_document(args.input)
+    stats = form_stats(form)
     if stats.u == 0.0:
         raise ValidationError("form is deterministic; nothing to verify")
     one = upper_threshold if args.direction == "upper" else lower_threshold
     tail_bounds = [one(stats, x) for x in xs]
-    draws = sample(diag, args.samples, args.seed)
+    draws = sample(form, args.samples, args.seed)
     thresholds = np.array([tb.threshold for tb in tail_bounds])
     estimates = empirical_tail(draws, thresholds, args.direction)
     rows = [
@@ -267,7 +247,7 @@ def cmd_verify(args) -> int:
     columns = ("x", "threshold", "bound", "p_hat", "ci_low", "ci_high", "pass")
     csv_path.write_text(_render_csv(columns, rows))
     metadata = dict(
-        _header(doc.label, args.direction),
+        _header(label, args.direction),
         n=args.samples,
         seed=args.seed,
         confidence=DEFAULT_CONFIDENCE,
@@ -286,8 +266,8 @@ def cmd_verify(args) -> int:
 def cmd_mgf_check(args) -> int:
     if args.grid < 1:
         raise InputError("grid size must be a positive integer, got %d" % args.grid)
-    doc = load_document(args.input)
-    check = envelope_grid_check(doc.resolve(), args.grid)
+    _, form = load_document(args.input)
+    check = envelope_grid_check(form, args.grid)
     sys.stdout.write("grid_size=%d y_max=%s\n" % (check.grid_size, _fmt(check.y_max)))
     sys.stdout.write("max_slack=%s at y=%s\n" % (_fmt(check.max_slack), _fmt(check.worst_y)))
     sys.stdout.write(
@@ -355,6 +335,9 @@ def main(argv=None) -> int:
         return 3
     except ValidationError as exc:
         print("invalid request: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. --samples or --grid past the available memory
+        print("invalid request: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return 2
     except OSError as exc:
         print("io error: %s" % exc, file=sys.stderr)

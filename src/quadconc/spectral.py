@@ -10,10 +10,11 @@ reduction preserves sum(s) = tr(A), sum(s^2) = ||A+A'||_F^2 / 4 and
 The eigensolver is LAPACK's symmetric solver behind np.linalg.eigh, run on
 a power-of-two rescaling of S, so any finite magnitude works, and scaling S
 by 2^k scales the eigenvalues by exactly 2^k wherever no entry leaves the
-normal float range.  Every result passes a reconstruction residual check
-before it is returned.  The test suite referees it with an
-independent cyclic Jacobi iteration (Golub & Van Loan, Matrix Computations,
-section 8.5) that shares no code with this module.
+normal float range.  A decomposition is accepted on its residual and on
+the orthonormality of its basis, which is what keeps w = U'z standard
+Gaussian.  The test suite referees it with an independent cyclic Jacobi
+iteration (Golub & Van Loan, Matrix Computations, section 8.5) that shares
+no code with this module.
 """
 
 import math
@@ -21,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DiagonalForm
+from .bounds import DiagonalForm, _float_array
 from .errors import NumericalError, ValidationError
 
-# accepted ||S V - V diag(w)||_F / ||S||_F; LAPACK's backward error is a
-# small multiple of p * 2.2e-16, about 2e-14 at p = 96
+# accepted ||S V - V diag(w)||_F / ||S||_F and ||V'V - I||_F; LAPACK's
+# errors are small multiples of p * 2.2e-16, about 2e-14 at p = 96
 RESIDUAL_TOL = 1e-12
 
 
@@ -37,18 +38,11 @@ class QuadraticForm:
     b: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        m, b = _float_array(self.matrix, "matrix", 2), _float_array(self.b, "b")
+        if m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValidationError("matrix must be square with p >= 1, got shape %r" % (m.shape,))
-        if b.ndim != 1 or b.size != m.shape[0]:
+        if b.size != m.shape[0]:
             raise ValidationError("b must be a vector of length p = %d" % m.shape[0])
-        if not (np.isfinite(m).all() and np.isfinite(b).all()):
-            raise ValidationError("matrix and b entries must be finite")
-        m = m.copy()
-        b = b.copy()
-        m.flags.writeable = False
-        b.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "b", b)
 
@@ -59,28 +53,15 @@ class QuadraticForm:
 
 @dataclass(frozen=True)
 class SpectralReduction:
-    """Eigendecomposition of the symmetric part plus the rotated linear term."""
+    """Eigendecomposition of the symmetric part (certified by eigen_sym), rotated b."""
 
     eigenvalues: np.ndarray
     basis: np.ndarray
     rotated_b: np.ndarray
 
     def __post_init__(self):
-        s = np.atleast_1d(np.asarray(self.eigenvalues, dtype=float))
-        u = np.asarray(self.basis, dtype=float)
-        bp = np.atleast_1d(np.asarray(self.rotated_b, dtype=float))
-        p = s.size
-        if u.shape != (p, p) or bp.size != p:
-            raise ValidationError("inconsistent reduction shapes")
-        if np.any(s[1:] > s[:-1]):  # compared, not subtracted: no overflow
-            raise ValidationError("eigenvalues must be sorted descending")
-        ortho = np.max(np.abs(u.T @ u - np.eye(p)))
-        if ortho > 1e-10:
-            raise ValidationError("basis is not orthonormal (deviation %.3e)" % ortho)
-        for arr, name in ((s, "eigenvalues"), (u, "basis"), (bp, "rotated_b")):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for name, ndim in (("eigenvalues", 1), ("basis", 2), ("rotated_b", 1)):
+            object.__setattr__(self, name, _float_array(getattr(self, name), name, ndim))
 
     def diagonal_form(self) -> DiagonalForm:
         return DiagonalForm(self.eigenvalues, self.rotated_b)
@@ -95,14 +76,9 @@ def symmetrize(form):
     symmetric by construction: entry (i,j) and entry (j,i) are the same
     float expression.
     """
-    if isinstance(form, QuadraticForm):
-        a = form.matrix
-    else:
-        a = np.asarray(form, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValidationError("matrix must be square, got shape %r" % (a.shape,))
-        if not np.isfinite(a).all():
-            raise ValidationError("matrix entries must be finite")
+    a = form.matrix if isinstance(form, QuadraticForm) else _float_array(form, "matrix", 2)
+    if a.shape[0] != a.shape[1]:
+        raise ValidationError("matrix must be square, got shape %r" % (a.shape,))
     return 0.5 * a + 0.5 * a.T
 
 
@@ -113,19 +89,16 @@ def eigen_sym(s_mat):
     2^(e-1) <= max|S| < 2^e, so it always sees max|entry| in [0.5, 1).  A
     power-of-two scaling rounds nothing except entries pushed below the
     normal range, which are negligible against max|S|, and the eigenvalues
-    scale back by 2^e exactly.  The result is accepted only if the
-    reconstruction residual ||S V - V diag(w)||_F, computed on the same
-    scaled matrix so it cannot underflow or overflow, is at most
-    RESIDUAL_TOL * ||S||_F; otherwise NumericalError carries the relative
-    residual.  Eigenvalues beyond the float range raise ValidationError.
+    scale back by 2^e exactly, in order.  The result is accepted only if
+    the residual ||S V - V diag(w)||_F, computed on the scaled matrix so it
+    cannot underflow or overflow, is at most RESIDUAL_TOL * ||S||_F and
+    ||V'V - I||_F (which the residual alone would pass at V = 0 or 2V) is
+    at most RESIDUAL_TOL; otherwise NumericalError carries the failing
+    measure.  Eigenvalues beyond the float range raise ValidationError.
     """
-    s_mat = np.asarray(s_mat, dtype=float)
-    if s_mat.ndim != 2 or s_mat.shape[0] != s_mat.shape[1] or s_mat.shape[0] < 1:
-        raise ValidationError("matrix must be square with p >= 1")
-    if not np.isfinite(s_mat).all():
-        raise ValidationError("matrix entries must be finite")
-    if not np.array_equal(s_mat, s_mat.T):
-        raise ValidationError("matrix must be exactly symmetric; apply symmetrize() first")
+    s_mat = _float_array(s_mat, "matrix", 2)
+    if s_mat.size == 0 or not np.array_equal(s_mat, s_mat.T):  # array_equal compares shapes
+        raise ValidationError("matrix must be nonempty and exactly symmetric; apply symmetrize()")
 
     p = s_mat.shape[0]
     peak = float(np.max(np.abs(s_mat)))
@@ -137,12 +110,13 @@ def eigen_sym(s_mat):
     w, v = w[::-1], v[:, ::-1]  # eigh returns ascending order
     norm = float(np.linalg.norm(scaled))  # in [0.5, p]: max|scaled| is in [0.5, 1)
     residual = float(np.linalg.norm(scaled @ v - v * w)) / norm
-    if not residual <= RESIDUAL_TOL:
-        raise NumericalError(
-            "eigendecomposition residual %.3e exceeds %.0e relative to ||S||_F"
-            % (residual, RESIDUAL_TOL),
-            residual=residual,
-        )
+    ortho = float(np.linalg.norm(v.T @ v - np.eye(p)))
+    for value, what in ((residual, "residual relative to ||S||_F"), (ortho, "||V'V - I||_F")):
+        if not value <= RESIDUAL_TOL:
+            raise NumericalError(
+                "eigendecomposition %s is %.3e, over %.0e" % (what, value, RESIDUAL_TOL),
+                residual=value,
+            )
     with np.errstate(over="ignore"):  # reported just below
         w = np.ldexp(w, e)
     if not np.isfinite(w).all():

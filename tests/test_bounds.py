@@ -362,3 +362,37 @@ def test_forms_are_immutable():
     form = qc.DiagonalForm(np.ones(2), np.zeros(2))
     with pytest.raises(ValueError):
         form.a[0] = 7.0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[True, False], [1.5, True], ["1.5", "2"], [None, 1.0], np.array([True, False]),
+     np.array(["1.5", "2"]), np.array([1.0 + 0j, 2.0])],
+)
+def test_coefficients_must_be_real_numbers(bad):
+    # np.asarray(..., dtype=float) turns True into 1.0 and "1.5" into 1.5
+    with pytest.raises(ValidationError, match="must be real numbers"):
+        qc.DiagonalForm(bad, [0.0, 1.0])
+    with pytest.raises(ValidationError, match="must be real numbers"):
+        qc.DiagonalForm([0.0, 1.0], bad)
+
+
+def test_coefficient_conversion_failures_are_validation_errors():
+    # these used to escape as OverflowError and numpy's ragged-array ValueError
+    with pytest.raises(ValidationError, match="must be finite"):
+        qc.DiagonalForm([10**400], [0])
+    with pytest.raises(ValidationError, match="must be finite"):
+        qc.DiagonalForm([0], [-(10**400)])
+    with pytest.raises(ValidationError):
+        qc.DiagonalForm([[1.0, 2.0], [3.0]], [0.0, 0.0])
+    form = qc.DiagonalForm([2**70, np.int64(3)], [np.float32(0.5), 0])
+    assert form.a.tolist() == [1.1805916207174113e21, 3.0]
+    assert form.b.tolist() == [0.5, 0.0]
+
+
+def test_forms_copy_their_coefficients():
+    a = np.ones(2)
+    form = qc.DiagonalForm(a, np.zeros(2))
+    a[0] = 7.0
+    assert form.a.tolist() == [1.0, 1.0]
+    assert a.flags.writeable

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import quadconc.cli
-from quadconc import __version__
+from quadconc import __version__, spectral
 from quadconc.errors import NumericalError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -379,3 +379,93 @@ def test_printable_unicode_label_accepted(tmp_path, capsys):
     doc.write_text(json.dumps({"a": [1, 1], "b": [0, 0], "label": "σ² — naïve fit"}))
     assert quadconc.cli.main(["bound", "--input", str(doc), "--x", "1"]) == 0
     assert capsys.readouterr().out.startswith("# label: σ² — naïve fit\n# direction: upper\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"a": [true, false], "b": [0, 1]}',
+        '{"a": ["1.5", "2"], "b": ["0", "1"]}',
+        '{"a": [1.5, true], "b": [0, 1]}',
+        '{"a": [1, 1], "b": [0, "1"]}',
+        '{"a": [null], "b": [0]}',
+        '{"matrix": [[true]], "b": [false]}',
+        '{"matrix": [["1"]], "b": [0]}',
+        '{"matrix": [[1, 2], [3]], "b": [0, 0]}',  # ragged
+        '{"a": [1%s], "b": [0]}' % ("0" * 400),  # past the float range
+        '{"matrix": [[1%s]], "b": [0]}' % ("0" * 400),
+    ],
+    ids=["bools", "strings", "bool-among-floats", "string-b", "null", "matrix-bool",
+         "matrix-string", "ragged", "huge-int", "matrix-huge-int"],
+)
+def test_coefficients_must_be_json_numbers(tmp_path, text):
+    # bools and numeric strings used to be converted and printed a threshold
+    doc = tmp_path / "form.json"
+    doc.write_text(text + "\n")
+    res = run("bound", "--input", doc, "--x", "1")
+    assert res.returncode == 1, (text, res.stdout, res.stderr)
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: %s: " % doc) and res.stderr.count("\n") == 1
+
+
+def test_big_finite_integer_coefficient_accepted(tmp_path):
+    as_int, as_float = tmp_path / "int.json", tmp_path / "float.json"
+    as_int.write_text('{"a": [%d], "b": [0]}\n' % 2**70)
+    as_float.write_text('{"a": [1.1805916207174113e+21], "b": [0]}\n')
+    res = run("bound", "--input", as_int, "--x", "1")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == run("bound", "--input", as_float, "--x", "1").stdout
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_verify_rejects_seed_out_of_range(chi5, tmp_path, seed):
+    res = run(
+        "verify", "--input", chi5, "--samples", 10000, "--seed", seed,
+        "--x-grid", "1:2:1", "--out", tmp_path / "r",
+    )
+    assert res.returncode == 2
+    assert res.stderr == (
+        "invalid request: seed must be an unsigned 64-bit integer, got %d\n" % seed
+    )
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 74.5 GiB for an array with shape (10000000000,)",
+     "Unable to allocate 74.5 GiB for an array with shape (10000000000,)"),
+    ("", "out of memory"),
+], ids=["numpy-message", "bare"])
+@pytest.mark.parametrize("command, target", [
+    (("verify", "--samples", 10**10, "--seed", 1, "--x-grid", "1:2:1"), "sample"),
+    (("mgf-check", "--grid", 10**9), "envelope_grid_check"),
+], ids=["verify", "mgf-check"])
+def test_out_of_memory_exits_2(chi5, tmp_path, monkeypatch, message, shown, command, target):
+    # stands in for numpy's allocation failure; nothing is allocated for real
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(quadconc.cli, target, exhausted)
+    argv = command[:1] + ("--input", chi5) + command[1:]
+    if command[0] == "verify":
+        argv += ("--out", tmp_path / "r")
+    res = run(*argv)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "invalid request: %s\n" % shown
+
+
+@pytest.mark.parametrize("factor", [0.0, 2.0])
+def test_matrix_document_with_a_non_orthonormal_basis_exits_3(tmp_path, monkeypatch, factor):
+    real_eigh = spectral.np.linalg.eigh
+
+    def scaled_basis(a):
+        w, v = real_eigh(a)
+        return w, factor * v
+
+    monkeypatch.setattr(spectral.np.linalg, "eigh", scaled_basis)
+    doc = tmp_path / "m.json"
+    doc.write_text(CHI5_MATRIX_JSON)
+    res = run("bound", "--input", doc, "--x", "1")
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr.startswith("numerical failure: eigendecomposition ||V'V - I||_F is")

@@ -126,17 +126,25 @@ def test_jacobi_referee_sweep_cap():
 
 
 @pytest.mark.parametrize("k", [-1000, 0, 1000])
-@pytest.mark.parametrize("corruption", ["columns_reversed", "eigenvalues_off_1e-9"])
+@pytest.mark.parametrize(
+    "corruption", ["columns_reversed", "eigenvalues_off_1e-9", "basis_zero", "basis_doubled"]
+)
 def test_eigen_residual_check_rejects_corrupted_eigh(monkeypatch, k, corruption):
     # the corruptions are relative, so a check computed on S itself, whose
     # Frobenius norm underflows to 0 at 2^-1000 and overflows at 2^1000,
-    # would let them through at the extreme scales
+    # would let them through at the extreme scales; a zero or doubled basis
+    # keeps the residual ||S V - V diag(w)|| at 0 or a rounding error, and
+    # only the orthonormality check ||V'V - I|| refuses it
     real_eigh = np.linalg.eigh
 
     def corrupted(a):
         w, v = real_eigh(a)
         if corruption == "columns_reversed":
             return w, v[:, ::-1]
+        if corruption == "basis_zero":
+            return w, 0.0 * v
+        if corruption == "basis_doubled":
+            return w, 2.0 * v
         return w * (1.0 + 1e-9), v
 
     monkeypatch.setattr(spectral.np.linalg, "eigh", corrupted)
@@ -261,3 +269,21 @@ def test_reduce_rejects_non_form():
         qc.QuadraticForm(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValidationError):
         qc.QuadraticForm(np.eye(2), np.ones(3))
+
+
+def test_matrix_entries_must_be_finite_real_numbers():
+    for bad in ([[True]], np.array([[True]]), [["1.5"]], np.array([["1.5"]]), [[None]]):
+        with pytest.raises(ValidationError, match="must be real numbers"):
+            qc.QuadraticForm(bad, [0.0])
+        with pytest.raises(ValidationError, match="must be real numbers"):
+            symmetrize(bad)
+        with pytest.raises(ValidationError, match="must be real numbers"):
+            eigen_sym(bad)
+    with pytest.raises(ValidationError, match="must be real numbers"):
+        qc.QuadraticForm([[1.0]], [False])
+    with pytest.raises(ValidationError):
+        qc.QuadraticForm([[1, 2], [3]], [0, 0])  # ragged
+    with pytest.raises(ValidationError, match="must be finite"):
+        qc.QuadraticForm([[10**400]], [0])
+    form = qc.QuadraticForm([[2**70]], [0])
+    assert form.matrix.tolist() == [[1.1805916207174113e21]]
