@@ -43,32 +43,39 @@ def _is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _finite_real(value):
-    """`value` as a float if it is a finite real, else None.
+def _check_real(value, name, sign):
+    """`value` as a float if it is a finite real of the given sign, else ValidationError.
 
-    An integer past the float range is not finite here, rather than an
-    OverflowError.
+    sign is "any", "nonnegative" or "positive".  An integer past the float
+    range is not finite here, rather than an OverflowError.
     """
-    if not _is_real(value):
-        return None
     try:
-        value = float(value)
+        x = float(value) if _is_real(value) else math.nan
     except OverflowError:
-        return None
-    return value if math.isfinite(value) else None
-
-
-def _check_real(value, name, allow_zero=False):
-    """`value` as a float if it is a finite real > 0 (>= 0 with allow_zero)."""
-    x = _finite_real(value)
-    if x is None or not (x >= 0 if allow_zero else x > 0):
-        kind = "nonnegative" if allow_zero else "positive"
-        raise ValidationError("%s must be a %s finite real, got %r" % (name, kind, value))
+        x = math.nan
+    signed = {"any": True, "nonnegative": x >= 0.0, "positive": x > 0.0}[sign]
+    if not (signed and math.isfinite(x)):
+        kind = "" if sign == "any" else sign + " "
+        raise ValidationError("%s must be a %sfinite real, got %r" % (name, kind, value))
     return x
 
 
-def _check_exponent(x):
-    return _check_real(x, "exponent x")
+def _check_count(value, name):
+    """`value` as an int if it is a positive integer, else ValidationError."""
+    if not (_is_integer(value) and value >= 1):
+        raise ValidationError("%s must be a positive integer, got %r" % (name, value))
+    return int(value)  # value + 1 would wrap for a numpy integer at its dtype's maximum
+
+
+def _binade(*values):
+    """The e with 2^(e-1) <= max|v| < 2^e over every entry of `values`.
+
+    Scaled by 2^-e the largest magnitude lies in [0.5, 1), so nothing
+    squared leaves the float range, and a power-of-two scaling rounds
+    nothing above the subnormal range.  e is 0 when every entry is 0, but
+    also when the largest lies in [0.5, 1): test the values, not e, for zero.
+    """
+    return math.frexp(max(float(np.max(np.abs(v))) for v in values))[1]
 
 
 def _float_array(values, name, ndim=1):
@@ -135,14 +142,9 @@ class FormStats:
     a_minus: float
 
     def __post_init__(self):
-        vals = (self.mean, self.u, self.a_plus, self.a_minus)
-        reals = [_finite_real(v) for v in vals]
-        if None in reals:
-            raise ValidationError("stats fields must be finite reals, got %r" % (vals,))
-        for name, v in zip(("mean", "u", "a_plus", "a_minus"), reals):
-            object.__setattr__(self, name, v)
-        if self.u < 0 or self.a_plus < 0 or self.a_minus < 0:
-            raise ValidationError("u, a_plus, a_minus must be nonnegative")
+        for name in ("mean", "u", "a_plus", "a_minus"):
+            sign = "any" if name == "mean" else "nonnegative"
+            object.__setattr__(self, name, _check_real(getattr(self, name), name, sign))
 
     def envelope(self, direction):
         """(u, v) of one tail, v = 2*a_plus (upper) or 2*a_minus (lower)."""
@@ -161,7 +163,7 @@ class TailBound:
 
     def __post_init__(self):
         _check_direction(self.direction)
-        _check_exponent(self.x)
+        _check_real(self.x, "exponent x", "positive")
         if not math.isfinite(self.threshold):
             raise ValidationError("threshold must be finite")
         object.__setattr__(self, "prob_bound", math.exp(-self.x))
@@ -170,13 +172,13 @@ class TailBound:
 def form_stats(form: DiagonalForm) -> FormStats:
     """Reduce a DiagonalForm to the four scalars driving its tails.
 
-    As in eigen_sym, the sums run on (a, b) * 2^-e, 2^(e-1) <= max(|a|, |b|) < 2^e,
-    and scale back by 2^e, which rounds nothing while the results stay normal:
+    As in eigen_sym, the sums run on (a, b) * 2^-e, e = _binade(a, b), and
+    scale back by 2^e, which rounds nothing while the results stay normal:
     u is exact at any magnitude, and scaling the form by 2^k scales mean and u
     by exactly 2^k.
     """
     a, b = form.a, form.b
-    e = math.frexp(max(float(np.max(np.abs(a))), float(np.max(np.abs(b)))))[1]
+    e = _binade(a, b)
     a_s, b_s = np.ldexp(a, -e), np.ldexp(b, -e)
     u_s = math.sqrt(float(np.sum(a_s * a_s + 0.5 * b_s * b_s)))
     with np.errstate(over="ignore"):  # FormStats refuses what overflows
@@ -207,7 +209,7 @@ def _deviation(u, v, x):
 
 
 def _threshold(stats, x, direction):
-    x = _check_exponent(x)
+    x = _check_real(x, "exponent x", "positive")
     gauss, linear = _deviation(*stats.envelope(direction), x)
     # (mean + gauss) + linear with signed terms: lower is the exact mirror of upper
     sign = _SIGN[direction]
@@ -231,15 +233,15 @@ def tail_exponent(stats: FormStats, deviation: float, direction: str) -> TailBou
     """Invert the threshold map: find x with 2*u*sqrt(x) + v*x = deviation.
 
     (u, v) is stats.envelope(direction).  x depends only on u : v : deviation,
-    so it is solved on the three scaled by 2^-e, 2^(e-1) <= max < 2^e, where
-    sqrt(u^2 + v*d) cannot overflow.  The returned bound has threshold
+    so it is solved on the three scaled by 2^-e, e = _binade(u, v, deviation),
+    where sqrt(u^2 + v*d) cannot overflow.  The returned bound has threshold
     mean +/- deviation and prob_bound = exp(-x).
     """
     u, v = stats.envelope(direction)
-    deviation = _check_real(deviation, "deviation")
+    deviation = _check_real(deviation, "deviation", "positive")
     if u == 0.0 and v == 0.0:
         raise DegenerateFormError("form is deterministic; no exponent reproduces a deviation")
-    e = math.frexp(max(u, v, deviation))[1]
+    e = _binade(u, v, deviation)
     u, v, d = (math.ldexp(w, -e) for w in (u, v, deviation))
     # conjugate form of (sqrt(u^2 + v*d) - u)/v: no cancellation when v*d << u^2;
     # an x past the float range comes out inf, which TailBound refuses
@@ -254,11 +256,11 @@ def envelope_threshold(u: float, v: float, x: float) -> float:
     Applies to any centered variable whose log-MGF is bounded by
     (u*y)^2 / (1 - v*y) on 0 < y < 1/v.
     """
-    u = _check_real(u, "u", allow_zero=True)
-    v = _check_real(v, "v", allow_zero=True)
+    u = _check_real(u, "u", "nonnegative")
+    v = _check_real(v, "v", "nonnegative")
     if u == 0.0 and v == 0.0:
         raise ValidationError("u and v cannot both be zero")
-    gauss, linear = _deviation(u, v, _check_exponent(x))
+    gauss, linear = _deviation(u, v, _check_real(x, "exponent x", "positive"))
     return gauss + linear
 
 
@@ -268,7 +270,7 @@ def union_threshold(stats_list, x: float, direction: str):
     Each member is evaluated at the inflated exponent x + ln M, so the union
     of the M violation events has probability at most M*exp(-x-ln M) = exp(-x).
     """
-    x = _check_exponent(x)
+    x = _check_real(x, "exponent x", "positive")
     stats_list = list(stats_list)
     if not stats_list:
         raise ValidationError("union bound needs at least one form")

@@ -264,8 +264,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mgf_check(args) -> int:
-    if args.grid < 1:
-        raise InputError("grid size must be a positive integer, got %d" % args.grid)
     _, form = load_document(args.input)
     check = envelope_grid_check(form, args.grid)
     sys.stdout.write("grid_size=%d y_max=%s\n" % (check.grid_size, _fmt(check.y_max)))

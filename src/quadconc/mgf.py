@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DiagonalForm, FormStats, _check_real, _is_integer, form_stats
+from .bounds import DiagonalForm, FormStats, _binade, _check_count, _check_real, form_stats
 from .errors import DomainError, ValidationError
 
 LINEAR_ONLY_Y_MAX = 10.0  # grid reach when a_plus = 0 and there is no pole
@@ -37,7 +37,7 @@ class MgfEnvelope:
 
     def __post_init__(self):
         for name in ("u", "v"):
-            object.__setattr__(self, name, _check_real(getattr(self, name), name, allow_zero=True))
+            object.__setattr__(self, name, _check_real(getattr(self, name), name, "nonnegative"))
 
     @classmethod
     def from_stats(cls, stats: FormStats, direction: str = "upper"):
@@ -55,11 +55,16 @@ class MgfEnvelope:
 def _log_mgf_terms(a, b, ys):
     """log E exp(y (a_k z^2 + b_k z)) and q = -2 a_k y, one row per coefficient k, one column per y.
 
-    The first plus q/2 (which is -a_k y exactly) are the centered terms.  The
-    operations and their order are those of the envelope grid check, which
-    mgf-check prints.
+    The first plus q/2 (which is -a_k y exactly) are the centered terms.
+    Every term depends on y only through a_k y and b_k y, so they are formed
+    from (a, b) * 2^-e and y * 2^e, e = _binade(a, b): the squares b_k^2 and
+    y^2 then leave the float range only where a_k y or b_k y is extreme
+    itself, and the terms keep the bits of the unscaled formula wherever
+    nothing is subnormal.  A DomainError reports the caller's a and y.
     """
-    q = -2.0 * np.outer(a, ys)
+    e = _binade(a, b)
+    a_s, b_s, y_s = np.ldexp(a, -e), np.ldexp(b, -e), np.ldexp(ys, e)
+    q = -2.0 * np.outer(a_s, y_s)
     if not np.all(1.0 + q > 0.0):
         k, j = np.unravel_index(np.argmin(1.0 + q > 0.0), q.shape)
         raise DomainError(
@@ -67,7 +72,7 @@ def _log_mgf_terms(a, b, ys):
             % (k, float(1.0 + q[k, j]), float(np.ravel(a)[k]), float(np.ravel(ys)[j]))
         )
     # log1p keeps the small-y regime accurate where log(1 - 2ay) cancels against a*y
-    return 0.5 * np.outer(np.square(b), np.square(ys)) / (1.0 + q) - 0.5 * np.log1p(q), q
+    return 0.5 * np.outer(np.square(b_s), np.square(y_s)) / (1.0 + q) - 0.5 * np.log1p(q), q
 
 
 def log_mgf_term(a: float, b: float, y: float) -> float:
@@ -83,14 +88,18 @@ def log_mgf_centered(form: DiagonalForm, y: float) -> float:
 
 
 def envelope_y_grid(a_plus: float, n: int) -> np.ndarray:
-    """n evaluation points spread over (0, y_max], y_max just inside the pole."""
-    if not (_is_integer(n) and n >= 1):
-        raise ValidationError("grid size must be a positive integer, got %r" % (n,))
-    n = int(n)  # n + 1 would wrap for a numpy integer at its dtype's maximum
-    if a_plus < 0:
-        raise ValidationError("a_plus must be nonnegative")
-    y_max = LINEAR_ONLY_Y_MAX if a_plus == 0.0 else POLE_FRACTION / (2.0 * a_plus)
-    return y_max * np.arange(1, n + 1) / n
+    """n evaluation points spread over (0, y_max], y_max just inside the pole.
+
+    They are spread for a_plus * 2^-e, e = _binade(a_plus), and scaled back,
+    so y_max * n cannot overflow on the way; a pole past the float range
+    (a subnormal a_plus) gives infinite points.
+    """
+    n = _check_count(n, "grid size")
+    a_plus = _check_real(a_plus, "a_plus", "nonnegative")
+    e = _binade(a_plus)
+    y_max = LINEAR_ONLY_Y_MAX if a_plus == 0.0 else POLE_FRACTION / (2.0 * math.ldexp(a_plus, -e))
+    with np.errstate(over="ignore"):
+        return np.ldexp(y_max * np.arange(1, n + 1) / n, -e)
 
 
 @dataclass(frozen=True)
@@ -114,37 +123,29 @@ def envelope_grid_check(form: DiagonalForm, n: int) -> EnvelopeCheck:
     A point counts as a violation when lhs exceeds rhs by more than
     ENVELOPE_SLACK * (1 + |rhs|).
 
-    Both sides depend on y only through y a_k, y b_k, y u and y v, so when
-    a_plus > 0 the grid runs on (a, b, u, v) * 2^-e, 2^(e-1) <= max(|a|, |b|)
-    < 2^e, with y * 2^e, and y_max and worst_y are scaled back: the same
-    bits wherever nothing is subnormal, at any coefficient scale.  Without
-    a pole (a_plus = 0) the grid reaches LINEAR_ONLY_Y_MAX in the form's own
-    units.  A grid whose values still leave the float range raises
-    ValidationError.
+    The grid is in the form's own units; _log_mgf_terms rescales by the
+    form's _binade, so a form and its 2^k multiples get the same slack bits
+    wherever nothing is subnormal.  Every grid point lies inside the pole,
+    so a grid whose values still leave the float range, whether in the
+    rescaled products or in the slack, raises ValidationError.
     """
     stats = form_stats(form)
-    a, b, a_plus, u = form.a, form.b, stats.a_plus, stats.u
-    e = 0
-    if a_plus > 0.0:
-        e = math.frexp(max(float(np.max(np.abs(a))), float(np.max(np.abs(b)))))[1]
-        a, b = np.ldexp(a, -e), np.ldexp(b, -e)
-        a_plus, u = math.ldexp(a_plus, -e), math.ldexp(u, -e)
-    ys = envelope_y_grid(a_plus, n)
+    ys = envelope_y_grid(stats.a_plus, n)
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        y_max = float(np.ldexp(ys[-1], -e))
-        # past the float range (a subnormal a_plus) the grid would read as a diverging MGF
-        if math.isfinite(y_max):
-            terms, q = _log_mgf_terms(a, b, ys)
-            rhs = MgfEnvelope(u, 2.0 * a_plus).rhs(ys)
+        try:
+            terms, q = _log_mgf_terms(form.a, form.b, ys)
+            rhs = MgfEnvelope.from_stats(stats).rhs(ys)
             slack = np.sum(terms + 0.5 * q, axis=0) - rhs
-    if not (math.isfinite(y_max) and np.isfinite(slack).all()):
+        except DomainError:  # every y is inside the pole: a product left the float range
+            slack = np.array([math.nan])
+    if not np.isfinite(slack).all():
         raise ValidationError("the log-MGF grid leaves the float range for this form")
     worst = int(np.argmax(slack))
     violations = int(np.count_nonzero(slack > ENVELOPE_SLACK * (1.0 + np.abs(rhs))))
     return EnvelopeCheck(
         grid_size=ys.size,
-        y_max=y_max,
+        y_max=float(ys[-1]),
         max_slack=float(slack[worst]),
-        worst_y=float(np.ldexp(ys[worst], -e)),
+        worst_y=float(ys[worst]),
         violations=violations,
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DiagonalForm, _check_direction, _finite_real, _is_integer
+from .bounds import DiagonalForm, _binade, _check_count, _check_direction, _check_real, _is_integer
 from .errors import DegenerateFormError, NumericalError, ValidationError
 
 DEFAULT_CHUNK = 65536
@@ -104,10 +104,8 @@ def _chunk_normals(seed, chunk_index, count):
 
 def sample(form: DiagonalForm, n: int, seed: int) -> np.ndarray:
     """n realizations of the diagonal form, reproducible for a fixed seed."""
-    if not (_is_integer(n) and n >= 1):
-        raise ValidationError("n must be a positive integer, got %r" % (n,))
-    seed = _check_seed(seed)
-    n, p, size = int(n), form.p, DEFAULT_CHUNK
+    n, seed = _check_count(n, "n"), _check_seed(seed)
+    p, size = form.p, DEFAULT_CHUNK
     out = np.empty(n)
     for chunk, lo in enumerate(range(0, n, size)):
         m = min(size, n - lo)
@@ -168,13 +166,6 @@ def empirical_tail(samples, t, direction: str):
     return estimates if thresholds.ndim else estimates[0]
 
 
-def _check_finite(value, name):
-    x = _finite_real(value)
-    if x is None:
-        raise ValidationError("%s must be a finite real, got %r" % (name, value))
-    return x
-
-
 def _phi(x):
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
@@ -186,8 +177,15 @@ def cdf_p1(a: float, b: float, t: float) -> float:
     interval between the roots when a > 0, the complement when a < 0, and
     empty or everything when the discriminant b^2 + 4at is negative.
     a, b and t must be finite reals; bools are refused.
+
+    The answer depends on (a, b, t) only up to a common scale, so it is
+    evaluated on (a, b, t) * 2^-e, e = _binade(a, b): b^2 can neither
+    overflow nor underflow, a t that leaves the float range gives the
+    limiting 0 or 1, and scaling all three by 2^k moves no bit.
     """
-    a, b, t = (_check_finite(val, name) for name, val in (("a", a), ("b", b), ("t", t)))
+    a, b, t = (_check_real(val, name, "any") for name, val in (("a", a), ("b", b), ("t", t)))
+    with np.errstate(over="ignore"):  # a t that overflows here lands in the 0/1 answers below
+        a, b, t = np.ldexp([a, b, t], -_binade(a, b)).tolist()
     if a == 0.0:
         if b == 0.0:
             return 1.0 if t >= 0.0 else 0.0
@@ -398,16 +396,15 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     before the integral that cannot be certified is computed.
 
     F depends on (a, b, t) only up to a common scale, so it is evaluated on
-    (a, b, t) * 2^-e, 2^(e-1) <= max(|a|, |b|) < 2^e: nothing squared then
-    leaves the float range, and scaling the form and t by 2^k moves no bit.
+    (a, b, t) * 2^-e, e = _binade(a, b): nothing squared then leaves the
+    float range, and scaling the form and t by 2^k moves no bit.
     """
     from scipy.integrate import quad
 
-    t = _check_finite(t, "t")
-    peak = max(float(np.max(np.abs(form.a))), float(np.max(np.abs(form.b))))
-    if peak == 0.0:
+    t = _check_real(t, "t", "any")
+    if not (form.a.any() or form.b.any()):
         raise DegenerateFormError("form is deterministic; its CDF is a step function")
-    e = math.frexp(peak)[1]
+    e = _binade(form.a, form.b)
     a, b = np.ldexp(form.a, -e), np.ldexp(form.b, -e)
     with np.errstate(over="ignore"):  # a t that overflows here lands in the clamps below
         t = float(np.ldexp(t, -e))
@@ -497,19 +494,14 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
         if not finished:
             sign = 1.0 if omega > 0 else -1.0
 
-            def cos_part(x):
+            def part(x, trig):  # exp(-G) trig(psi)/x, weighted by sin or cos of w x
                 g, ps = phase(x)
-                return math.exp(-g) * math.cos(ps) / x
+                return math.exp(-g) * trig(ps) / x
 
-            def sin_part(x):
-                g, ps = phase(x)
-                return math.exp(-g) * math.sin(ps) / x
-
-            v1, e1, *_ = quad(
-                cos_part, u, np.inf, weight="sin", wvar=w, epsabs=1e-11, limlst=300, full_output=1
-            )
-            v2, e2, *_ = quad(
-                sin_part, u, np.inf, weight="cos", wvar=w, epsabs=1e-11, limlst=300, full_output=1
+            (v1, e1, *_), (v2, e2, *_) = (
+                quad(part, u, np.inf, args=(trig,), weight=weight, wvar=w, epsabs=1e-11,
+                     limlst=300, full_output=1)
+                for trig, weight in ((math.cos, "sin"), (math.sin, "cos"))
             )
             total += sign * v1 + v2
             err += e1 + e2

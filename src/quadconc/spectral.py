@@ -17,12 +17,11 @@ iteration (Golub & Van Loan, Matrix Computations, section 8.5) that shares
 no code with this module.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DiagonalForm, _float_array
+from .bounds import DiagonalForm, _binade, _float_array
 from .errors import NumericalError, ValidationError
 
 # accepted ||S V - V diag(w)||_F / ||S||_F and ||V'V - I||_F; LAPACK's
@@ -85,8 +84,8 @@ def symmetrize(form):
 def eigen_sym(s_mat):
     """Eigenvalues (descending) and orthonormal basis of a symmetric matrix.
 
-    LAPACK's symmetric solver (np.linalg.eigh) runs on S * 2^-e, where
-    2^(e-1) <= max|S| < 2^e, so it always sees max|entry| in [0.5, 1).  A
+    LAPACK's symmetric solver (np.linalg.eigh) runs on S * 2^-e,
+    e = _binade(S), so it always sees max|entry| in [0.5, 1).  A
     power-of-two scaling rounds nothing except entries pushed below the
     normal range, which are negligible against max|S|, and the eigenvalues
     scale back by 2^e exactly, in order.  The result is accepted only if
@@ -101,10 +100,9 @@ def eigen_sym(s_mat):
         raise ValidationError("matrix must be nonempty and exactly symmetric; apply symmetrize()")
 
     p = s_mat.shape[0]
-    peak = float(np.max(np.abs(s_mat)))
-    if peak == 0.0:
+    if not s_mat.any():
         return np.zeros(p), np.eye(p)
-    e = math.frexp(peak)[1]
+    e = _binade(s_mat)
     scaled = np.ldexp(s_mat, -e)
     w, v = np.linalg.eigh(scaled)
     w, v = w[::-1], v[:, ::-1]  # eigh returns ascending order

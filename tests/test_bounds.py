@@ -358,6 +358,35 @@ def test_form_stats_fields_are_reals_not_bools():
                 qc.FormStats(*fields)
 
 
+def test_scalar_checks_name_the_argument_and_its_sign():
+    # one check per kind of scalar: finite real of a sign, or positive integer
+    stats = chi5_stats()
+    cases = [
+        (lambda: qc.FormStats(math.nan, 1.0, 1.0, 0.0), "mean must be a finite real, got nan"),
+        (lambda: qc.FormStats(0.0, -1.0, 1.0, 0.0), "u must be a nonnegative finite real"),
+        (lambda: qc.FormStats(0.0, 1.0, 1.0, math.inf), "a_minus must be a nonnegative finite"),
+        (lambda: qc.upper_threshold(stats, 0.0), "exponent x must be a positive finite real"),
+        (lambda: qc.tail_exponent(stats, -2, "lower"), "deviation must be a positive finite real"),
+        (lambda: qc.envelope_threshold(1.0, -0.5, 1.0), "v must be a nonnegative finite real"),
+        (lambda: qc.cdf_p1(1.0, True, 0.0), "b must be a finite real, got True"),
+        (lambda: qc.sample(qc.DiagonalForm([1.0], [0.0]), 0, 1), "n must be a positive integer"),
+        (lambda: qc.envelope_y_grid(-1.0, 4), "a_plus must be a nonnegative finite real, got -1.0"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value).startswith(message), (str(info.value), message)
+
+
+def test_binade_brackets_the_largest_magnitude():
+    from quadconc.bounds import _binade
+
+    assert _binade(np.array([0.75, -0.25]), 0.0) == 0  # e = 0 does not mean all zero
+    assert _binade(0.0, np.zeros(3)) == 0
+    assert _binade(1.0) == 1 and _binade(np.array([-3.0]), 0.5) == 2
+    assert _binade(5e-324) == -1073 and _binade(1.7e308) == 1024
+
+
 def test_forms_are_immutable():
     form = qc.DiagonalForm(np.ones(2), np.zeros(2))
     with pytest.raises(ValueError):

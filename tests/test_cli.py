@@ -327,8 +327,13 @@ def test_mgf_check_at_extreme_scales(tmp_path, a, b, code):
 
 
 def test_mgf_check_zero_grid(chi5):
-    res = run("mgf-check", "--input", chi5, "--grid", 0)
-    assert res.returncode == 1
+    # a bad grid size is an invalid request, exit 2, like every other bad option value
+    for grid in (0, -3):
+        res = run("mgf-check", "--input", chi5, "--grid", grid)
+        assert res.returncode == 2
+        assert res.stderr == (
+            "invalid request: grid size must be a positive integer, got %d\n" % grid
+        )
 
 
 def test_bad_x_values(chi5):

@@ -1,10 +1,12 @@
-"""scipy stays unloaded until an oracle that needs it runs, and the public API is pinned.
+"""scipy stays unloaded until an oracle that needs it runs, the public API is pinned,
+and the oracles take nothing from the bounds they check but input contracts.
 
 `bound`, `invert` and `mgf-check` need numpy arithmetic only, so a cold
 call must not pay for importing scipy.  Each check runs in a fresh
 interpreter, since this test process has scipy loaded already.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -114,3 +116,28 @@ def test_public_api_is_pinned():
         "__version__",
     ]
     assert all(hasattr(quadconc, name) for name in quadconc.__all__)
+
+
+# what oracle.py may import from .bounds: the form type and the private
+# helpers that check inputs and pick a power-of-two scale, never a piece
+# of the bound (form_stats, FormStats, a threshold function, _deviation)
+ORACLE_FROM_BOUNDS = {
+    "DiagonalForm", "_binade", "_check_real", "_check_count", "_check_direction", "_is_integer",
+}
+
+
+def test_oracle_shares_no_bound_code():
+    tree = ast.parse((SRC / "quadconc" / "oracle.py").read_text())
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("quadconc") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if not (node.level or node.module.startswith("quadconc")):
+                continue
+            module = node.module and node.module.removeprefix("quadconc.")
+            assert module in ("bounds", "errors"), ast.dump(node)
+            if module == "bounds":
+                taken.update(alias.name for alias in node.names)
+    assert taken <= ORACLE_FROM_BOUNDS, taken - ORACLE_FROM_BOUNDS
+    assert "DiagonalForm" in taken  # the walk found the import at all

@@ -7,6 +7,7 @@ mean captures the mass to far below the comparison tolerance.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,33 @@ def test_log_mgf_domain():
         qc.log_mgf_centered(CHI1, 0.5)
     # negative y is fine for the raw term (two-sided transform)
     assert math.isfinite(qc.log_mgf_term(1.0, 1.0, -3.0))
+
+
+def test_log_mgf_at_extreme_scales():
+    # b^2 y^2 overflowed (or b^2 underflowed) and the terms came out NaN; they
+    # run on (a, b) * 2^-e and y * 2^e now.  Values are the exact logs
+    # rounded to double for the float inputs as given.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert qc.log_mgf_term(1e-200, 1e-200, 1e199) == 0.11782177565710489
+        assert qc.log_mgf_term(1e200, 1e200, 1e-201) == 0.11782177565710486
+        # a form and its 2^-700 multiple, at y and y * 2^700: the same bits
+        a, b, y = np.array([0.75, -1.5, 0.0]), np.array([1.0, 0.5, -2.0]), 0.25
+        tiny = qc.DiagonalForm(np.ldexp(a, -700), np.ldexp(b, -700))
+        want = qc.log_mgf_centered(qc.DiagonalForm(a, b), y)
+        assert qc.log_mgf_centered(tiny, math.ldexp(y, 700)).hex() == want.hex()
+
+
+def test_envelope_grid_near_the_float_limits():
+    # the grid is spread for the rescaled pole: y_max * n does not overflow
+    # for an a_plus near the bottom of the normal range
+    low = qc.envelope_grid_check(qc.DiagonalForm(np.array([1e-306]), np.zeros(1)), 4096)
+    assert low.ok and low.y_max == pytest.approx(0.999 / 2e-306, rel=1e-15)
+    # a_plus about 2^-1030 times the largest coefficient puts the rescaled grid
+    # past the float range; refused like any grid that leaves it
+    for a, b in (([1e-300], [1e10]), ([-1e10, 1e-300], [0.0, 0.0])):
+        with pytest.raises(ValidationError, match="float range"):
+            qc.envelope_grid_check(qc.DiagonalForm(np.array(a), np.array(b)), 16)
 
 
 def test_envelope_rhs_frozen():

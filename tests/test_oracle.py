@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -443,6 +444,42 @@ def test_cdf_cf_scale_covariance_bitwise(mags, k, z, data):
             return str(exc)
 
     assert outcome(qc.DiagonalForm(ca, cb), ct) == outcome(qc.DiagonalForm(a, b), t)
+
+
+def test_cdf_p1_at_extreme_scales():
+    # b^2 + 4at overflowed or underflowed here: 1.0, 0.0, 1.0 at 2^530,
+    # 0.0, 0.9999999999999999, 0.0 at 2^-540, and 2.7e-6 off at 1e-160
+    cases = {(1.0, 1.0, 1.0): 0.6788958964901445, (-3.0, 0.5, -1.0): 0.5610300762729097,
+             (1.0, 0.0, 2.0): 0.8427007929497149}
+    for args, want in cases.items():
+        assert qc.cdf_p1(*args) == want
+        for c in (2.0**530, 2.0**-530, 2.0**-540):
+            assert qc.cdf_p1(*(c * v for v in args)).hex() == want.hex(), (args, c)
+        assert qc.cdf_p1(*(1e-160 * v for v in args)) == pytest.approx(want, abs=1e-15)
+    # t overflows once rescaled by a and b: the limiting answer, and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert qc.cdf_p1(1e-300, 0.0, 1e300) == 1.0
+        assert qc.cdf_p1(1e-300, 0.0, -1e300) == 0.0
+        assert qc.cdf_p1(-1e-300, 1e-300, 1e300) == 1.0
+        assert qc.cdf_p1(-1e-300, 1e-300, -1e300) == 0.0
+        assert qc.cdf_p1(0.0, 1e-300, 1e300) == 1.0
+
+
+@settings(max_examples=200)
+@given(
+    st.floats(-4.0, 4.0),
+    st.floats(-4.0, 4.0),
+    st.floats(-20.0, 20.0),
+    st.integers(-1000, 1000),
+)
+def test_cdf_p1_scale_covariance_bitwise(a, b, t, k):
+    # cdf_p1 runs on (a, b, t) normalized by a power of two, so scaling all
+    # three by 2^k changes no bit of the answer
+    scaled = [math.ldexp(v, k) for v in (a, b, t)]
+    if [math.ldexp(v, -k) for v in scaled] != [a, b, t]:
+        return  # scaling rounded an input: another question
+    assert qc.cdf_p1(*scaled).hex() == qc.cdf_p1(a, b, t).hex()
 
 
 def test_death_floor_is_below_the_death_point():
