@@ -10,6 +10,8 @@ distributional oracles (closed forms, characteristic-function inversion,
 Monte Carlo).
 """
 
+import importlib
+
 from .bounds import (
     DIRECTIONS,
     DiagonalForm,
@@ -29,22 +31,24 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .mgf import (
-    EnvelopeCheck,
-    MgfEnvelope,
-    envelope_grid_check,
-    envelope_y_grid,
-    log_mgf_centered,
-    log_mgf_term,
-)
-from .oracle import (
-    TailEstimate,
-    cdf_cf,
-    cdf_p1,
-    empirical_tail,
-    sample,
-)
-from .spectral import QuadraticForm, SpectralReduction, eigen_sym, reduce, symmetrize
+
+# the numpy-backed modules load on first access to one of their names (PEP 562),
+# so `import quadconc` and the bounds above cost no numpy import
+_DEFERRED = {
+    "mgf": ("EnvelopeCheck", "MgfEnvelope", "envelope_grid_check", "envelope_y_grid",
+            "log_mgf_centered", "log_mgf_term"),
+    "oracle": ("TailEstimate", "cdf_cf", "cdf_p1", "empirical_tail", "sample"),
+    "spectral": ("QuadraticForm", "SpectralReduction", "eigen_sym", "reduce", "symmetrize"),
+}
+_HOME = {name: module for module, names in _DEFERRED.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    globals()[name] = getattr(importlib.import_module("." + _HOME[name], __name__), name)
+    return globals()[name]
+
 
 __version__ = "0.1.0"
 

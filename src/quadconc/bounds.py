@@ -14,13 +14,12 @@ linear term large ones (sub-exponential regime), the usual shape of bounds
 obtained from a (u*y)^2/(1-v*y) log-MGF envelope in the style of
 Birge & Massart (1998).  This module evaluates the thresholds, inverts them
 (deviation -> exponent), and inflates exponents for finite union bounds.
+It imports no numpy, so neither does a CLI call that needs nothing else.
 """
 
 import math
 import numbers
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import DegenerateFormError, ValidationError
 
@@ -33,14 +32,14 @@ def _check_direction(direction):
         raise ValidationError("direction must be 'upper' or 'lower', got %r" % (direction,))
 
 
-def _is_real(value):
-    """Python and numpy real scalars; bool and np.bool_ do not count as reals."""
-    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+def _is_real_type(kind):
+    """Python and numpy real types; bool does not count as a real."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
 
 
 def _is_integer(value):
     """Python and numpy integers; bool does not count as an integer."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_real(value, name, sign):
@@ -50,7 +49,7 @@ def _check_real(value, name, sign):
     range is not finite here, rather than an OverflowError.
     """
     try:
-        x = float(value) if _is_real(value) else math.nan
+        x = float(value) if _is_real_type(type(value)) else math.nan
     except OverflowError:
         x = math.nan
     signed = {"any": True, "nonnegative": x >= 0.0, "positive": x > 0.0}[sign]
@@ -70,60 +69,52 @@ def _check_count(value, name):
 def _binade(*values):
     """The e with 2^(e-1) <= max|v| < 2^e over every entry of `values`.
 
-    Scaled by 2^-e the largest magnitude lies in [0.5, 1), so nothing
-    squared leaves the float range, and a power-of-two scaling rounds
-    nothing above the subnormal range.  e is 0 when every entry is 0, but
-    also when the largest lies in [0.5, 1): test the values, not e, for zero.
+    Each value is a real or a flat sequence of reals.  Scaled by 2^-e the
+    largest magnitude lies in [0.5, 1), so nothing squared leaves the float
+    range, and a power-of-two scaling rounds nothing above the subnormal
+    range.  e is 0 when every entry is 0, but also when the largest lies in
+    [0.5, 1): test the values, not e, for zero.
     """
-    return math.frexp(max(float(np.max(np.abs(v))) for v in values))[1]
-
-
-def _float_array(values, name, ndim=1):
-    """`values` as a read-only `ndim`-dimensional float array of its own.
-
-    Every entry must be a finite real: bools, strings, None, ragged nestings
-    and integers past the float range raise ValidationError, as does a
-    shape of another dimension.  A scalar counts as one-dimensional.
-    """
-    arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
-    if arr.dtype == object:
-        numeric = all(_is_real(v) for v in arr.flat)
-    else:
-        numeric = arr.dtype.kind in "iuf"
-    if not numeric:
-        raise ValidationError("%s entries must be real numbers" % name)
-    try:
-        arr = np.array(arr, dtype=float, ndmin=1)
-        finite = np.isfinite(arr).all()
-    except OverflowError:  # an integer past the float range
-        finite = False
-    if not finite:
-        raise ValidationError("%s entries must be finite" % name)
-    if arr.ndim != ndim:
-        raise ValidationError("%s must be %d-dimensional, got shape %r" % (name, ndim, arr.shape))
-    arr.flags.writeable = False
-    return arr
+    largest = max(abs(v) if _is_real_type(type(v)) else max(map(abs, v)) for v in values)
+    return math.frexp(largest)[1]
 
 
 @dataclass(frozen=True)
 class DiagonalForm:
-    """Coefficients of T = sum_k a_k z_k^2 + b_k z_k."""
+    """Coefficients of T = sum_k a_k z_k^2 + b_k z_k, each a tuple of floats.
 
-    a: np.ndarray
-    b: np.ndarray
+    Every coefficient must be a finite real: bools, strings, None, nestings
+    and integers past the float range raise ValidationError.  An ndarray is
+    read through tolist(), and a scalar counts as a one-entry vector.
+    """
+
+    a: tuple
+    b: tuple
 
     def __post_init__(self):
-        a, b = _float_array(self.a, "a"), _float_array(self.b, "b")
-        if a.size != b.size or a.size < 1:
+        for name in ("a", "b"):
+            values = getattr(self, name)
+            values = values.tolist() if hasattr(values, "tolist") else values
+            values = values if isinstance(values, (list, tuple)) else [values]
+            # one check per distinct entry type: a million floats make one check
+            if not all(map(_is_real_type, set(map(type, values)))):
+                raise ValidationError("%s entries must be real numbers" % name)
+            try:
+                values = tuple(map(float, values))
+            except OverflowError:  # an integer past the float range
+                values = (math.inf,)
+            if not all(map(math.isfinite, values)):
+                raise ValidationError("%s entries must be finite" % name)
+            object.__setattr__(self, name, values)
+        if len(self.a) != len(self.b) or not self.a:
             raise ValidationError(
-                "a and b must have equal positive length, got %d and %d" % (a.size, b.size)
+                "a and b must have equal positive length, got %d and %d"
+                % (len(self.a), len(self.b))
             )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
 
     @property
     def p(self):
-        return self.a.size
+        return len(self.a)
 
 
 @dataclass(frozen=True)
@@ -175,23 +166,28 @@ def form_stats(form: DiagonalForm) -> FormStats:
     As in eigen_sym, the sums run on (a, b) * 2^-e, e = _binade(a, b), and
     scale back by 2^e, which rounds nothing while the results stay normal:
     u is exact at any magnitude, and scaling the form by 2^k scales mean and u
-    by exactly 2^k.
+    by exactly 2^k.  The sums are math.fsum's, correctly rounded, so they do
+    not depend on the order of the coordinates: permuting them moves no bit.
     """
     a, b = form.a, form.b
     e = _binade(a, b)
-    a_s, b_s = np.ldexp(a, -e), np.ldexp(b, -e)
-    u_s = math.sqrt(float(np.sum(a_s * a_s + 0.5 * b_s * b_s)))
-    with np.errstate(over="ignore"):  # FormStats refuses what overflows
-        mean, u = np.ldexp([np.sum(a_s), u_s], e).tolist()
-    stats = FormStats(
-        mean=mean,
-        u=u,
-        a_plus=max(float(np.max(a)), 0.0),
-        a_minus=max(float(np.max(-a)), 0.0),
-    )
+    a_s, b_s = [math.ldexp(x, -e) for x in a], [math.ldexp(y, -e) for y in b]
+    u_s = math.sqrt(math.fsum(x * x + 0.5 * y * y for x, y in zip(a_s, b_s)))
+    # FormStats refuses what overflows
+    mean, u = (_ldexp_or_inf(s, e) for s in (math.fsum(a_s), u_s))
+    # max(0.0, z) is +0.0 for either zero, whichever coordinate holds it
+    stats = FormStats(mean=mean, u=u, a_plus=max(0.0, max(a)), a_minus=max(0.0, -min(a)))
     if math.ldexp(u, -e) != u_s:  # rounded into the subnormal range: digits lost
         raise ValidationError("u = %r is below the normal floating-point range" % u)
     return stats
+
+
+def _ldexp_or_inf(x, e):
+    """x * 2^e, or an infinity of x's sign where that leaves the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _deviation(u, v, x):

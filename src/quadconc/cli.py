@@ -27,8 +27,6 @@ import sys
 import unicodedata
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bounds import (
     DiagonalForm,
@@ -38,9 +36,21 @@ from .bounds import (
     upper_threshold,
 )
 from .errors import InputError, NumericalError, ValidationError
-from .mgf import envelope_grid_check
-from .oracle import DEFAULT_CONFIDENCE, empirical_tail, sample
-from .spectral import QuadraticForm, reduce as spectral_reduce
+
+# The numpy-backed routines of verify, mgf-check and matrix documents are the
+# package's, which loads them on first access, so bound and invert on a
+# diagonal form import no numpy.  Commands look them up on this module when
+# they run (PEP 562), so whatever is set on quadconc.cli.<name> is what runs.
+_DEFERRED = {"spectral_reduce": "reduce", "sample": "sample", "empirical_tail": "empirical_tail",
+             "envelope_grid_check": "envelope_grid_check"}
+_package = sys.modules[__package__]
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _DEFERRED:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(_package, _DEFERRED[name])
 
 
 def _csv_columns(path, text):
@@ -101,10 +111,10 @@ def load_document(path):
     try:
         if "a" in obj:
             return obj.get("label"), DiagonalForm(obj["a"], obj["b"])
-        quadratic = QuadraticForm(obj["matrix"], obj["b"])
+        quadratic = _package.QuadraticForm(obj["matrix"], obj["b"])
     except ValidationError as exc:
         raise InputError("%s: %s" % (path, exc))
-    return obj.get("label"), spectral_reduce(quadratic).diagonal_form()
+    return obj.get("label"), _cli.spectral_reduce(quadratic).diagonal_form()
 
 
 def _fmt(value) -> str:
@@ -222,6 +232,8 @@ def cmd_invert(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import DEFAULT_CONFIDENCE
+
     if args.samples < 10**4:
         raise ValidationError("need at least 10^4 samples for a meaningful check")
     xs = _parse_x_grid(args.x_grid)
@@ -231,9 +243,9 @@ def cmd_verify(args) -> int:
         raise ValidationError("form is deterministic; nothing to verify")
     one = upper_threshold if args.direction == "upper" else lower_threshold
     tail_bounds = [one(stats, x) for x in xs]
-    draws = sample(form, args.samples, args.seed)
-    thresholds = np.array([tb.threshold for tb in tail_bounds])
-    estimates = empirical_tail(draws, thresholds, args.direction)
+    draws = _cli.sample(form, args.samples, args.seed)
+    thresholds = [tb.threshold for tb in tail_bounds]
+    estimates = _cli.empirical_tail(draws, thresholds, args.direction)
     rows = [
         (x, tb.threshold, tb.prob_bound, est.p_hat, est.ci_low, est.ci_high,
          est.ci_low <= tb.prob_bound)
@@ -265,7 +277,7 @@ def cmd_verify(args) -> int:
 
 def cmd_mgf_check(args) -> int:
     _, form = load_document(args.input)
-    check = envelope_grid_check(form, args.grid)
+    check = _cli.envelope_grid_check(form, args.grid)
     sys.stdout.write("grid_size=%d y_max=%s\n" % (check.grid_size, _fmt(check.y_max)))
     sys.stdout.write("max_slack=%s at y=%s\n" % (_fmt(check.max_slack), _fmt(check.worst_y)))
     sys.stdout.write(

@@ -62,6 +62,7 @@ def _log_mgf_terms(a, b, ys):
     itself, and the terms keep the bits of the unscaled formula wherever
     nothing is subnormal.  A DomainError reports the caller's a and y.
     """
+    a, b = np.ravel(a), np.ravel(b)  # a form's tuples or scalars, as arrays once
     e = _binade(a, b)
     a_s, b_s, y_s = np.ldexp(a, -e), np.ldexp(b, -e), np.ldexp(ys, e)
     q = -2.0 * np.outer(a_s, y_s)
@@ -69,7 +70,7 @@ def _log_mgf_terms(a, b, ys):
         k, j = np.unravel_index(np.argmin(1.0 + q > 0.0), q.shape)
         raise DomainError(
             "MGF diverges at term k=%d: 1 - 2ay = %r <= 0 (a=%r, y=%r)"
-            % (k, float(1.0 + q[k, j]), float(np.ravel(a)[k]), float(np.ravel(ys)[j]))
+            % (k, float(1.0 + q[k, j]), float(a[k]), float(np.ravel(ys)[j]))
         )
     # log1p keeps the small-y regime accurate where log(1 - 2ay) cancels against a*y
     return 0.5 * np.outer(np.square(b_s), np.square(y_s)) / (1.0 + q) - 0.5 * np.log1p(q), q

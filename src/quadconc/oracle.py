@@ -18,7 +18,8 @@ of m draws of a p-coordinate form holds about 2.5 m p doubles while its
 normals are made, so peak memory is the output plus that much.
 
 scipy is imported inside the two routines that use it, the binomial
-interval and cdf_cf, so importing the package loads numpy only.
+interval and cdf_cf, so importing this module loads numpy only.  The form's
+coefficient tuples become arrays once per call.
 """
 
 import math
@@ -106,14 +107,15 @@ def sample(form: DiagonalForm, n: int, seed: int) -> np.ndarray:
     """n realizations of the diagonal form, reproducible for a fixed seed."""
     n, seed = _check_count(n, "n"), _check_seed(seed)
     p, size = form.p, DEFAULT_CHUNK
+    a, b = np.array(form.a), np.array(form.b)
     out = np.empty(n)
     for chunk, lo in enumerate(range(0, n, size)):
         m = min(size, n - lo)
         z = _chunk_normals(seed, chunk, m * p).reshape(m, p)
         # (z * z) @ a + z @ b, squaring z in place once z @ b is taken
-        linear = z @ form.b
+        linear = z @ b
         np.multiply(z, z, out=z)
-        out[lo : lo + m] = z @ form.a + linear
+        out[lo : lo + m] = z @ a + linear
     return out
 
 
@@ -402,7 +404,7 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     from scipy.integrate import quad
 
     t = _check_real(t, "t", "any")
-    if not (form.a.any() or form.b.any()):
+    if not (any(form.a) or any(form.b)):
         raise DegenerateFormError("form is deterministic; its CDF is a step function")
     e = _binade(form.a, form.b)
     a, b = np.ldexp(form.a, -e), np.ldexp(form.b, -e)

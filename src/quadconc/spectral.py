@@ -21,12 +21,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DiagonalForm, _binade, _float_array
+from .bounds import DiagonalForm, _binade, _is_real_type
 from .errors import NumericalError, ValidationError
 
 # accepted ||S V - V diag(w)||_F / ||S||_F and ||V'V - I||_F; LAPACK's
 # errors are small multiples of p * 2.2e-16, about 2e-14 at p = 96
 RESIDUAL_TOL = 1e-12
+
+
+def _float_array(values, name, ndim=1):
+    """`values` as a read-only `ndim`-dimensional float array of its own.
+
+    Every entry must be a finite real: bools, strings, None, ragged nestings
+    and integers past the float range raise ValidationError, as does a
+    shape of another dimension.  A scalar counts as one-dimensional.
+    """
+    arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    kinds = set(map(type, arr.flat)) if arr.dtype == object else {arr.dtype.type}
+    if not all(map(_is_real_type, kinds)):
+        raise ValidationError("%s entries must be real numbers" % name)
+    try:
+        arr = np.array(arr, dtype=float, ndmin=1)
+        finite = np.isfinite(arr).all()
+    except OverflowError:  # an integer past the float range
+        finite = False
+    if not finite:
+        raise ValidationError("%s entries must be finite" % name)
+    if arr.ndim != ndim:
+        raise ValidationError("%s must be %d-dimensional, got shape %r" % (name, ndim, arr.shape))
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -102,7 +126,7 @@ def eigen_sym(s_mat):
     p = s_mat.shape[0]
     if not s_mat.any():
         return np.zeros(p), np.eye(p)
-    e = _binade(s_mat)
+    e = _binade(float(np.max(np.abs(s_mat))))
     scaled = np.ldexp(s_mat, -e)
     w, v = np.linalg.eigh(scaled)
     w, v = w[::-1], v[:, ::-1]  # eigh returns ascending order

@@ -228,6 +228,20 @@ def test_extreme_scales_end_in_a_valid_threshold_or_exit_2(tmp_path, a, b):
         tmp_path / "r.csv", tmp_path / "r.json"))
 
 
+@pytest.mark.parametrize("a, field", [
+    ([1.7e308, 1.7e308], "mean must be a finite real, got inf"),
+    ([1.7e308, -1.7e308], "u must be a nonnegative finite real, got inf"),
+])
+def test_stats_past_the_float_range_exit_2(tmp_path, a, field):
+    # finite coefficients whose mean or u overflows are an invalid request, not a crash
+    doc = tmp_path / "form.json"
+    doc.write_text(json.dumps({"a": a, "b": [0, 0]}))
+    for argv in (("bound", "--x", "1"), ("invert", "--deviation", "1")):
+        res = run(argv[0], "--input", doc, *argv[1:])
+        assert res.returncode == 2
+        assert res.stderr == "invalid request: %s\n" % field
+
+
 def test_verify_bad_grid(chi5, tmp_path):
     for grid in ("2:1:1", "0:1:0.5", "1:2:0", "1:2", "a:b:c"):
         res = run(

@@ -1,9 +1,11 @@
-"""scipy stays unloaded until an oracle that needs it runs, the public API is pinned,
-and the oracles take nothing from the bounds they check but input contracts.
+"""numpy and scipy stay unloaded until a routine that needs them runs, the public
+API is pinned, and the oracles take nothing from the bounds they check but
+input contracts.
 
-`bound`, `invert` and `mgf-check` need numpy arithmetic only, so a cold
-call must not pay for importing scipy.  Each check runs in a fresh
-interpreter, since this test process has scipy loaded already.
+`bound` and `invert` on a diagonal form need only sums, a max and a square
+root, so a cold call of either must not pay for importing numpy.  Matrix
+documents and `mgf-check` need numpy arithmetic but no scipy.  Each check
+runs in a fresh interpreter, since this test process has both loaded already.
 """
 
 import ast
@@ -27,26 +29,39 @@ def scipy_modules():
     return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
 
 
-import quadconc
-
-assert scipy_modules() == [], ("import quadconc", scipy_modules())
-
-tmp = Path(tempfile.mkdtemp())
-form = tmp / "form.json"
-form.write_text('{"a": [1.0, -0.5, 2.0], "b": [0.0, 1.0, 0.5], "label": "probe"}\n')
-calls = (
-    ["bound", "--input", str(form), "--x", "0.5,1,2", "--format", "csv"],
-    ["invert", "--input", str(form), "--deviation", "3.0", "--direction", "lower"],
-    ["mgf-check", "--input", str(form), "--grid", "64"],
-)
-for argv in calls:
+def run_cli(argv):
     sys.argv = ["quadconc"] + argv
     with contextlib.redirect_stdout(io.StringIO()):
         try:
             runpy.run_module("quadconc", run_name="__main__", alter_sys=True)
         except SystemExit as exc:
             assert exc.code == 0, (argv, exc.code)
-    assert scipy_modules() == [], (argv[0], scipy_modules())
+
+
+import quadconc
+
+assert "numpy" not in sys.modules and scipy_modules() == [], "import quadconc"
+
+tmp = Path(tempfile.mkdtemp())
+form = tmp / "form.json"
+form.write_text('{"a": [1.0, -0.5, 2.0], "b": [0.0, 1.0, 0.5], "label": "probe"}\n')
+table = tmp / "form.csv"
+table.write_text("a,b\n1.0,0.0\n-0.5,1.0\n2.0,0.5\n")
+matrix = tmp / "matrix.json"
+matrix.write_text('{"matrix": [[1.0, 0.5], [0.0, -2.0]], "b": [0.0, 1.0]}\n')
+for doc in (form, table):
+    for argv in (
+        ["bound", "--input", str(doc), "--x", "0.5,1,2", "--format", "csv"],
+        ["invert", "--input", str(doc), "--deviation", "3.0", "--direction", "lower"],
+    ):
+        run_cli(argv)
+        assert "numpy" not in sys.modules, (argv[0], doc.name)
+for argv in (
+    ["bound", "--input", str(matrix), "--x", "1"],
+    ["mgf-check", "--input", str(form), "--grid", "64"],
+):
+    run_cli(argv)
+    assert "numpy" in sys.modules and scipy_modules() == [], (argv[0], scipy_modules())
 
 # the oracles that do need scipy still work in the same process
 from quadconc import cli

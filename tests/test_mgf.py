@@ -40,6 +40,9 @@ def test_log_mgf_term_frozen():
     assert qc.log_mgf_term(1.0, 0.0, 0.25) == pytest.approx(0.34657359027997264, rel=1e-15)
     assert qc.log_mgf_term(1.0, 0.0, 0.0) == 0.0
     assert qc.log_mgf_term(0.0, 1.0, 0.5) == pytest.approx(0.125, rel=1e-15)
+    # numpy scalars and 0-d arrays are scalars too
+    want = qc.log_mgf_term(1.0, 0.5, 0.1)
+    assert qc.log_mgf_term(np.float64(1.0), np.array(0.5), np.array(0.1)) == want
 
 
 def test_log_mgf_centered_frozen():

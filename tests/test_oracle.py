@@ -603,7 +603,7 @@ def _cold_cdf_cf(form, t):
 
 def _thresholds(form, count):
     stats = qc.form_stats(form)
-    sd = math.sqrt(float(np.sum(2.0 * form.a**2 + form.b**2)))
+    sd = math.sqrt(float(np.sum(2.0 * np.square(form.a) + np.square(form.b))))
     return (stats.mean + sd * np.linspace(-2.0, 3.0, count)).tolist()
 
 
@@ -614,7 +614,7 @@ def test_phase_memo_shared_across_forms_gives_cold_bits():
     rng = np.random.default_rng(24)
     form_a = qc.DiagonalForm(rng.normal(size=24), rng.normal(size=24))
     form_b = qc.DiagonalForm(np.array([1.0, -0.5]), np.array([0.3, 2.0]))
-    form_2a = qc.DiagonalForm(2.0 * form_a.a, 2.0 * form_a.b)
+    form_2a = qc.DiagonalForm(2.0 * np.array(form_a.a), 2.0 * np.array(form_a.b))
     cases = []
     for t_a, t_b in zip(_thresholds(form_a, 20), _thresholds(form_b, 20)):
         cases += [(form_a, t_a), (form_b, t_b), (form_2a, 2.0 * t_a), (form_a, -t_a)]
