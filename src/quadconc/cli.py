@@ -55,13 +55,11 @@ def __getattr__(name):
 
 def _csv_columns(path, text):
     """{"a": [...], "b": [...]} of a two-column CSV document with header 'a,b'."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or [c.strip().lower() for c in rows[0]] != ["a", "b"]:
+    rows = csv.reader(io.StringIO(text))
+    if [c.strip().lower() for c in next(rows, [])] != ["a", "b"]:
         raise InputError("%s:1: header row must be exactly 'a,b'" % path)
-    if len(rows) < 2:
-        raise InputError("%s: no coefficient rows" % path)
     a_vals, b_vals = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(rows, start=2):
         if len(row) != 2:
             raise InputError("%s:%d: expected two fields, got %d" % (path, lineno, len(row)))
         try:
@@ -69,6 +67,8 @@ def _csv_columns(path, text):
             b_vals.append(float(row[1]))
         except ValueError:
             raise InputError("%s:%d: non-numeric value %r" % (path, lineno, row))
+    if not a_vals:
+        raise InputError("%s: no coefficient rows" % path)
     return {"a": a_vals, "b": b_vals}
 
 

@@ -60,7 +60,10 @@ def _log_mgf_terms(a, b, ys):
     from (a, b) * 2^-e and y * 2^e, e = _binade(a, b): the squares b_k^2 and
     y^2 then leave the float range only where a_k y or b_k y is extreme
     itself, and the terms keep the bits of the unscaled formula wherever
-    nothing is subnormal.  A DomainError reports the caller's a and y.
+    nothing is subnormal.  Where b_k^2 y^2 still overflows, a large
+    1 - 2 a_k y can bring the term back into range, so there it is formed as
+    (b_k y) (b_k y / (1 - 2 a_k y)) / 2, dividing before multiplying.  A
+    DomainError reports the caller's a and y.
     """
     a, b = np.ravel(a), np.ravel(b)  # a form's tuples or scalars, as arrays once
     e = _binade(a, b)
@@ -72,8 +75,18 @@ def _log_mgf_terms(a, b, ys):
             "MGF diverges at term k=%d: 1 - 2ay = %r <= 0 (a=%r, y=%r)"
             % (k, float(1.0 + q[k, j]), float(a[k]), float(np.ravel(ys)[j]))
         )
+    # 0.5 b^2 y^2 / (1 - 2ay) in place, one (p, n) buffer for the terms
+    with np.errstate(over="ignore", invalid="ignore"):  # formed again just below
+        terms = np.outer(np.square(b_s), np.square(y_s))
+        terms *= 0.5
+        terms /= 1.0 + q
+    if not math.isfinite(terms.max()):  # the terms are >= 0 or NaN
+        lost = ~np.isfinite(terms)
+        by = np.outer(b_s, y_s)[lost]
+        terms[lost] = 0.5 * by * (by / (1.0 + q[lost]))
     # log1p keeps the small-y regime accurate where log(1 - 2ay) cancels against a*y
-    return 0.5 * np.outer(np.square(b_s), np.square(y_s)) / (1.0 + q) - 0.5 * np.log1p(q), q
+    terms -= 0.5 * np.log1p(q)
+    return terms, q
 
 
 def log_mgf_term(a: float, b: float, y: float) -> float:

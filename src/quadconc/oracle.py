@@ -39,7 +39,6 @@ ENVELOPE_CUTOFF = 1e-12
 _G_STOP = -math.log(ENVELOPE_CUTOFF)
 ACCURACY_TARGET = 1e-6
 _EPS = float(np.finfo(float).eps)
-_MAX_BLOCKS = 200
 # _phase_kernel's cache: (key, {u: (G, psi)}) for the last normalized form,
 # emptied at 2^14 nodes (about 3 MB)
 _PHASE_MEMO_CAP = 2**14
@@ -276,28 +275,22 @@ def _phase_kernel(lam, delta_sq, sigma_sq):
     return phase
 
 
-def _death_bracket(g_decay, hi):
-    """Bracket (lo, up) of the point where an increasing G reaches _G_STOP.
+def _death_point(g_decay, lo, up):
+    """The point of (lo, up] where an increasing G reaches _G_STOP, by bisection.
 
-    Requires G(hi) >= _G_STOP.  Halves hi while G(hi/2) still reaches the
-    stop, then bisects [hi/2, hi] keeping G(lo) < _G_STOP <= G(up).  Once lo
-    and up are adjacent floats the midpoint rounds onto one of them and a
-    further step changes nothing, so the search stops there; the 200-step
-    cap is never reached on a finite bracket (53 steps halve [hi/2, hi]
-    down to adjacent floats).
+    Requires G(lo) < _G_STOP <= G(up), where lo = 0 counts as below the stop,
+    and keeps it.  Once lo and up are adjacent floats the midpoint rounds
+    onto one of them and a further step changes nothing, so the search
+    returns up there.
     """
-    while g_decay(hi / 2.0) >= _G_STOP:
-        hi /= 2.0
-    lo, up = hi / 2.0, hi
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + up)
         if not lo < mid < up:
-            break
+            return up
         if g_decay(mid) >= _G_STOP:
             up = mid
         else:
             lo = mid
-    return lo, up
 
 
 def _death_floor(lam, half_b_sq, u_lo, u_hi):
@@ -342,10 +335,10 @@ def _split_rounding(lam, s_terms, omega, u_end):
     Raises NumericalError when the bound alone spends the accuracy budget,
     so callers can refuse before integrating.
     """
-    knee = math.pi / 4.0
+    cap = math.pi / 4.0
     with np.errstate(over="ignore"):
         x = np.abs(lam) * u_end
-        arc = np.minimum(x, knee) + knee * np.log(np.maximum(x, knee) / knee)
+        arc = np.minimum(x, cap) + cap * np.log(np.maximum(x, cap) / cap)
         rat = s_terms * np.arctan(2.0 * x) / (2.0 * np.abs(lam))
     bound = (lam.size + 16) * _EPS * (float(np.sum(arc + rat)) + abs(omega) * u_end)
     if bound / math.pi > 0.5 * ACCURACY_TARGET:
@@ -377,23 +370,26 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     is kept across calls on the same normalized form: the sine and cosine
     tail passes below share the nodes they both visit, and a later call on
     the form (at another t, or on a 2^k multiple) reuses every node an
-    earlier one evaluated in its death search, head, ladder and tail, with
-    the same bits.  The memo holds one form at a time and is emptied at
+    earlier one evaluated in its walk, death search, integral and tails,
+    with the same bits.  The memo holds one form at a time and is emptied at
     _PHASE_MEMO_CAP nodes; each call has its own work buffers, so calls
     from several threads give the values of serial calls.
 
-    The integral is split into a head up to the point where the nonlinear
-    phase has settled, a ladder of doubling blocks (so no adaptive pass can
-    overlook mass stranded deep inside a long interval), and a weighted
-    QUADPACK tail for the residual oscillation exp(-G) sin(psi_inf + w u)/u.
-    When the amplitude exp(-G) dies before the phase settles, the head ends
-    at the death point instead, found by a bisection (_death_bracket) that
-    stops once its bracket cannot shrink.
+    One walk finds where the unweighted integral ends.  It steps along
+    points doubling from min(256/a_max, u_settle), landing once on u_settle,
+    where the nonlinear phase has settled, and stops where the amplitude
+    exp(-G) has died or, past u_settle, where w u >= 3 and a weighted
+    QUADPACK tail takes the residual oscillation exp(-G) sin(psi_inf + w u)/u
+    from there.  A stop on the amplitude at or before u_settle moves back to
+    the death point, found by a bisection (_death_point) on the last step
+    that stops once its bracket cannot shrink.  One quad call integrates up
+    to the end, split at the walked points, so that no adaptive pass
+    overlooks the mass near 0 or mass stranded deep inside a long interval.
     Absolute accuracy target 1e-6; raises NumericalError with the achieved
     estimate when the error accounting cannot certify half of that.  The
     accounting includes the rounding of the phase split (_split_rounding): a
     tiny nonzero a_k with a nonzero b_k makes psi and omega u cancel in size
-    b_k^2 u/(4|a_k|), and a tiny a_k alone stretches the head to u_settle
+    b_k^2 u/(4|a_k|), and a tiny a_k alone stretches the walk to u_settle
     ~ 5/|a_k|, where omega u keeps few correct digits.  Such forms raise
     before the integral that cannot be certified is computed.
 
@@ -439,13 +435,13 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
             accuracy=float("inf"),
         )
     # G(u) >= log1p(4 a_max^2 u^2)/4 > log(2 a_max u)/2 passes _G_STOP by
-    # exp(2 _G_STOP)/a_max, where the head ends even if the phase never
-    # settles; the unweighted integrals reach the head's end or the death
-    # point, so at least the floor: refuse a hopeless split before any phase
+    # exp(2 _G_STOP)/a_max, so the unweighted integral reaches u_settle or
+    # the death point before that, and so at least the floor: refuse a
+    # hopeless split before any phase
     a_max = float(np.max(np.abs(lam)))
-    head = min(u_settle, math.exp(2.0 * _G_STOP) / a_max)
+    reach = min(u_settle, math.exp(2.0 * _G_STOP) / a_max)
     half_b_sq = 0.5 * float(np.sum(b * b))
-    floor = _death_floor(lam, half_b_sq, math.sqrt(2.0 * _G_STOP) / sd, head)
+    floor = _death_floor(lam, half_b_sq, math.sqrt(2.0 * _G_STOP) / sd, reach)
     _split_rounding(lam, s_terms, omega, floor)
     phase = _phase_kernel(lam, delta_sq, sigma_sq)
 
@@ -453,60 +449,44 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
         return phase(u)[0]
 
     def integrand(u):
-        if u == 0.0:
-            return mean - t
         g, ps = phase(u)
         return math.exp(-g) * math.sin(ps + omega * u) / u
 
-    # when the amplitude dies before the phase settles, the head ends at the
-    # death point (G is increasing, so bisection brackets cleanly) and the
-    # provably negligible rest is dropped
-    dies = g_decay(head) >= _G_STOP
-    end = _death_bracket(g_decay, head)[1] if dies else u_settle
-    split = _split_rounding(lam, s_terms, omega, end)
-    # quad's first rule samples [0, end] no nearer 0 than 0.002 end, so a head
-    # reaching far past the scale 1/a_max of the mass near 0 could miss it;
-    # such a head is split at points doubling from 256/a_max
-    knee = 256.0 / a_max
-    points = knee * 2.0 ** np.arange(math.ceil(math.log2(end / knee))) if end > knee else None
-    total, err, *_ = quad(
-        integrand, 0.0, end, epsabs=1e-11, epsrel=1e-10, limit=2000, points=points, full_output=1
+    # quad's first rule samples [0, end] no nearer 0 than 0.002 end, so one
+    # rule reaching far past the scale 1/a_max of the mass near 0 could miss
+    # it; the walked points split the integral there.  G is increasing, so
+    # bisection brackets the death point cleanly, and past it the provably
+    # negligible rest, at most 2 exp(-G(end)), is dropped
+    w = abs(omega)
+    points = []
+    end = min(256.0 / a_max, u_settle)
+    while g_decay(end) < _G_STOP and (end < u_settle or w * end < 3.0):
+        points.append(end)
+        end = u_settle if end < u_settle <= 2.0 * end else 2.0 * end
+    if end <= u_settle and g_decay(end) >= _G_STOP:
+        end = _death_point(g_decay, points[-1] if points else 0.0, end)
+    err = _split_rounding(lam, s_terms, omega, end)
+    total, quad_err, *_ = quad(
+        integrand, 0.0, end, points=points or None, epsabs=1e-11, epsrel=1e-10, limit=2000,
+        full_output=1,
     )
-    if dies:
-        err = err + 2.0 * ENVELOPE_CUTOFF + split
+    err += quad_err
+    if g_decay(end) >= _G_STOP:
+        err += 2.0 * math.exp(-g_decay(end))
     else:
-        u = u_settle
-        w = abs(omega)
-        finished = False
-        for _ in range(_MAX_BLOCKS):
-            amp = math.exp(-g_decay(u))
-            if amp <= ENVELOPE_CUTOFF:
-                err += 2.0 * amp  # remaining integral <= 2 exp(-G(u))
-                finished = True
-                break
-            if w * u >= 3.0:
-                break
-            val, e, *_ = quad(integrand, u, 2.0 * u, epsabs=1e-12, limit=200, full_output=1)
-            total += val
-            err += e
-            u *= 2.0
-        else:
-            raise NumericalError("integration ladder did not terminate", accuracy=float("inf"))
-        err += _split_rounding(lam, s_terms, omega, u)  # the unweighted integrals end at u
-        if not finished:
-            sign = 1.0 if omega > 0 else -1.0
+        sign = 1.0 if omega > 0 else -1.0
 
-            def part(x, trig):  # exp(-G) trig(psi)/x, weighted by sin or cos of w x
-                g, ps = phase(x)
-                return math.exp(-g) * trig(ps) / x
+        def part(x, trig):  # exp(-G) trig(psi)/x, weighted by sin or cos of w x
+            g, ps = phase(x)
+            return math.exp(-g) * trig(ps) / x
 
-            (v1, e1, *_), (v2, e2, *_) = (
-                quad(part, u, np.inf, args=(trig,), weight=weight, wvar=w, epsabs=1e-11,
-                     limlst=300, full_output=1)
-                for trig, weight in ((math.cos, "sin"), (math.sin, "cos"))
-            )
-            total += sign * v1 + v2
-            err += e1 + e2
+        (v1, e1, *_), (v2, e2, *_) = (
+            quad(part, end, np.inf, args=(trig,), weight=weight, wvar=w, epsabs=1e-11,
+                 limlst=300, full_output=1)
+            for trig, weight in ((math.cos, "sin"), (math.sin, "cos"))
+        )
+        total += sign * v1 + v2
+        err += e1 + e2
 
     achieved = err / math.pi
     if achieved > 0.5 * ACCURACY_TARGET:

@@ -3,9 +3,10 @@
 cdf_cf inverts the characteristic function exp(-G(u) + i (psi(u) + omega u)).
 Before its fused phase kernel (oracle._phase_kernel) it evaluated G and psi
 as the two closures below, each a direct transcription of the formulas in
-the cdf_cf docstring, and found the point where G reaches its cutoff with a
-fixed 200-step bisection.  They live here, unchanged, so that the tests
-can hold the kernel and oracle._death_bracket to them bit for bit.
+the cdf_cf docstring.  They live here, unchanged, with a fixed 200-step
+bisection for the point where G reaches its cutoff, so that the tests can
+hold the kernel and oracle._death_point, which stops early once its
+bracket cannot shrink, to them bit for bit.
 """
 
 import numpy as np
@@ -26,15 +27,12 @@ def psi(lam, delta_sq, u):
     return float(np.sum(0.5 * np.arctan(2.0 * lu) + lam * delta_sq * u / (1.0 + 4.0 * lu * lu)))
 
 
-def death_bracket(g, hi, stop):
-    """(lo, up) with g(lo) < stop <= g(up), by halving and then 200 bisection steps."""
-    while g(hi / 2.0) >= stop:
-        hi /= 2.0
-    lo, up = hi / 2.0, hi
+def death_point(g, lo, up, stop):
+    """The up of (lo, up] after 200 bisection steps keeping g(lo) < stop <= g(up)."""
     for _ in range(200):
         mid = 0.5 * (lo + up)
         if g(mid) >= stop:
             up = mid
         else:
             lo = mid
-    return lo, up
+    return up

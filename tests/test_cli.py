@@ -322,6 +322,22 @@ def test_csv_bad_row(tmp_path):
     assert ":2:" in res.stderr or ":2" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "bad.csv:1: header row must be exactly 'a,b'"),
+        ("a,b\n", "bad.csv: no coefficient rows"),
+        ("a,b\n1.0,0.0\n1.0,0.0,2.0\n", "bad.csv:3: expected two fields, got 3"),
+    ],
+)
+def test_csv_structure_errors_name_the_line(tmp_path, text, message):
+    doc = tmp_path / "bad.csv"
+    doc.write_text(text)
+    res = run("bound", "--input", doc, "--x", "1")
+    assert res.returncode == 1
+    assert message in res.stderr, res.stderr
+
+
 def test_mgf_check(chi5):
     res = run("mgf-check", "--input", chi5, "--grid", 64)
     assert res.returncode == 0, res.stderr

@@ -104,6 +104,17 @@ def test_log_mgf_at_extreme_scales():
         assert qc.log_mgf_centered(tiny, math.ldexp(y, 700)).hex() == want.hex()
 
 
+def test_log_mgf_term_where_b_squared_y_squared_overflows():
+    # b^2 y^2 passes the float range, but 1 - 2ay brings the term back: the
+    # term is about y/4 in the first case and -log(2y)/2 in the second
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert qc.log_mgf_term(-1.0, 1.0, 1e160) == 2.5e159
+        assert qc.log_mgf_term(-1.0, 1e-100, 1e160) == pytest.approx(
+            -0.5 * math.log(2e160), rel=1e-15
+        )
+
+
 def test_envelope_grid_near_the_float_limits():
     # the grid is spread for the rescaled pole: y_max * n does not overflow
     # for an a_plus near the bottom of the normal range

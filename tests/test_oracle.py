@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from _cf_reference import death_bracket, g_decay, psi
+from _cf_reference import death_point, g_decay, psi
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -35,6 +35,12 @@ CHI3 = qc.DiagonalForm(np.ones(3), np.zeros(3))
 HETERO_CDF_AT_50 = 0.5206085305269479  # a = (100, -0.001), b = (5, 1)
 MIXED_CDF_AT_1 = 0.7613525340395519  # a = (1, -1), b = (1, 1)
 CP_ZERO_HIGH = 5.298303330489367e-06  # k = 0, n = 1e6, 99% two-sided
+
+
+@pytest.fixture(autouse=True)
+def cold_phase_memo():
+    # every test starts from an empty phase memo, as if it ran alone
+    oracle._phase_memo = (None, {})
 
 
 def test_sample_deterministic():
@@ -391,6 +397,21 @@ def test_cdf_cf_tiny_curvature_without_shift_is_right_or_refused(eps, t):
     assert abs(got - chi2.cdf(t, 1)) <= 1e-6, got
 
 
+@pytest.mark.parametrize("t", [0.5, 2.0, 5.0])
+def test_cdf_cf_split_head_matches_conditioning(t):
+    # T = 1e-3 z0^2 + z1^2: the walk splits the integral at five points
+    # doubling from 256/a_max and ends it at u_settle ~ 5/1e-3, where the
+    # weighted tails take over.  Conditioning on z0 leaves the chi-square(1) CDF at
+    # t - 1e-3 z0^2
+    def conditional(z):
+        return norm.pdf(z) * chi2.cdf(t - 1e-3 * z * z, 1)
+
+    reach = math.sqrt(t / 1e-3)
+    want, _ = quad(conditional, -reach, reach, epsabs=1e-13, epsrel=1e-12, limit=200)
+    got = qc.cdf_cf(qc.DiagonalForm(np.array([1e-3, 1.0]), np.zeros(2)), t)
+    assert abs(got - want) <= 1e-9, (got, want)
+
+
 def test_cdf_cf_refuses_tiny_curvature_before_the_phase_overflows(monkeypatch):
     # u_settle = 5e200 would square a u = 5e200 in the phase kernel; the
     # log1p bound on G puts the death point past 1e20, where the phase
@@ -570,7 +591,7 @@ def test_death_bracket_matches_full_bisection(k):
     for g in gs:
         for hi in (64.0 * scale, 1e6 * scale):
             if g(hi) >= stop:
-                assert oracle._death_bracket(g, hi) == death_bracket(g, hi, stop), (g, hi)
+                assert oracle._death_point(g, 0.0, hi) == death_point(g, 0.0, hi, stop), (g, hi)
 
 
 def test_death_search_stops_once_the_bracket_is_tight(monkeypatch):
@@ -580,19 +601,19 @@ def test_death_search_stops_once_the_bracket_is_tight(monkeypatch):
     def cdf_counting_search_evaluations(search):
         evaluations = []
 
-        def spy(g, hi):
-            return search(lambda u: evaluations.append(u) or g(u), hi)
+        def spy(g, lo, up):
+            return search(lambda u: evaluations.append(u) or g(u), lo, up)
 
-        monkeypatch.setattr(oracle, "_death_bracket", spy)
+        monkeypatch.setattr(oracle, "_death_point", spy)
         return qc.cdf_cf(form, 3.0), len(evaluations)
 
-    got, early = cdf_counting_search_evaluations(oracle._death_bracket)
+    got, early = cdf_counting_search_evaluations(oracle._death_point)
     want, full = cdf_counting_search_evaluations(
-        lambda g, hi: death_bracket(g, hi, oracle._G_STOP)
+        lambda g, lo, up: death_point(g, lo, up, oracle._G_STOP)
     )
     assert got.hex() == want.hex()
-    # the form takes the dying branch; the fixed 200-step loop needs more than 200
-    assert 0 < early < 100 and full > 200, (early, full)
+    # the form's amplitude dies; the fixed loop takes all of its 200 steps
+    assert 0 < early < 100 and full == 200, (early, full)
 
 
 def _cold_cdf_cf(form, t):
