@@ -53,9 +53,18 @@ def __getattr__(name):
     return getattr(_package, _DEFERRED[name])
 
 
+def _csv_rows(path, text):
+    """The rows of a CSV document; a row the csv module refuses is an InputError."""
+    rows = csv.reader(io.StringIO(text))
+    try:
+        yield from rows
+    except csv.Error as exc:
+        raise InputError("%s:%d: %s" % (path, rows.line_num, exc))
+
+
 def _csv_columns(path, text):
     """{"a": [...], "b": [...]} of a two-column CSV document with header 'a,b'."""
-    rows = csv.reader(io.StringIO(text))
+    rows = _csv_rows(path, text)
     if [c.strip().lower() for c in next(rows, [])] != ["a", "b"]:
         raise InputError("%s:1: header row must be exactly 'a,b'" % path)
     a_vals, b_vals = [], []

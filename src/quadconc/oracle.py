@@ -17,9 +17,10 @@ method.  The blocks run one after the other on the calling thread.  A block
 of m draws of a p-coordinate form holds about 2.5 m p doubles while its
 normals are made, so peak memory is the output plus that much.
 
-scipy is imported inside the two routines that use it, the binomial
-interval and cdf_cf, so importing this module loads numpy only.  The form's
-coefficient tuples become arrays once per call.
+scipy is imported only where it is used: by the binomial interval and by
+cdf_cf's adaptive path, which forms with a slowly decaying characteristic
+function take.  Importing this module, and cdf_cf's trapezoid path, load
+numpy only.  The form's coefficient tuples become arrays once per call.
 """
 
 import math
@@ -33,16 +34,21 @@ from .errors import DegenerateFormError, NumericalError, ValidationError
 DEFAULT_CHUNK = 65536
 DEFAULT_CONFIDENCE = 0.99
 
-# characteristic-function integration: stop once the integrand envelope
-# exp(-G) falls below this; the dropped tail is provably < 2x the cutoff
+# characteristic-function inversion: the adaptive path stops once the
+# integrand envelope exp(-G) falls below this, and the trapezoid path once
+# the tail it drops is provably below it
 ENVELOPE_CUTOFF = 1e-12
 _G_STOP = -math.log(ENVELOPE_CUTOFF)
 ACCURACY_TARGET = 1e-6
 _EPS = float(np.finfo(float).eps)
-# _phase_kernel's cache: (key, {u: (G, psi)}) for the last normalized form,
-# emptied at 2^14 nodes (about 3 MB)
-_PHASE_MEMO_CAP = 2**14
-_phase_memo = (None, {})
+# trapezoid path: each tail beyond its Chernoff radius holds at most
+# exp(-_TAIL_LOG); a form needing more than _NODE_BUDGET nodes takes the
+# adaptive path; the grid is built _GRID_BLOCK (node, coordinate) terms at a time
+_TAIL_LOG = 30.0
+_NODE_BUDGET = 2**14
+_GRID_BLOCK = 2**16
+# (key, grid) for the last normalized form; grid is None on the adaptive path
+_grid_slot = (None, None)
 
 
 @dataclass(frozen=True)
@@ -206,52 +212,29 @@ def cdf_p1(a: float, b: float, t: float) -> float:
     return _phi(lo) + 1.0 - _phi(hi)
 
 
-def _phase_kernel(lam, delta_sq, sigma_sq):
-    """phase(u) -> (G(u), psi(u)) for cdf_cf, memoized on u.
+def _phase_terms(lam, delta_sq, nodes):
+    """terms(u) -> (g, psi): the per-coordinate terms of G and psi at u, for cdf_cf.
 
-    With l_k = a_k u over the coordinates with a_k != 0,
+    With l_k = a_k u over the coordinates with a_k != 0, the sums in
 
         G(u)   = sum_k [ log1p(4 l_k^2)/4 + 2 l_k^2 d_k^2 / (1 + 4 l_k^2) ] + sigma^2 u^2 / 2
         psi(u) = sum_k [ arctan(2 l_k)/2 + a_k d_k^2 u / (1 + 4 l_k^2) ]
 
-    come from one pass over l = a u: the u-independent factors 2 d^2,
-    a d^2 and sigma^2/2 are computed once, the shared denominator 1 + 4 l^2
-    once per u, and every step writes into preallocated buffers.  Each
-    rewrite of the textbook expressions (tests/_cf_reference.py) hoists a
-    left factor or regroups a power-of-two scaling, so the results are
-    bitwise equal to them wherever no intermediate overflows or is
-    subnormal.
-
-    The memo outlives the call.  It sits in a one-slot module cache keyed
-    on the exact bytes of (lam, delta_sq, sigma_sq), so every kernel made
-    for the same inputs, by any later cdf_cf call on the same normalized
-    form (a form and its 2^k multiples normalize alike), reuses the nodes
-    evaluated before; a kernel for other inputs takes the slot with a fresh
-    memo.  G and psi do not depend on t and the kernel is deterministic, so
-    a reused node has the bits a new evaluation would give.  The memo is
-    emptied when it reaches _PHASE_MEMO_CAP nodes, which bounds its memory
-    on forms whose weighted tails add new nodes at every t.  The work
-    buffers belong to one kernel, so concurrent calls share only the memo,
-    whose entries are the same whoever writes them; threads that take the
-    slot from each other can cost each other reuse, never a value.
+    (the caller adds the sigma^2 piece) come from one pass over l = a u:
+    the u-independent factors 2 d^2 and a d^2 are computed once, the shared
+    denominator 1 + 4 l^2 once per u, and every step writes into buffers of
+    shape nodes + lam.shape, which the returned arrays are.  With nodes = () u is one node; with
+    nodes = (n,) it is a column of n nodes, one per row.  Each rewrite of
+    the textbook expressions (tests/_cf_reference.py) hoists a left factor
+    or regroups a power-of-two scaling, and numpy sums a row pairwise as it
+    sums a vector, so the sums of the terms are bitwise equal to the
+    textbook wherever no intermediate overflows or is subnormal.
     """
-    global _phase_memo
-    key = (lam.tobytes(), delta_sq.tobytes(), float(sigma_sq).hex())
-    slot_key, memo = _phase_memo
-    if slot_key != key:
-        memo = {}
-        _phase_memo = (key, memo)
     two_delta_sq = 2.0 * delta_sq
     lam_delta_sq = lam * delta_sq
-    half_sigma_sq = 0.5 * sigma_sq
-    lu, l2, q, den, g = (np.empty_like(lam) for _ in range(5))
+    lu, l2, q, den, g = (np.empty(nodes + lam.shape) for _ in range(5))
 
-    def phase(u):
-        hit = memo.get(u)
-        if hit is not None:
-            return hit
-        if len(memo) >= _PHASE_MEMO_CAP:
-            memo.clear()
+    def terms(u):
         # G terms into g: 0.25 log1p(4 l^2) + (2 d^2) l^2 / (1 + 4 l^2)
         np.multiply(lam, u, lu)
         np.multiply(lu, lu, l2)
@@ -269,10 +252,141 @@ def _phase_kernel(lam, delta_sq, sigma_sq):
         np.multiply(lam_delta_sq, u, q)
         np.divide(q, den, q)
         np.add(lu, q, lu)
-        hit = memo[u] = (float(g.sum()) + half_sigma_sq * u * u, float(lu.sum()))
+        return g, lu
+
+    return terms
+
+
+def _phase_kernel(lam, delta_sq, sigma_sq):
+    """phase(u) -> (G(u), psi(u)) at one node for cdf_cf's adaptive path, memoized on u.
+
+    The memo belongs to the kernel, so it lives for one cdf_cf call: the
+    sine and cosine tail passes share the nodes they both visit.
+    """
+    terms = _phase_terms(lam, delta_sq, ())
+    half_sigma_sq = 0.5 * sigma_sq
+    memo = {}
+
+    def phase(u):
+        hit = memo.get(u)
+        if hit is None:
+            g, ps = terms(u)
+            hit = memo[u] = (float(g.sum()) + half_sigma_sq * u * u, float(ps.sum()))
         return hit
 
     return phase
+
+
+def _chernoff_radius(lam, half_b_sq, half_sigma_sq, sd):
+    """An r with P(T >= r) <= exp(-_TAIL_LOG), T having quadratic coefficients lam.
+
+    The exact cumulant generating function of T,
+
+        K(s) = sum_k [ -log(1 - 2 a_k s)/2 + b_k^2 s^2 / (2 (1 - 2 a_k s)) ] + sigma^2 s^2 / 2,
+
+    gives P(T >= r) <= exp(K(s) - s r) at every s in its domain, so every s
+    gives a valid r = (K(s) + _TAIL_LOG)/s.  The smallest is taken over s
+    up to s_hi = 2^20/sd, or 1/(2 a_max) if that is smaller and a_max > 0:
+    159 points spread geometrically below s_hi, where the tail is
+    Gaussian-like, and 159 crowding towards s_hi, where a positive a_max
+    makes K blow up.  Every 1 - 2 a_k s then stays at least about 2^-40, so
+    nothing overflows on a 2^-e-normalized form.
+    """
+    top = float(np.max(lam))
+    s_hi = 2.0**20 / sd if top <= 0.0 else min(0.5 / top, 2.0**20 / sd)
+    x = 2.0 ** -np.arange(0.25, 40.0, 0.25)
+    s = s_hi * np.concatenate([x, 1.0 - x])
+    two_as = 2.0 * np.multiply.outer(s, lam)
+    k = np.multiply.outer(s * s, half_b_sq) / (1.0 - two_as) - 0.5 * np.log1p(-two_as)
+    k = k.sum(axis=1)
+    return float(np.min((k + half_sigma_sq * s * s + _TAIL_LOG) / s))
+
+
+@dataclass(frozen=True)
+class _NodeGrid:
+    """cdf_cf's trapezoid nodes u_k = (k + 1/2) delta for one normalized form.
+
+    The grid serves the thresholds in [lo, hi]; w_k = exp(-G(u_k))/(k + 1/2)
+    and psi_k = psi(u_k); the phase slope at t is omega0 - t.  The error
+    account at t is error + omega_error |omega|, in probability units.
+    """
+
+    lo: float
+    hi: float
+    omega0: float
+    u: np.ndarray
+    w: np.ndarray
+    psi: np.ndarray
+    error: float
+    omega_error: float
+
+    def cdf(self, t):
+        """F(t) at a normalized t: the clamp outside [lo, hi], else one sum over the nodes."""
+        if not self.lo <= t <= self.hi:
+            return 0.0 if t < self.lo else 1.0
+        omega = self.omega0 - t
+        # a pairwise sum, not BLAS: no thread pool wakes, and the bits do not
+        # depend on which BLAS kernel the host runs
+        terms = np.sin(self.psi + omega * self.u)
+        terms *= self.w
+        total = float(terms.sum())
+        achieved = self.error + self.omega_error * abs(omega)
+        if achieved > 0.5 * ACCURACY_TARGET:
+            raise NumericalError(
+                "characteristic-function sum achieved only %.2e absolute" % achieved,
+                accuracy=achieved,
+            )
+        return min(1.0, max(0.0, 0.5 - total / math.pi))
+
+
+def _node_grid(lam, lb, delta_sq, sigma_sq, sd, s_terms, omega0):
+    """The trapezoid grid of a 2^-e-normalized form, or None past _NODE_BUDGET nodes.
+
+    With P(T <= lo) and P(T >= hi) below exp(-_TAIL_LOG) (_chernoff_radius),
+    delta = 2 pi/(hi - lo) puts every alias of a t in [lo, hi] beyond one
+    of them, so aliasing moves F(t) by at most 2 exp(-_TAIL_LOG) (Davies
+    1973).  exp(-G)/u decreases, so the nodes past K drop at most the
+    integral of exp(-G)/u from U = (K - 1/2) delta on, and
+    exp(-G(u)) <= prod_k (2 |a_k| u)^(-1/2) bounds that by
+    prod_k (2 |a_k| U)^(-1/2) 2/p; K is the least count that puts this at
+    ENVELOPE_CUTOFF.  G and psi are evaluated _GRID_BLOCK terms at a time.
+
+    Rounding the K terms and their sum costs at most
+    eps sum_k w_k (K + 4 + (p + 8) G(u_k)).  Rounding the phase costs at
+    most twice _split_rounding over (0, K delta): w_k <= delta/u_k, and the
+    nodes sample the decreasing bound of its integrand at midpoints.  That
+    bound is the one at omega = 0 plus (p + 16) eps K delta |omega|.
+    """
+    p = lam.size
+    half_b_sq = 0.5 * lb * lb
+    half_sigma_sq = 0.5 * sigma_sq
+    lo = -_chernoff_radius(-lam, half_b_sq, half_sigma_sq, sd)
+    hi = _chernoff_radius(lam, half_b_sq, half_sigma_sq, sd)
+    delta = 2.0 * math.pi / (hi - lo)
+    log_scales = float(np.sum(np.log(2.0 * np.abs(lam))))
+    log_u = -(2.0 * math.log(0.5 * p * ENVELOPE_CUTOFF) + log_scales) / p
+    # U/delta + 1/2, capped where exp cannot overflow, far past any budget
+    nodes = math.exp(min(log_u - math.log(delta), 64.0)) + 0.5
+    if nodes > _NODE_BUDGET:
+        return None
+    count = math.ceil(nodes)
+    reach = count * delta
+    phase_rounding = 2.0 * _split_rounding(lam, s_terms, 0.0, reach)
+    half_k = np.arange(count) + 0.5
+    u = half_k * delta
+    g, psi = np.empty(count), np.empty(count)
+    step = max(1, _GRID_BLOCK // p)
+    for start in range(0, count, step):
+        col = u[start : start + step, None]
+        g_terms, psi_terms = _phase_terms(lam, delta_sq, col.shape[:1])(col)
+        g[start : start + step] = g_terms.sum(axis=1)
+        psi[start : start + step] = psi_terms.sum(axis=1)
+    g += half_sigma_sq * u * u
+    w = np.exp(-g) / half_k
+    rounding = _EPS * float(np.sum(w * (count + 4.0 + (p + 8.0) * g))) + phase_rounding
+    error = 2.0 * math.exp(-_TAIL_LOG) + (ENVELOPE_CUTOFF + rounding) / math.pi
+    omega_error = 2.0 * (p + 16) * _EPS * reach / math.pi
+    return _NodeGrid(lo, hi, omega0, u, w, psi, error, omega_error)
 
 
 def _death_point(g_decay, lo, up):
@@ -365,17 +479,30 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     Gil-Pelaez then gives F(t) = 1/2 - (1/pi) Int_0^inf exp(-G) sin(H)/u du,
     with H(u) = psi(u) + omega u split into its nonlinear part psi and the
     linear slope omega = -sum_k b_k^2/(4 a_k) - t that remains once arctan
-    and the noncentral terms saturate.  One kernel, _phase_kernel, computes
-    G and psi together for each u.  G and psi do not depend on t, so its memo
-    is kept across calls on the same normalized form: the sine and cosine
-    tail passes below share the nodes they both visit, and a later call on
-    the form (at another t, or on a 2^k multiple) reuses every node an
-    earlier one evaluated in its walk, death search, integral and tails,
-    with the same bits.  The memo holds one form at a time and is emptied at
-    _PHASE_MEMO_CAP nodes; each call has its own work buffers, so calls
-    from several threads give the values of serial calls.
+    and the noncentral terms saturate.  One kernel, _phase_terms, computes
+    G and psi together, at one node or at a column of them.  There are two
+    paths.
 
-    One walk finds where the unweighted integral ends.  It steps along
+    The trapezoid path (Davies 1973) serves every form whose grid needs at
+    most _NODE_BUDGET nodes: F(t) = 1/2 - (1/pi) sum_k w_k sin(psi_k +
+    omega u_k) over the nodes u_k = (k + 1/2) delta of _node_grid, which
+    picks delta from the Chernoff radii lo and hi of the form and the node
+    count K from the central part of G.  The grid does not depend on t, so
+    it is built once per normalized form and kept in a one-slot module
+    cache keyed on the form's bytes (a form and its 2^k multiples normalize
+    alike); a threshold inside [lo, hi] then costs one sine and one sum over
+    the nodes, and one outside it returns the clamp 0 or 1, off by at most
+    exp(-_TAIL_LOG).  The error account adds three parts: the alias term
+    2 exp(-_TAIL_LOG), the truncation bound ENVELOPE_CUTOFF/pi, and the
+    rounding of the terms and their sum (_node_grid) plus that of the phase,
+    at most twice _split_rounding over (0, K delta), since the nodes sample
+    the decreasing bound of _split_rounding's integrand at midpoints.  The
+    cached grid is never written after it is built, so calls from several
+    threads give the values of serial calls.
+
+    Forms past the budget, whose characteristic function decays slowly
+    (few coordinates, or a few that dominate), take the adaptive path.  One
+    walk finds where the unweighted integral ends.  It steps along
     points doubling from min(256/a_max, u_settle), landing once on u_settle,
     where the nonlinear phase has settled, and stops where the amplitude
     exp(-G) has died or, past u_settle, where w u >= 3 and a weighted
@@ -385,20 +512,23 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     that stops once its bracket cannot shrink.  One quad call integrates up
     to the end, split at the walked points, so that no adaptive pass
     overlooks the mass near 0 or mass stranded deep inside a long interval.
-    Absolute accuracy target 1e-6; raises NumericalError with the achieved
-    estimate when the error accounting cannot certify half of that.  The
-    accounting includes the rounding of the phase split (_split_rounding): a
-    tiny nonzero a_k with a nonzero b_k makes psi and omega u cancel in size
-    b_k^2 u/(4|a_k|), and a tiny a_k alone stretches the walk to u_settle
-    ~ 5/|a_k|, where omega u keeps few correct digits.  Such forms raise
-    before the integral that cannot be certified is computed.
+    _phase_kernel memoizes G and psi for the call, so the sine and cosine
+    tail passes share the nodes they both visit.
+
+    Absolute accuracy target 1e-6; both paths raise NumericalError with the
+    achieved estimate when the error accounting cannot certify half of
+    that.  The accounting includes the rounding of the phase split
+    (_split_rounding): a tiny nonzero a_k with a nonzero b_k makes psi and
+    omega u cancel in size b_k^2 u/(4|a_k|), and a tiny a_k alone stretches
+    the adaptive walk to u_settle ~ 5/|a_k|, where omega u keeps few correct
+    digits.  Such forms raise before the integral that cannot be certified
+    is computed.
 
     F depends on (a, b, t) only up to a common scale, so it is evaluated on
     (a, b, t) * 2^-e, e = _binade(a, b): nothing squared then leaves the
     float range, and scaling the form and t by 2^k moves no bit.
     """
-    from scipy.integrate import quad
-
+    global _grid_slot
     t = _check_real(t, "t", "any")
     if not (any(form.a) or any(form.b)):
         raise DegenerateFormError("form is deterministic; its CDF is a step function")
@@ -406,6 +536,10 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     a, b = np.ldexp(form.a, -e), np.ldexp(form.b, -e)
     with np.errstate(over="ignore"):  # a t that overflows here lands in the clamps below
         t = float(np.ldexp(t, -e))
+    key = (a.tobytes(), b.tobytes())
+    slot_key, grid = _grid_slot
+    if slot_key == key and grid is not None:
+        return grid.cdf(t)
     quad_mask = a != 0.0
     lam = a[quad_mask]
     lb = b[quad_mask]
@@ -423,7 +557,8 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         delta_sq = (lb / (2.0 * lam)) ** 2
         # linear phase slope left once arctan and the noncentral terms saturate
-        omega = float(-np.sum(lb * lb / (4.0 * lam))) - t
+        omega0 = float(-np.sum(lb * lb / (4.0 * lam)))
+        omega = omega0 - t
         # residual phase beyond u_settle is below ~0.05 rad, so the integrand
         # out there is exp(-G) sin(psi_inf + omega u)/u with slowly varying parts
         u_settle = 5.0 * float(np.sum((1.0 + delta_sq) / np.abs(lam)))
@@ -434,6 +569,14 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
             "coefficient scales overflow the characteristic-function phase",
             accuracy=float("inf"),
         )
+    if slot_key != key:
+        grid = _node_grid(lam, lb, delta_sq, sigma_sq, sd, s_terms, omega0)
+        _grid_slot = (key, grid)
+    if grid is not None:
+        return grid.cdf(t)
+
+    from scipy.integrate import quad
+
     # G(u) >= log1p(4 a_max^2 u^2)/4 > log(2 a_max u)/2 passes _G_STOP by
     # exp(2 _G_STOP)/a_max, so the unweighted integral reaches u_settle or
     # the death point before that, and so at least the floor: refuse a

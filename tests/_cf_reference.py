@@ -1,12 +1,13 @@
 """Textbook G(u), psi(u) and death-point bisection: referees for cdf_cf's kernel.
 
 cdf_cf inverts the characteristic function exp(-G(u) + i (psi(u) + omega u)).
-Before its fused phase kernel (oracle._phase_kernel) it evaluated G and psi
-as the two closures below, each a direct transcription of the formulas in
-the cdf_cf docstring.  They live here, unchanged, with a fixed 200-step
-bisection for the point where G reaches its cutoff, so that the tests can
-hold the kernel and oracle._death_point, which stops early once its
-bracket cannot shrink, to them bit for bit.
+Before its fused phase kernel (oracle._phase_terms, evaluated at one node
+by the adaptive path and at a column of nodes by the trapezoid grid) it
+evaluated G and psi as the two closures below, each a direct transcription
+of the formulas in the cdf_cf docstring.  They live here, unchanged, with a
+fixed 200-step bisection for the point where G reaches its cutoff, so that
+the tests can hold the kernel and oracle._death_point, which stops early
+once its bracket cannot shrink, to them bit for bit.
 """
 
 import numpy as np

@@ -338,6 +338,17 @@ def test_csv_structure_errors_name_the_line(tmp_path, text, message):
     assert message in res.stderr, res.stderr
 
 
+def test_csv_field_past_the_csv_module_limit_names_the_line(tmp_path):
+    # the csv module refuses fields over 131,072 characters with csv.Error,
+    # which once escaped as a traceback instead of the CLI's error line
+    doc = tmp_path / "bad.csv"
+    doc.write_text("a,b\n1.0,0.0\n" + "1" * 200000 + ",0.0\n")
+    res = run("bound", "--input", doc, "--x", "1")
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: "), res.stderr
+    assert "bad.csv:3: field larger than field limit" in res.stderr, res.stderr
+
+
 def test_mgf_check(chi5):
     res = run("mgf-check", "--input", chi5, "--grid", 64)
     assert res.returncode == 0, res.stderr

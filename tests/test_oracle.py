@@ -38,9 +38,9 @@ CP_ZERO_HIGH = 5.298303330489367e-06  # k = 0, n = 1e6, 99% two-sided
 
 
 @pytest.fixture(autouse=True)
-def cold_phase_memo():
-    # every test starts from an empty phase memo, as if it ran alone
-    oracle._phase_memo = (None, {})
+def cold_grid_cache():
+    # every test starts from an empty node-grid cache, as if it ran alone
+    oracle._grid_slot = (None, None)
 
 
 def test_sample_deterministic():
@@ -569,9 +569,15 @@ def test_phase_kernel_matches_textbook_bitwise_at_large_p(p):
     rng = np.random.default_rng(p)
     lam, delta_sq, sigma_sq = _phase_inputs(*rng.normal(size=(2, p)))
     phase = oracle._phase_kernel(lam, delta_sq, sigma_sq)
-    for u in np.geomspace(1e-4, 1e4, 41).tolist():
-        want = (g_decay(lam, delta_sq, sigma_sq, u), psi(lam, delta_sq, u))
-        assert [x.hex() for x in phase(u)] == [x.hex() for x in want], u
+    nodes = np.geomspace(1e-4, 1e4, 41)
+    # the trapezoid grid evaluates the nodes as one column, a row each
+    g_terms, psi_terms = oracle._phase_terms(lam, delta_sq, nodes.shape)(nodes[:, None])
+    column = zip((g_terms.sum(axis=1) + 0.5 * sigma_sq * nodes * nodes).tolist(),
+                 psi_terms.sum(axis=1).tolist())
+    for u, at_u in zip(nodes.tolist(), column):
+        want = [x.hex() for x in (g_decay(lam, delta_sq, sigma_sq, u), psi(lam, delta_sq, u))]
+        assert [x.hex() for x in phase(u)] == want, u
+        assert [x.hex() for x in at_u] == want, u
 
 
 @pytest.mark.parametrize("k", [-1000, -200, 0, 200, 1000])
@@ -595,6 +601,9 @@ def test_death_bracket_matches_full_bisection(k):
 
 
 def test_death_search_stops_once_the_bracket_is_tight(monkeypatch):
+    # the form would take the trapezoid path; an empty node budget sends it
+    # down the adaptive path, whose death search is the one under test
+    monkeypatch.setattr(oracle, "_NODE_BUDGET", 0)
     rng = np.random.default_rng(24)
     form = qc.DiagonalForm(rng.normal(size=24), rng.normal(size=24))
 
@@ -617,8 +626,8 @@ def test_death_search_stops_once_the_bracket_is_tight(monkeypatch):
 
 
 def _cold_cdf_cf(form, t):
-    # cdf_cf with the phase memo emptied first: every node evaluated afresh
-    oracle._phase_memo = (None, {})
+    # cdf_cf with the node-grid cache emptied first: any grid built afresh
+    oracle._grid_slot = (None, None)
     return qc.cdf_cf(form, t)
 
 
@@ -628,27 +637,37 @@ def _thresholds(form, count):
     return (stats.mean + sd * np.linspace(-2.0, 3.0, count)).tolist()
 
 
-def test_phase_memo_shared_across_forms_gives_cold_bits():
-    # A and 2A normalize to one form and share a memo; B takes the weighted
-    # tail branch and evicts it.  Interleaved, every value must have the bits
-    # of a call that starts from an empty memo
+def _on_trapezoid_path(form, t):
+    # cdf_cf(form, t) and whether the form's grid is the one now cached
+    value = qc.cdf_cf(form, t)
+    return value, oracle._grid_slot[1] is not None
+
+
+def test_grid_cache_shared_across_forms_gives_cold_bits():
+    # A and 2A normalize to one form and share a grid; B takes the adaptive
+    # path and evicts it, and A0, A's a without its b, has a grid of its
+    # own.  Interleaved, every value must have the bits of a call that
+    # starts from an empty cache
     rng = np.random.default_rng(24)
     form_a = qc.DiagonalForm(rng.normal(size=24), rng.normal(size=24))
     form_b = qc.DiagonalForm(np.array([1.0, -0.5]), np.array([0.3, 2.0]))
     form_2a = qc.DiagonalForm(2.0 * np.array(form_a.a), 2.0 * np.array(form_a.b))
+    form_a0 = qc.DiagonalForm(form_a.a, np.zeros(24))
+    assert _on_trapezoid_path(form_a, 0.0)[1] and not _on_trapezoid_path(form_b, 0.0)[1]
     cases = []
     for t_a, t_b in zip(_thresholds(form_a, 20), _thresholds(form_b, 20)):
-        cases += [(form_a, t_a), (form_b, t_b), (form_2a, 2.0 * t_a), (form_a, -t_a)]
+        cases += [(form_a, t_a), (form_b, t_b), (form_2a, 2.0 * t_a), (form_a, -t_a),
+                  (form_a0, t_a)]
     warm = [qc.cdf_cf(form, t).hex() for form, t in cases]
     cold = [_cold_cdf_cf(form, t).hex() for form, t in cases]
     assert warm == cold
-    assert warm[0::4] == warm[2::4]  # scaling by 2 moves no bit
+    assert warm[0::5] == warm[2::5]  # scaling by 2 moves no bit
 
 
-def test_phase_memo_concurrent_calls_match_serial_bits():
-    # four threads on two forms with a short switch interval: the threads
-    # take the memo slot from each other mid-call, and every value must
-    # still have the bits of a serial call
+def test_grid_cache_concurrent_calls_match_serial_bits():
+    # four threads on two forms, one on each path, with a short switch
+    # interval: the threads take the cache slot from each other mid-call,
+    # and every value must still have the bits of a serial call
     import threading
 
     rng = np.random.default_rng(48)
@@ -659,7 +678,7 @@ def test_phase_memo_concurrent_calls_match_serial_bits():
     jobs = [[(form, t) for t in _thresholds(form, 12)] for form in forms]
     jobs += [job[::-1] for job in jobs]
     serial = [[_cold_cdf_cf(form, t).hex() for form, t in job] for job in jobs]
-    oracle._phase_memo = (None, {})
+    oracle._grid_slot = (None, None)
     got = [None] * len(jobs)
     start = threading.Barrier(len(jobs))
 
@@ -681,42 +700,115 @@ def test_phase_memo_concurrent_calls_match_serial_bits():
     assert got == serial
 
 
-def test_phase_memo_is_capped():
-    # chi-square(1) takes the weighted QUADPACK tail, which adds a few
-    # hundred new nodes at every threshold; the memo must stay bounded
-    oracle._phase_memo = (None, {})
-    sizes = []
-    values = []
-    for t in np.linspace(0.05, 12.0, 400).tolist():
-        values.append(qc.cdf_cf(CHI1, t))
-        sizes.append(len(oracle._phase_memo[1]))
-    assert max(sizes) <= oracle._PHASE_MEMO_CAP
-    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:])), "never emptied"
-    # values computed on a memo that was emptied part way keep the cold bits
-    for t, value in list(zip(np.linspace(0.05, 12.0, 400).tolist(), values))[-3:]:
-        assert value.hex() == _cold_cdf_cf(CHI1, t).hex()
+def test_grid_cache_builds_no_grid_on_a_seen_form(monkeypatch):
+    builds = []
+    node_grid = oracle._node_grid
 
+    def counting_node_grid(*args):
+        builds.append(args)
+        return node_grid(*args)
 
-def test_phase_memo_spares_evaluations_on_a_seen_form(monkeypatch):
-    # kernel evaluations are counted by the log1p the kernel writes into its buffer
-    evaluations = [0]
-    log1p = np.log1p
-
-    def counting_log1p(*args, **kwargs):
-        evaluations[0] += len(args) == 2
-        return log1p(*args, **kwargs)
-
-    monkeypatch.setattr(np, "log1p", counting_log1p)
+    monkeypatch.setattr(oracle, "_node_grid", counting_node_grid)
     rng = np.random.default_rng(24)
     form = qc.DiagonalForm(rng.normal(size=24), rng.normal(size=24))
-    oracle._phase_memo = (None, {})
     counts = []
     for t in (3.0, 1.0, -2.0):
-        before = evaluations[0]
+        before = len(builds)
         qc.cdf_cf(form, t)
-        counts.append(evaluations[0] - before)
-    first, *later = counts
-    assert first > 100 and all(10 * n < first for n in later), counts
+        counts.append(len(builds) - before)
+    assert counts == [1, 0, 0]
+    assert oracle._grid_slot[1] is not None
+
+
+@pytest.mark.parametrize("p", [24, 96])
+def test_cdf_cf_trapezoid_matches_chi_square(p):
+    form = qc.DiagonalForm(np.ones(p), np.zeros(p))
+    for q in (1e-6, 0.01, 0.3, 0.5, 0.9, 0.999, 1.0 - 1e-8):
+        t = float(chi2.ppf(q, p))
+        got, trapezoid = _on_trapezoid_path(form, t)
+        assert trapezoid
+        assert got == pytest.approx(chi2.cdf(t, p), abs=1e-9), (q, got)
+
+
+def test_cdf_cf_trapezoid_matches_noncentral_chi_square():
+    # z^2 + 0.5 z = (z + 1/4)^2 - 1/16, so T + 24/16 is chi-square(24)
+    # with noncentrality 24/16
+    p, shift = 24, 0.5
+    form = qc.DiagonalForm(np.ones(p), np.full(p, shift))
+    offset = p * shift * shift / 4.0
+    for q in (1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-8):
+        t = float(ncx2.ppf(q, p, offset)) - offset
+        got, trapezoid = _on_trapezoid_path(form, t)
+        assert trapezoid
+        assert got == pytest.approx(ncx2.cdf(t + offset, p, offset), abs=1e-9), (q, got)
+
+
+def _matrix_like_forms():
+    # what the benchmark's matrix-exact workload feeds cdf_cf: the diagonal
+    # form of a Gaussian p x p matrix, central and shifted, and its
+    # thresholds at a few tail exponents on both sides
+    rng = np.random.default_rng(2024)
+    for p in (24, 48, 96):
+        for shifted in (False, True):
+            scale = math.exp(rng.uniform(-1.0, 1.0))
+            mat = rng.normal(size=(p, p)) * scale
+            b = rng.normal(size=p) * scale if shifted else np.zeros(p)
+            form = qc.reduce(qc.QuadraticForm(mat, b)).diagonal_form()
+            stats = qc.form_stats(form)
+            ts = [one(stats, x).threshold for x in (0.25, 1.0, 4.0, 8.0)
+                  for one in (qc.upper_threshold, qc.lower_threshold)]
+            yield form, ts
+
+
+def test_cdf_cf_trapezoid_matches_adaptive_path(monkeypatch):
+    forms = list(_matrix_like_forms())
+    trapezoid = []
+    for form, ts in forms:
+        values = [_on_trapezoid_path(form, t) for t in ts]
+        assert all(on for _, on in values)
+        trapezoid.append([v for v, _ in values])
+    monkeypatch.setattr(oracle, "_NODE_BUDGET", 0)
+    for (form, ts), want in zip(forms, trapezoid):
+        for t, value in zip(ts, want):
+            got, on = _on_trapezoid_path(form, t)
+            assert not on
+            assert abs(got - value) <= 1e-9, (form.p, t, got, value)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([24, 96]), st.integers(0, 2**31 - 1), st.integers(-1000, 1000),
+       st.floats(-3.0, 3.0), st.booleans())
+def test_cdf_cf_trapezoid_scale_covariance_bitwise(p, seed, k, z, central):
+    # the grid is built on the normalized form and cached under its bytes,
+    # so scaling the form and t by 2^k changes no bit of the answer
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.1, 4.0, p) * rng.choice([-1.0, 1.0], p)
+    b = np.zeros(p) if central else rng.uniform(-3.0, 3.0, p)
+    t = float(np.sum(a) + z * math.sqrt(np.sum(2.0 * a * a + b * b)))
+    ca, cb, ct = np.ldexp(a, k), np.ldexp(b, k), math.ldexp(t, k)
+    assert np.array_equal(np.ldexp(ca, -k), a) and np.array_equal(np.ldexp(cb, -k), b)
+    want, trapezoid = _on_trapezoid_path(qc.DiagonalForm(a, b), t)
+    assert trapezoid
+    assert _cold_cdf_cf(qc.DiagonalForm(ca, cb), ct).hex() == want.hex()
+
+
+def test_cdf_cf_clamps_past_the_chernoff_radii():
+    # a = 1/2 is already normalized, so the grid's radii are in t's units;
+    # chi-square(24)/2 puts less than e^-30 beyond each of them
+    form = qc.DiagonalForm(np.full(24, 0.5), np.zeros(24))
+    qc.cdf_cf(form, 12.0)
+    grid = oracle._grid_slot[1]
+    assert chi2.cdf(2.0 * grid.lo, 24) <= math.exp(-30.0)
+    assert chi2.sf(2.0 * grid.hi, 24) <= math.exp(-30.0)
+    assert qc.cdf_cf(form, float(np.nextafter(grid.lo, -np.inf))) == 0.0
+    assert qc.cdf_cf(form, float(np.nextafter(grid.hi, np.inf))) == 1.0
+    assert qc.cdf_cf(form, grid.hi) == pytest.approx(1.0, abs=1e-12)
+    assert oracle._grid_slot[1] is grid
+
+
+def test_cdf_cf_over_budget_form_takes_the_adaptive_path():
+    # chi-square(3) decays like u^(-3/2): the grid would need millions of nodes
+    assert _on_trapezoid_path(CHI3, 3.0) == (pytest.approx(0.6083748237289109, abs=1e-9), False)
 
 
 def test_matrix_and_diagonal_samplers_agree_in_law():
