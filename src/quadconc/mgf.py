@@ -13,6 +13,14 @@ with u = sqrt(sum_k (a_k^2 + b_k^2/2)) and v = 2*a_plus, valid on
 0 < y < 1/v.  MgfEnvelope.rhs is the one place the envelope is formed.
 This module evaluates both sides and checks the inequality on grids, which
 is what `quadconc mgf-check` runs.
+
+_log_mgf_terms is the one place the log-MGF terms are formed.  A grid of n
+points is evaluated one block of y-columns at a time, about _BLOCK_CELLS
+(coefficient, y) cells a block, in buffers that fit in a core's L2 cache,
+so a grid check holds O(n + block) memory rather than O(p n).  Each cell
+gets the same operations in the same order as on the whole grid, and the
+column sums run over the coefficients in order as they do there, so every
+slack keeps the bits of the whole-grid evaluation.
 """
 
 import math
@@ -26,6 +34,7 @@ from .errors import DomainError, ValidationError
 LINEAR_ONLY_Y_MAX = 10.0  # grid reach when a_plus = 0 and there is no pole
 POLE_FRACTION = 0.999  # grids stop at this fraction of the MGF pole
 ENVELOPE_SLACK = 1e-10
+_BLOCK_CELLS = 2**15  # (coefficient, y) cells per block of the log-MGF grid
 
 
 @dataclass(frozen=True)
@@ -53,52 +62,100 @@ class MgfEnvelope:
 
 
 def _log_mgf_terms(a, b, ys):
-    """log E exp(y (a_k z^2 + b_k z)) and q = -2 a_k y, one row per coefficient k, one column per y.
+    """Yield (cols, terms, q), one block of y-columns cols at a time.
 
-    The first plus q/2 (which is -a_k y exactly) are the centered terms.
+    terms holds log E exp(y (a_k z^2 + b_k z)) and q = -2 a_k y, one row per
+    coefficient k, one column per y of cols; the first plus q/2 (which is
+    -a_k y exactly) are the centered terms.
+
     Every term depends on y only through a_k y and b_k y, so they are formed
     from (a, b) * 2^-e and y * 2^e, e = _binade(a, b): the squares b_k^2 and
     y^2 then leave the float range only where a_k y or b_k y is extreme
     itself, and the terms keep the bits of the unscaled formula wherever
     nothing is subnormal.  Where b_k^2 y^2 still overflows, a large
     1 - 2 a_k y can bring the term back into range, so there it is formed as
-    (b_k y) (b_k y / (1 - 2 a_k y)) / 2, dividing before multiplying.  A
-    DomainError reports the caller's a and y.
+    (b_k y) (b_k y / (1 - 2 a_k y)) / 2, dividing before multiplying.
+
+    A block holds about _BLOCK_CELLS (k, y) cells in three buffers that
+    belong to the call and are rewritten for each block, so the caller reads
+    (and may overwrite) one block before asking for the next.  Each cell
+    gets the operations of the whole-grid formula in the same order, so
+    its bits do not depend on the block it falls in.  Rounding is monotone,
+    so each row's 1 - 2 a_k y is least at the smallest or the largest y,
+    and the pole is checked at those two once; the DomainError it raises
+    reports the caller's a and y at the first cell, row by row, that
+    reaches the pole.
     """
-    a, b = np.ravel(a), np.ravel(b)  # a form's tuples or scalars, as arrays once
+    a, b, ys = np.ravel(a), np.ravel(b), np.ravel(ys)  # a form's tuples or scalars, as arrays once
     e = _binade(a, b)
     a_s, b_s, y_s = np.ldexp(a, -e), np.ldexp(b, -e), np.ldexp(ys, e)
-    q = -2.0 * np.outer(a_s, y_s)
-    if not np.all(1.0 + q > 0.0):
-        k, j = np.unravel_index(np.argmin(1.0 + q > 0.0), q.shape)
+    ends = 1.0 + -2.0 * np.multiply.outer(a_s, y_s[[np.argmin(y_s), np.argmax(y_s)]])
+    if not np.all(ends > 0.0):
+        k = int(np.argmin(np.all(ends > 0.0, axis=1)))
+        row = 1.0 + -2.0 * (a_s[k] * y_s)
+        j = int(np.argmin(row > 0.0))
         raise DomainError(
             "MGF diverges at term k=%d: 1 - 2ay = %r <= 0 (a=%r, y=%r)"
-            % (k, float(1.0 + q[k, j]), float(a[k]), float(np.ravel(ys)[j]))
+            % (k, float(row[j]), float(a[k]), float(ys[j]))
         )
-    # 0.5 b^2 y^2 / (1 - 2ay) in place, one (p, n) buffer for the terms
-    with np.errstate(over="ignore", invalid="ignore"):  # formed again just below
-        terms = np.outer(np.square(b_s), np.square(y_s))
-        terms *= 0.5
-        terms /= 1.0 + q
-    if not math.isfinite(terms.max()):  # the terms are >= 0 or NaN
-        lost = ~np.isfinite(terms)
-        by = np.outer(b_s, y_s)[lost]
-        terms[lost] = 0.5 * by * (by / (1.0 + q[lost]))
-    # log1p keeps the small-y regime accurate where log(1 - 2ay) cancels against a*y
-    terms -= 0.5 * np.log1p(q)
-    return terms, q
+    with np.errstate(over="ignore"):  # an overflowing square takes the fallback below
+        b_sq, y_sq = np.square(b_s), np.square(y_s)
+    # with every b_k zero and every y^2 finite, 0.5 b^2 y^2 / (1 - 2ay) is +0
+    # in every cell; it is not formed, and the log part is subtracted from +0
+    central = not b_sq.any() and bool(np.isfinite(y_sq).all())
+    p, n = a.size, ys.size
+    # numpy sums a block's one column pairwise, but several columns row by
+    # row, as it sums the whole grid: a lone last column joins the block
+    # before it, so every block of a grid of two or more columns has two or more
+    width = max(2, _BLOCK_CELLS // p)
+    buffers = [np.empty(p * min(n, width + 1)) for _ in range(3)]
+    lo = 0
+    while lo < n:
+        hi = n if lo + width >= n - 1 else lo + width
+        q, den, terms = (buf[: p * (hi - lo)].reshape(p, hi - lo) for buf in buffers)
+        np.multiply.outer(a_s, y_s[lo:hi], out=q)
+        q *= -2.0
+        if not central:
+            # 0.5 b^2 y^2 / (1 - 2ay) in place
+            np.add(q, 1.0, out=den)
+            with np.errstate(over="ignore", invalid="ignore"):  # formed again just below
+                np.multiply.outer(b_sq, y_sq[lo:hi], out=terms)
+                terms *= 0.5
+                terms /= den
+            if not math.isfinite(terms.max()):  # the terms are >= 0 or NaN
+                lost = ~np.isfinite(terms)
+                by = np.multiply.outer(b_s, y_s[lo:hi])[lost]
+                terms[lost] = 0.5 * by * (by / den[lost])
+        # log1p keeps the small-y regime accurate where log(1 - 2ay) cancels against a*y
+        np.log1p(q, out=den)
+        den *= 0.5
+        if central:
+            np.subtract(0.0, den, out=terms)
+        else:
+            terms -= den
+        yield slice(lo, hi), terms, q
+        lo = hi
+
+
+def _centered_sums(a, b, ys):
+    """sum_k [log E exp(y (a_k z^2 + b_k z)) - a_k y] at every y of ys."""
+    sums = np.empty(np.size(ys))
+    for cols, terms, q in _log_mgf_terms(a, b, ys):
+        q *= 0.5
+        terms += q
+        np.sum(terms, axis=0, out=sums[cols])
+    return sums
 
 
 def log_mgf_term(a: float, b: float, y: float) -> float:
     """log E exp(y (a z^2 + b z)) for scalar a, b, y with 1 - 2ay > 0."""
-    terms, _ = _log_mgf_terms(a, b, y)
+    _, terms, _ = next(_log_mgf_terms(a, b, y))
     return float(terms[0, 0])
 
 
 def log_mgf_centered(form: DiagonalForm, y: float) -> float:
     """log E exp(y (T - mean)) = sum_k [log_mgf_term(a_k, b_k, y) - a_k y]."""
-    terms, q = _log_mgf_terms(form.a, form.b, y)
-    return float(np.sum(terms + 0.5 * q))
+    return float(_centered_sums(form.a, form.b, y)[0])
 
 
 def envelope_y_grid(a_plus: float, n: int) -> np.ndarray:
@@ -139,17 +196,19 @@ def envelope_grid_check(form: DiagonalForm, n: int) -> EnvelopeCheck:
 
     The grid is in the form's own units; _log_mgf_terms rescales by the
     form's _binade, so a form and its 2^k multiples get the same slack bits
-    wherever nothing is subnormal.  Every grid point lies inside the pole,
-    so a grid whose values still leave the float range, whether in the
-    rescaled products or in the slack, raises ValidationError.
+    wherever nothing is subnormal.  The lhs is summed one block of grid
+    points at a time, with the bits of a sum over the whole (p, n) grid,
+    so the check holds O(n) memory besides one block.  Every grid point
+    lies inside the pole, so a grid whose values still leave the float
+    range, whether in the rescaled products or in the slack, raises
+    ValidationError.
     """
     stats = form_stats(form)
     ys = envelope_y_grid(stats.a_plus, n)
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         try:
-            terms, q = _log_mgf_terms(form.a, form.b, ys)
             rhs = MgfEnvelope.from_stats(stats).rhs(ys)
-            slack = np.sum(terms + 0.5 * q, axis=0) - rhs
+            slack = _centered_sums(form.a, form.b, ys) - rhs
         except DomainError:  # every y is inside the pole: a product left the float range
             slack = np.array([math.nan])
     if not np.isfinite(slack).all():

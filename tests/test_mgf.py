@@ -7,6 +7,7 @@ mean captures the mass to far below the comparison tolerance.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from scipy.integrate import quad
 
 import quadconc as qc
 from quadconc.errors import DomainError, ValidationError
+from quadconc import mgf
 from quadconc.mgf import LINEAR_ONLY_Y_MAX, envelope_y_grid
 
 CHI1 = qc.DiagonalForm(np.ones(1), np.zeros(1))
@@ -259,3 +261,120 @@ def test_chernoff_closure():
             best = min(vals)
             assert best <= -x + 1e-6
             assert best >= -x - 1e-9 * (1.0 + x)
+
+
+def whole_grid_sums(form, ys):
+    """Referee: the centered log-MGF sums formed on the whole (p, n) grid at once.
+
+    This is the whole-array formula the blocked kernel replaced, operation
+    for operation: products scaled by the form's power of two, the
+    b^2 y^2 overflow fallback, log1p, then one sum over the coefficients.
+    """
+    a, b = np.array(form.a), np.array(form.b)
+    e = math.frexp(float(max(np.max(np.abs(a)), np.max(np.abs(b)))))[1]
+    a_s, b_s, y_s = np.ldexp(a, -e), np.ldexp(b, -e), np.ldexp(ys, e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = -2.0 * np.outer(a_s, y_s)
+        assert np.all(1.0 + q > 0.0)
+        terms = np.outer(np.square(b_s), np.square(y_s))
+        terms *= 0.5
+        terms /= 1.0 + q
+        if not math.isfinite(terms.max()):
+            lost = ~np.isfinite(terms)
+            by = np.outer(b_s, y_s)[lost]
+            terms[lost] = 0.5 * by * (by / (1.0 + q[lost]))
+        terms -= 0.5 * np.log1p(q)
+        return np.sum(terms + 0.5 * q, axis=0)
+
+
+def whole_grid_check(form, n):
+    """Referee: envelope_grid_check's five fields from the whole-grid sums."""
+    stats = qc.form_stats(form)
+    ys = envelope_y_grid(stats.a_plus, n)
+    rhs = qc.MgfEnvelope.from_stats(stats).rhs(ys)
+    slack = whole_grid_sums(form, ys) - rhs
+    worst = int(np.argmax(slack))
+    violations = int(np.count_nonzero(slack > mgf.ENVELOPE_SLACK * (1.0 + np.abs(rhs))))
+    return (ys.size, float(ys[-1]).hex(), float(slack[worst]).hex(), float(ys[worst]).hex(),
+            violations)
+
+
+@pytest.mark.parametrize(
+    "p, n, shifted",
+    [
+        (5, 512, True),  # one block
+        (24, 3000, True),  # 1365-column blocks and a ragged last block of 270
+        (24, 2731, False),  # a lone last column joins the block before it
+        (48, 4096, False),
+        (96, 4096, True),
+        (2**15 + 3, 5, True),  # more coefficients than a block's cells: two columns a block
+        (2**15 + 3, 1, False),  # one column, summed pairwise, as the whole grid sums it
+    ],
+)
+def test_envelope_grid_blocks_match_the_whole_grid_bitwise(p, n, shifted):
+    rng = np.random.default_rng(p * n)
+    a = rng.normal(size=p) * math.exp(rng.uniform(-3.0, 3.0))
+    b = rng.normal(size=p) if shifted else np.zeros(p)
+    form = qc.DiagonalForm(a, b)
+    ys = envelope_y_grid(qc.form_stats(form).a_plus, n)
+    assert mgf._centered_sums(form.a, form.b, ys).tobytes() == whole_grid_sums(form, ys).tobytes()
+    got = qc.envelope_grid_check(form, n)
+    want = whole_grid_check(form, n)
+    assert (got.grid_size, got.y_max.hex(), got.max_slack.hex(), got.worst_y.hex(),
+            got.violations) == want
+
+
+def test_envelope_grid_fallback_spans_blocks_bitwise():
+    # a_plus = 1e-170 stretches the grid to y = 5e169, where b^2 y^2 overflows
+    # in every block past the first few columns and the fallback forms the
+    # terms; their sums keep the whole grid's bits
+    form = qc.DiagonalForm(np.array([-1.0, 1e-170]), np.array([1.0, 0.0]))
+    ys = envelope_y_grid(qc.form_stats(form).a_plus, 3 * 2**14 + 7)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.square(np.ldexp(ys, 1))).all()
+    got = mgf._centered_sums(form.a, form.b, ys)
+    assert np.isfinite(got).all()
+    assert got.tobytes() == whole_grid_sums(form, ys).tobytes()
+
+
+def test_envelope_grid_refusals_span_blocks():
+    # the overflow and pole refusals of test_envelope_grid_is_scale_safe, on
+    # a grid of several blocks
+    n = 3 * mgf._BLOCK_CELLS + 1
+    with pytest.raises(ValidationError, match="float range"):
+        qc.envelope_grid_check(qc.DiagonalForm(np.zeros(1), np.array([1e160])), n)
+    for a in ([1e-320], [-1.0, 1e-310]):
+        form = qc.DiagonalForm(np.array(a), np.zeros(len(a)))
+        with pytest.raises(ValidationError, match="float range"):
+            qc.envelope_grid_check(form, n)
+
+
+def test_log_mgf_domain_error_names_the_first_pole_cell():
+    # the pole is checked at the least and the largest y, where each row's
+    # 1 - 2ay is least, and the error names the first coefficient, then
+    # the first y, that reaches it, as a check of every cell would
+    a = np.array([-1.0, 0.5, 2.0])
+    cases = [
+        ([0.1, 0.2, 0.3, 0.6, 1.2], r"k=1: .* \(a=0\.5, y=1\.2\)"),
+        ([0.1, 0.2, 0.3, 0.6], r"k=2: .* \(a=2\.0, y=0\.3\)"),
+        ([0.6, 0.1, 1.2, 0.2], r"k=1: .* \(a=0\.5, y=1\.2\)"),
+        ([0.2, -0.6, 0.1], r"k=0: .* \(a=-1\.0, y=-0\.6\)"),
+    ]
+    for ys, match in cases:
+        with pytest.raises(DomainError, match=match):
+            mgf._centered_sums(a, np.zeros(3), np.array(ys))
+
+
+def test_envelope_grid_memory_is_one_block():
+    # at p = 96, n = 4096 the whole grid holds 3 MB a (p, n) array; the
+    # blocked kernel holds three buffers of about _BLOCK_CELLS cells each
+    rng = np.random.default_rng(96)
+    form = qc.DiagonalForm(rng.normal(size=96), rng.normal(size=96))
+    qc.envelope_grid_check(form, 4096)
+    tracemalloc.start()
+    try:
+        qc.envelope_grid_check(form, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 96 * 4096 * 8, peak

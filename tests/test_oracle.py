@@ -720,6 +720,79 @@ def test_grid_cache_builds_no_grid_on_a_seen_form(monkeypatch):
     assert oracle._grid_slot[1] is not None
 
 
+def test_grid_cache_warm_calls_skip_normalizing_the_form(monkeypatch):
+    # calls 2-32 on the same form object find its tuples in the slot and go
+    # straight to the grid, with the bits of cold calls; a distinct form
+    # with equal values is found by its bytes and builds no grid
+    binades, builds = [], []
+    binade, node_grid = oracle._binade, oracle._node_grid
+
+    def counting_binade(*args):
+        binades.append(args)
+        return binade(*args)
+
+    def counting_node_grid(*args):
+        builds.append(args)
+        return node_grid(*args)
+
+    monkeypatch.setattr(oracle, "_binade", counting_binade)
+    monkeypatch.setattr(oracle, "_node_grid", counting_node_grid)
+    rng = np.random.default_rng(32)
+    form = qc.DiagonalForm(rng.normal(size=24), rng.normal(size=24))
+    ts = _thresholds(form, 32)
+    warm = [qc.cdf_cf(form, ts[0]).hex()]
+    assert (len(binades), len(builds)) == (1, 1)
+    warm += [qc.cdf_cf(form, t).hex() for t in ts[1:]]
+    assert (len(binades), len(builds)) == (1, 1)
+    cold = [_cold_cdf_cf(form, t).hex() for t in ts]
+    assert warm == cold
+    twin = qc.DiagonalForm(list(form.a), list(form.b))
+    assert twin.a is not form.a and twin == form
+    builds.clear()
+    assert [qc.cdf_cf(twin, t).hex() for t in ts] == cold
+    assert builds == []
+    # a form holding form's very a tuple, but its own b, is not form
+    other = qc.DiagonalForm(form.a, np.zeros(24))
+    object.__setattr__(other, "a", form.a)
+    qc.cdf_cf(form, ts[0])
+    assert qc.cdf_cf(other, ts[0]).hex() == _cold_cdf_cf(other, ts[0]).hex()
+    assert len(builds) == 2
+
+
+def test_chernoff_radius_is_no_larger_than_a_dense_grid():
+    # the Newton root of s K'(s) - K(s) = _TAIL_LOG against the least
+    # (K(s) + _TAIL_LOG)/s over a grid of s: geometric below the end of the
+    # range and crowding towards it, 2^(1/4) apart (318 values) or 2^(1/64)
+    # apart, close enough to the least value to catch a radius below it
+    def grid_radius(lam, half_b_sq, half_sigma_sq, sd, step):
+        top = float(np.max(lam))
+        s_hi = 2.0**20 / sd if top <= 0.0 else min(0.5 / top, 2.0**20 / sd)
+        x = 2.0 ** -np.arange(step, 40.0, step)
+        s = s_hi * np.concatenate([x, 1.0 - x])
+        two_as = 2.0 * np.multiply.outer(s, lam)
+        k = np.multiply.outer(s * s, half_b_sq) / (1.0 - two_as) - 0.5 * np.log1p(-two_as)
+        return float(np.min((k.sum(axis=1) + half_sigma_sq * s * s + oracle._TAIL_LOG) / s))
+
+    rng = np.random.default_rng(318)
+    cases = [(np.full(24, 0.5), np.zeros(24), 0.0), (np.ones(3), np.zeros(3), 0.0),
+             (-np.ones(5), np.full(5, 0.3), 0.0), (np.array([1e-8, 0.5]), np.zeros(2), 0.25)]
+    for form, _ in _matrix_like_forms():
+        a, b = np.array(form.a), np.array(form.b)
+        e = math.frexp(float(max(np.max(np.abs(a)), np.max(np.abs(b)))))[1]
+        cases.append((np.ldexp(a, -e), np.ldexp(b, -e), 0.0))
+    for _ in range(40):
+        p = int(rng.integers(1, 60))
+        cases.append((rng.uniform(-1.0, 1.0, p) * rng.choice([1e-3, 1.0], p),
+                      rng.uniform(-1.0, 1.0, p) * rng.integers(0, 2), rng.uniform(0.0, 0.5)))
+    for lam, b, sigma_sq in cases:
+        sd = math.sqrt(float(np.sum(2.0 * lam * lam + b * b)) + sigma_sq)
+        for sign in (1.0, -1.0):
+            args = (sign * lam, 0.5 * b * b, 0.5 * sigma_sq, sd)
+            got = oracle._chernoff_radius(*args)
+            coarse, fine = grid_radius(*args, 0.25), grid_radius(*args, 2.0**-6)
+            assert fine - 1e-4 * abs(fine) <= got <= coarse + 1e-14 * abs(coarse), (got, fine)
+
+
 @pytest.mark.parametrize("p", [24, 96])
 def test_cdf_cf_trapezoid_matches_chi_square(p):
     form = qc.DiagonalForm(np.ones(p), np.zeros(p))
