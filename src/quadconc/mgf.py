@@ -147,15 +147,22 @@ def _centered_sums(a, b, ys):
     return sums
 
 
+def _check_scalar(value, name):
+    """_check_real(value), with a numpy 0-d array taken as the scalar it holds."""
+    is_0d = isinstance(value, np.ndarray) and value.ndim == 0
+    return _check_real(value[()] if is_0d else value, name, "any")
+
+
 def log_mgf_term(a: float, b: float, y: float) -> float:
-    """log E exp(y (a z^2 + b z)) for scalar a, b, y with 1 - 2ay > 0."""
+    """log E exp(y (a z^2 + b z)) for finite real scalars a, b, y with 1 - 2ay > 0."""
+    a, b, y = (_check_scalar(val, name) for name, val in (("a", a), ("b", b), ("y", y)))
     _, terms, _ = next(_log_mgf_terms(a, b, y))
     return float(terms[0, 0])
 
 
 def log_mgf_centered(form: DiagonalForm, y: float) -> float:
-    """log E exp(y (T - mean)) = sum_k [log_mgf_term(a_k, b_k, y) - a_k y]."""
-    return float(_centered_sums(form.a, form.b, y)[0])
+    """log E exp(y (T - mean)) = sum_k [log_mgf_term(a_k, b_k, y) - a_k y] at a real scalar y."""
+    return float(_centered_sums(form.a, form.b, _check_scalar(y, "y"))[0])
 
 
 def envelope_y_grid(a_plus: float, n: int) -> np.ndarray:

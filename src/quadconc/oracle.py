@@ -17,10 +17,9 @@ method.  The blocks run one after the other on the calling thread.  A block
 of m draws of a p-coordinate form holds about 2.5 m p doubles while its
 normals are made, so peak memory is the output plus that much.
 
-scipy is imported only where it is used: by the binomial interval and by
-cdf_cf's adaptive path, which forms with a slowly decaying characteristic
-function take.  Importing this module, and cdf_cf's trapezoid path, load
-numpy only.  The form's coefficient tuples become arrays once per call.
+scipy is imported only where it is used, by the binomial interval.
+Importing this module, and both of cdf_cf's paths, load numpy only.  The
+form's coefficient tuples become arrays once per call.
 """
 
 import math
@@ -34,23 +33,29 @@ from .errors import DegenerateFormError, NumericalError, ValidationError
 DEFAULT_CHUNK = 65536
 DEFAULT_CONFIDENCE = 0.99
 
-# characteristic-function inversion: the adaptive path stops once the
-# integrand envelope exp(-G) falls below this, and the trapezoid path once
-# the tail it drops is provably below it
+# characteristic-function inversion: both paths drop a tail of the integral
+# that is provably below this; the damping of the slow-decay path ends where
+# the noncentral and Gaussian part of G reaches _G_STOP
 ENVELOPE_CUTOFF = 1e-12
 _G_STOP = -math.log(ENVELOPE_CUTOFF)
 ACCURACY_TARGET = 1e-6
 _EPS = float(np.finfo(float).eps)
 # trapezoid path: each tail beyond its Chernoff radius holds at most
 # exp(-_TAIL_LOG); a form needing more than _NODE_BUDGET nodes takes the
-# adaptive path; the grid is built _GRID_BLOCK (node, coordinate) terms at a time
+# slow-decay path; G and psi are evaluated _GRID_BLOCK (node, coordinate) terms at a time
 _TAIL_LOG = 30.0
 _NODE_BUDGET = 2**14
 _GRID_BLOCK = 2**16
 _RADIUS_STEPS = 100  # a cap on _chernoff_radius's steps; every step gives a valid radius
+# slow-decay path: the M of the ladder in turn until two sums agree within
+# _DE_AGREE, on tau in _DE_TAU less the head (0, u_min) of at most _DE_HEAD
+_DE_LADDER = (64, 256, 1024, 4096)
+_DE_TAU = (-12.0, 5.5)
+_DE_HEAD = 1e-17
+_DE_AGREE = 1e-10
 # ((key, a, b, e), grid) for the last form: key holds the bytes of its
 # normalized a and b, a and b are the form's own tuples and e its _binade;
-# grid is None on the adaptive path
+# grid is None on the slow-decay path
 _grid_slot = (None, None)
 
 
@@ -260,24 +265,17 @@ def _phase_terms(lam, delta_sq, nodes):
     return terms
 
 
-def _phase_kernel(lam, delta_sq, sigma_sq):
-    """phase(u) -> (G(u), psi(u)) at one node for cdf_cf's adaptive path, memoized on u.
-
-    The memo belongs to the kernel, so it lives for one cdf_cf call: the
-    sine and cosine tail passes share the nodes they both visit.
-    """
-    terms = _phase_terms(lam, delta_sq, ())
-    half_sigma_sq = 0.5 * sigma_sq
-    memo = {}
-
-    def phase(u):
-        hit = memo.get(u)
-        if hit is None:
-            g, ps = terms(u)
-            hit = memo[u] = (float(g.sum()) + half_sigma_sq * u * u, float(ps.sum()))
-        return hit
-
-    return phase
+def _phase_sums(lam, delta_sq, half_sigma_sq, u):
+    """G and psi at every node of the vector u, _GRID_BLOCK (node, coordinate) terms at a time."""
+    g, psi = np.empty(u.size), np.empty(u.size)
+    step = max(1, _GRID_BLOCK // lam.size)
+    for start in range(0, u.size, step):
+        col = u[start : start + step, None]
+        g_terms, psi_terms = _phase_terms(lam, delta_sq, col.shape[:1])(col)
+        g[start : start + step] = g_terms.sum(axis=1)
+        psi[start : start + step] = psi_terms.sum(axis=1)
+    g += half_sigma_sq * u * u
+    return g, psi
 
 
 def _chernoff_radius(lam, half_b_sq, half_sigma_sq, sd):
@@ -359,6 +357,16 @@ def _chernoff_radius(lam, half_b_sq, half_sigma_sq, sd):
     return r
 
 
+def _certified(total, achieved):
+    """F = 1/2 - total/pi clamped to [0, 1], or NumericalError if achieved > ACCURACY_TARGET/2."""
+    if achieved > 0.5 * ACCURACY_TARGET:
+        raise NumericalError(
+            "characteristic-function sum achieved only %.2e absolute" % achieved,
+            accuracy=achieved,
+        )
+    return min(1.0, max(0.0, 0.5 - total / math.pi))
+
+
 @dataclass(frozen=True)
 class _NodeGrid:
     """cdf_cf's trapezoid nodes u_k = (k + 1/2) delta for one normalized form.
@@ -386,14 +394,7 @@ class _NodeGrid:
         # depend on which BLAS kernel the host runs
         terms = np.sin(self.psi + omega * self.u)
         terms *= self.w
-        total = float(terms.sum())
-        achieved = self.error + self.omega_error * abs(omega)
-        if achieved > 0.5 * ACCURACY_TARGET:
-            raise NumericalError(
-                "characteristic-function sum achieved only %.2e absolute" % achieved,
-                accuracy=achieved,
-            )
-        return min(1.0, max(0.0, 0.5 - total / math.pi))
+        return _certified(float(terms.sum()), self.error + self.omega_error * abs(omega))
 
 
 def _node_grid(lam, lb, delta_sq, sigma_sq, sd, s_terms, omega0):
@@ -406,7 +407,7 @@ def _node_grid(lam, lb, delta_sq, sigma_sq, sd, s_terms, omega0):
     integral of exp(-G)/u from U = (K - 1/2) delta on, and
     exp(-G(u)) <= prod_k (2 |a_k| u)^(-1/2) bounds that by
     prod_k (2 |a_k| U)^(-1/2) 2/p; K is the least count that puts this at
-    ENVELOPE_CUTOFF.  G and psi are evaluated _GRID_BLOCK terms at a time.
+    ENVELOPE_CUTOFF.
 
     Rounding the K terms and their sum costs at most
     eps sum_k w_k (K + 4 + (p + 8) G(u_k)).  Rounding the phase costs at
@@ -431,14 +432,7 @@ def _node_grid(lam, lb, delta_sq, sigma_sq, sd, s_terms, omega0):
     phase_rounding = 2.0 * _split_rounding(lam, s_terms, 0.0, reach)
     half_k = np.arange(count) + 0.5
     u = half_k * delta
-    g, psi = np.empty(count), np.empty(count)
-    step = max(1, _GRID_BLOCK // p)
-    for start in range(0, count, step):
-        col = u[start : start + step, None]
-        g_terms, psi_terms = _phase_terms(lam, delta_sq, col.shape[:1])(col)
-        g[start : start + step] = g_terms.sum(axis=1)
-        psi[start : start + step] = psi_terms.sum(axis=1)
-    g += half_sigma_sq * u * u
+    g, psi = _phase_sums(lam, delta_sq, half_sigma_sq, u)
     w = np.exp(-g) / half_k
     rounding = _EPS * float(np.sum(w * (count + 4.0 + (p + 8.0) * g))) + phase_rounding
     error = 2.0 * math.exp(-_TAIL_LOG) + (ENVELOPE_CUTOFF + rounding) / math.pi
@@ -446,47 +440,90 @@ def _node_grid(lam, lb, delta_sq, sigma_sq, sd, s_terms, omega0):
     return _NodeGrid(lo, hi, omega0, u, w, psi, error, omega_error)
 
 
-def _death_point(g_decay, lo, up):
-    """The point of (lo, up] where an increasing G reaches _G_STOP, by bisection.
+def _damping_end(lam, delta_sq, sigma_sq):
+    """The u where N(u) = sum_k (d_k^2/2) q_k/(1 + q_k) + sigma^2 u^2/2 reaches _G_STOP.
 
-    Requires G(lo) < _G_STOP <= G(up), where lo = 0 counts as below the stop,
-    and keeps it.  Once lo and up are adjacent floats the midpoint rounds
-    onto one of them and a further step changes nothing, so the search
-    returns up there.
+    Here q_k = 4 a_k^2 u^2.  N, the noncentral and Gaussian part of G,
+    increases towards sum_k d_k^2/2, or without bound if sigma > 0; a limit
+    at most _G_STOP, or a point past the float range, gives inf.  Doubling
+    brackets the point and bisection narrows the bracket to a relative
+    2^-20; its upper end is returned, so exp(-G) <= ENVELOPE_CUTOFF there on.
     """
-    while True:
+    half_d_sq, two_lam, half_sigma_sq = 0.5 * delta_sq, 2.0 * lam, 0.5 * sigma_sq
+
+    def part(u):
+        with np.errstate(over="ignore", divide="ignore"):
+            # q/(1 + q) as 1/(1 + 1/q): 1 where q overflows, 0 where it underflows
+            inv_q = 1.0 / np.square(two_lam * u)
+            return float(np.sum(half_d_sq / (1.0 + inv_q))) + half_sigma_sq * u * u
+
+    with np.errstate(over="ignore"):
+        limit = float(np.sum(half_d_sq)) if sigma_sq == 0.0 else math.inf
+    if limit <= _G_STOP:
+        return math.inf
+    lo, up = 0.0, 1.0
+    while part(up) < _G_STOP:
+        lo, up = up, 2.0 * up
+    while up - lo > 2.0**-20 * up:  # false at once for up = inf
         mid = 0.5 * (lo + up)
-        if not lo < mid < up:
-            return up
-        if g_decay(mid) >= _G_STOP:
+        if part(mid) >= _G_STOP:
             up = mid
         else:
             lo = mid
+    return up
 
 
-def _death_floor(lam, half_b_sq, u_lo, u_hi):
-    """A point of [u_lo, u_hi] below which G stays under _G_STOP.
+def _de_sum(lam, delta_sq, half_sigma_sq, m, s, w, r, u_min):
+    """J = Int_0^inf exp(-G) sin(theta + s w u)/u du, theta = psi + r u, by the rule for M.
 
-    Each noncentral term of G is at most 2 l_k^2 d_k^2 = b_k^2 u^2 / 2, so
+    J = s Int f_s sin(w u) du + Int f_c cos(w u) du, with f_s and f_c
+    exp(-G) cos(theta)/u and exp(-G) sin(theta)/u.  The rule of Ooura &
+    Mori (1999) substitutes u = M phi(tau)/w, with
 
-        G(u) <= sum_k log1p(4 a_k^2 u^2) / 4 + u^2 |b|^2 / 2,
+        phi = tau/(1 - exp(-E)),  E = 2 tau + alpha (1 - e^-tau) + beta (e^tau - 1),
 
-    which holds at u_lo = sqrt(2 _G_STOP) / sd by log1p(x) <= x.  It is
-    evaluated on at most 64 geometric rungs from u_lo to u_hi, where a term
-    that overflows is past the stop; the bound is increasing, and the last
-    rung that keeps it under _G_STOP is returned.  No phase kernel runs, so
-    coefficient scales that would overflow the kernel are refused by
-    _split_rounding at this point first.
+    beta = 1/4 and alpha = beta/sqrt(1 + M log(1 + M)/(4 pi)), and takes
+    the trapezoid rule of step h = pi/M on tau = n h for the sine part and
+    tau = (n - 1/2) h for the cosine part, where M phi nears a zero of the
+    sine or cosine double exponentially as tau grows.  The nodes are thus
+    tau_j = j h/2, even j for the sine part, and (pi/w) phi'/u = h phi'/phi:
+
+        J ~ h sum_j (phi'/phi)(tau_j) k_j exp(-G(u_j)) (s cos, sin)(theta_j),
+
+    with k_j the sine or cosine of M phi.  Past tau = 0, k_j is formed as
+    (-1)^n sin(M delta), delta = phi - tau = tau/expm1(E), which keeps its
+    digits; phi'/phi = (1 - E' delta)/tau, and at tau = 0 phi and phi'/phi
+    take their limits 1/c and (c^2 - E''(0))/(2c), c = E'(0).  Past
+    _DE_TAU[0] exp(E) underflows for every M of _DE_LADDER; nodes with
+    u <= u_min are dropped.
     """
-    if not 0.0 < u_lo < u_hi:
-        return min(u_lo, u_hi)
-    rungs = min(64, max(2, math.ceil(math.log2(u_hi) - math.log2(u_lo)) + 1))
-    u = np.geomspace(u_lo, u_hi, rungs)
-    with np.errstate(over="ignore"):
-        two_au = np.multiply.outer(2.0 * np.abs(lam), u)
-        g_up = 0.25 * np.log1p(two_au * two_au).sum(axis=0) + half_b_sq * u * u
-    below = int(np.count_nonzero(g_up <= _G_STOP))
-    return u_lo if below == 0 else max(u_lo, min(u_hi, float(u[below - 1])))
+    h = math.pi / m
+    beta = 0.25
+    alpha = beta / math.sqrt(1.0 + m * math.log1p(m) / (4.0 * math.pi))
+    j = np.arange(math.floor(2.0 * _DE_TAU[0] / h), math.floor(2.0 * _DE_TAU[1] / h) + 1)
+    tau = j * (0.5 * h)
+    e = 2.0 * tau - alpha * np.expm1(-tau) + beta * np.expm1(tau)
+    e_slope = 2.0 + alpha * np.exp(-tau) + beta * np.exp(tau)
+    with np.errstate(divide="ignore", invalid="ignore"):  # at tau = 0, set just below
+        delta = tau / np.expm1(e)
+        phi = delta * np.exp(e)
+        ratio = (1.0 - e_slope * delta) / tau
+    c = 2.0 + alpha + beta
+    zero = -int(j[0])
+    phi[zero] = 1.0 / c
+    ratio[zero] = (c * c - (beta - alpha)) / (2.0 * c)
+    u = m * phi / w
+    keep = slice(int(np.searchsorted(u, u_min, side="right")), None)
+    j, tau, delta, phi, ratio, u = (v[keep] for v in (j, tau, delta, phi, ratio, u))
+    g, psi = _phase_sums(lam, delta_sq, half_sigma_sq, u)
+    theta = psi + r * u
+    even = j % 2 == 0
+    sign = 1.0 - 2.0 * ((j + 1) // 2 % 2)
+    kernel = np.where(
+        tau > 0.0, sign * np.sin(m * delta), np.where(even, np.sin(m * phi), np.cos(m * phi))
+    )
+    terms = ratio * kernel * np.exp(-g) * np.where(even, s * np.cos(theta), np.sin(theta))
+    return h * float(terms.sum())
 
 
 def _split_rounding(lam, s_terms, omega, u_end):
@@ -494,10 +531,10 @@ def _split_rounding(lam, s_terms, omega, u_end):
 
     psi(u) sums, per coordinate, arctan(2 a_k u)/2, at most min(|a_k| u, pi/4)
     in size, and a_k d_k^2 u/(1 + 4 a_k^2 u^2) = S_k u/(1 + 4 a_k^2 u^2) with
-    S_k = b_k^2/(4|a_k|); omega = -sum_k b_k^2/(4 a_k) - t cancels the S_k u
-    while |a_k| u is small.  Computing psi and adding omega u takes at most
-    p + 16 roundings relative to these sizes, and exp(-G) <= 1, so the
-    integrand is off by at most (p + 16) eps times
+    S_k = b_k^2/(4|a_k|); the slope omega (omega0 - t, or r on the slow-decay
+    path) cancels the S_k u it carries while |a_k| u is small.  Computing psi
+    and adding omega u takes at most p + 16 roundings relative to these
+    sizes, and exp(-G) <= 1, so the integrand is off by at most (p + 16) eps times
     sum_k [min(|a_k|, pi/(4u)) + S_k/(1 + 4 a_k^2 u^2)] + |omega|, whose
     integral over (0, u_end) is the closed form below.  omega's own rounding
     moves the point t at which F is evaluated, by at most (p + 2) eps
@@ -543,8 +580,7 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     with H(u) = psi(u) + omega u split into its nonlinear part psi and the
     linear slope omega = -sum_k b_k^2/(4 a_k) - t that remains once arctan
     and the noncentral terms saturate.  One kernel, _phase_terms, computes
-    G and psi together, at one node or at a column of them.  There are two
-    paths.
+    G and psi together on a column of nodes.  There are two paths.
 
     The trapezoid path (Davies 1973) serves every form whose grid needs at
     most _NODE_BUDGET nodes: F(t) = 1/2 - (1/pi) sum_k w_k sin(psi_k +
@@ -567,28 +603,26 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     threads give the values of serial calls.
 
     Forms past the budget, whose characteristic function decays slowly
-    (few coordinates, or a few that dominate), take the adaptive path.  One
-    walk finds where the unweighted integral ends.  It steps along
-    points doubling from min(256/a_max, u_settle), landing once on u_settle,
-    where the nonlinear phase has settled, and stops where the amplitude
-    exp(-G) has died or, past u_settle, where w u >= 3 and a weighted
-    QUADPACK tail takes the residual oscillation exp(-G) sin(psi_inf + w u)/u
-    from there.  A stop on the amplitude at or before u_settle moves back to
-    the death point, found by a bisection (_death_point) on the last step
-    that stops once its bracket cannot shrink.  One quad call integrates up
-    to the end, split at the walked points, so that no adaptive pass
-    overlooks the mass near 0 or mass stranded deep inside a long interval.
-    _phase_kernel memoizes G and psi for the call, so the sine and cosine
-    tail passes share the nodes they both visit.
+    (few coordinates, or a few that dominate), take the slow-decay path,
+    the double-exponential rule of Ooura & Mori (1999) for Fourier-type
+    integrals (_de_sum).  Its frequency w carries the slope a_k d_k^2 of
+    each coordinate whose noncentral term saturates, at u ~ 1/(2|a_k|),
+    before the damping ends at u_stop (_damping_end); the other slopes
+    stay in theta = psi + r u, where they cancel psi's linear part.  w is
+    at least pi/u_end, u_end the lesser of u_stop and the point past which
+    exp(-G) <= (2 a_max u)^(-1/2) leaves at most ENVELOPE_CUTOFF, so theta
+    turns slowly where the integrand lives.  The sum is taken for each M
+    of _DE_LADDER until two agree within _DE_AGREE; the account adds their
+    difference, an estimate rather than a bound, the head _DE_HEAD, the
+    tail ENVELOPE_CUTOFF and _split_rounding of theta up to min(u_stop,
+    the furthest node).
 
     Absolute accuracy target 1e-6; both paths raise NumericalError with the
     achieved estimate when the error accounting cannot certify half of
     that.  The accounting includes the rounding of the phase split
     (_split_rounding): a tiny nonzero a_k with a nonzero b_k makes psi and
-    omega u cancel in size b_k^2 u/(4|a_k|), and a tiny a_k alone stretches
-    the adaptive walk to u_settle ~ 5/|a_k|, where omega u keeps few correct
-    digits.  Such forms raise before the integral that cannot be certified
-    is computed.
+    r u cancel in size b_k^2 u/(4|a_k|), where theta keeps few correct
+    digits.  Such forms raise before any phase is computed.
 
     F depends on (a, b, t) only up to a common scale, so it is evaluated on
     (a, b, t) * 2^-e, e = _binade(a, b): nothing squared then leaves the
@@ -625,14 +659,13 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
         return 0.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         delta_sq = (lb / (2.0 * lam)) ** 2
-        # linear phase slope left once arctan and the noncentral terms saturate
-        omega0 = float(-np.sum(lb * lb / (4.0 * lam)))
+        # a_k d_k^2, the linear phase slope each coordinate leaves once arctan
+        # and its noncentral term saturate, and omega, the slope of them all
+        slopes = lb * lb / (4.0 * lam)
+        omega0 = float(-np.sum(slopes))
         omega = omega0 - t
-        # residual phase beyond u_settle is below ~0.05 rad, so the integrand
-        # out there is exp(-G) sin(psi_inf + omega u)/u with slowly varying parts
-        u_settle = 5.0 * float(np.sum((1.0 + delta_sq) / np.abs(lam)))
-        s_terms = lb * lb / (4.0 * np.abs(lam))
-    phase_scales = (float(np.max(delta_sq)), float(np.sum(s_terms)), omega, u_settle)
+        s_terms = np.abs(slopes)
+    phase_scales = (float(np.max(delta_sq)), float(np.sum(s_terms)), omega)
     if not all(map(math.isfinite, phase_scales)):
         raise NumericalError(
             "coefficient scales overflow the characteristic-function phase",
@@ -644,66 +677,25 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     if grid is not None:
         return grid.cdf(t)
 
-    from scipy.integrate import quad
-
-    # G(u) >= log1p(4 a_max^2 u^2)/4 > log(2 a_max u)/2 passes _G_STOP by
-    # exp(2 _G_STOP)/a_max, so the unweighted integral reaches u_settle or
-    # the death point before that, and so at least the floor: refuse a
-    # hopeless split before any phase
-    a_max = float(np.max(np.abs(lam)))
-    reach = min(u_settle, math.exp(2.0 * _G_STOP) / a_max)
-    half_b_sq = 0.5 * float(np.sum(b * b))
-    floor = _death_floor(lam, half_b_sq, math.sqrt(2.0 * _G_STOP) / sd, reach)
-    _split_rounding(lam, s_terms, omega, floor)
-    phase = _phase_kernel(lam, delta_sq, sigma_sq)
-
-    def g_decay(u):
-        return phase(u)[0]
-
-    def integrand(u):
-        g, ps = phase(u)
-        return math.exp(-g) * math.sin(ps + omega * u) / u
-
-    # quad's first rule samples [0, end] no nearer 0 than 0.002 end, so one
-    # rule reaching far past the scale 1/a_max of the mass near 0 could miss
-    # it; the walked points split the integral there.  G is increasing, so
-    # bisection brackets the death point cleanly, and past it the provably
-    # negligible rest, at most 2 exp(-G(end)), is dropped
-    w = abs(omega)
-    points = []
-    end = min(256.0 / a_max, u_settle)
-    while g_decay(end) < _G_STOP and (end < u_settle or w * end < 3.0):
-        points.append(end)
-        end = u_settle if end < u_settle <= 2.0 * end else 2.0 * end
-    if end <= u_settle and g_decay(end) >= _G_STOP:
-        end = _death_point(g_decay, points[-1] if points else 0.0, end)
-    err = _split_rounding(lam, s_terms, omega, end)
-    total, quad_err, *_ = quad(
-        integrand, 0.0, end, points=points or None, epsabs=1e-11, epsrel=1e-10, limit=2000,
-        full_output=1,
-    )
-    err += quad_err
-    if g_decay(end) >= _G_STOP:
-        err += 2.0 * math.exp(-g_decay(end))
-    else:
-        sign = 1.0 if omega > 0 else -1.0
-
-        def part(x, trig):  # exp(-G) trig(psi)/x, weighted by sin or cos of w x
-            g, ps = phase(x)
-            return math.exp(-g) * trig(ps) / x
-
-        (v1, e1, *_), (v2, e2, *_) = (
-            quad(part, end, np.inf, args=(trig,), weight=weight, wvar=w, epsabs=1e-11,
-                 limlst=300, full_output=1)
-            for trig, weight in ((math.cos, "sin"), (math.sin, "cos"))
-        )
-        total += sign * v1 + v2
-        err += e1 + e2
-
-    achieved = err / math.pi
-    if achieved > 0.5 * ACCURACY_TARGET:
-        raise NumericalError(
-            "characteristic-function quadrature achieved only %.2e absolute" % achieved,
-            accuracy=achieved,
-        )
-    return min(1.0, max(0.0, 0.5 - total / math.pi))
+    # the slope a_k d_k^2 of a coordinate whose noncentral term saturates
+    # before the damping ends joins the sum's frequency; the others stay in
+    # theta, where they cancel the linear part of psi
+    u_stop = _damping_end(lam, delta_sq, sigma_sq)
+    pulled = np.abs(lam) * u_stop > 0.5
+    omega_de = -float(np.sum(slopes[pulled])) - t
+    # exp(-G) <= (2 a_max u)^(-1/2) leaves at most ENVELOPE_CUTOFF of J past u_envelope
+    u_envelope = 2.0 / (float(np.max(np.abs(lam))) * ENVELOPE_CUTOFF**2)
+    w = max(abs(omega_de), math.pi / min(u_stop, u_envelope))
+    s = 1.0 if omega_de >= 0.0 else -1.0
+    r = -float(np.sum(slopes[~pulled])) + (omega_de - s * w)
+    # refuse a hopeless split before any phase; the last rung reaches furthest
+    err = _split_rounding(lam, s_terms, r, min(u_stop, _DE_LADDER[-1] * _DE_TAU[1] / w))
+    # |sin(psi + omega u)|/u <= w + |r| + sum_k |a_k| (1 + d_k^2) bounds the head
+    u_min = _DE_HEAD / (w + abs(r) + float(np.sum(np.abs(lam) * (1.0 + delta_sq))))
+    total = None
+    for m in _DE_LADDER:
+        previous, total = total, _de_sum(lam, delta_sq, 0.5 * sigma_sq, m, s, w, r, u_min)
+        if previous is not None and abs(total - previous) <= _DE_AGREE:
+            break
+    err += abs(total - previous) + _DE_HEAD + ENVELOPE_CUTOFF
+    return _certified(total, err / math.pi)

@@ -1,13 +1,11 @@
-"""Textbook G(u), psi(u) and death-point bisection: referees for cdf_cf's kernel.
+"""Textbook G(u) and psi(u): referees for cdf_cf's phase kernel.
 
 cdf_cf inverts the characteristic function exp(-G(u) + i (psi(u) + omega u)).
-Before its fused phase kernel (oracle._phase_terms, evaluated at one node
-by the adaptive path and at a column of nodes by the trapezoid grid) it
-evaluated G and psi as the two closures below, each a direct transcription
-of the formulas in the cdf_cf docstring.  They live here, unchanged, with a
-fixed 200-step bisection for the point where G reaches its cutoff, so that
-the tests can hold the kernel and oracle._death_point, which stops early
-once its bracket cannot shrink, to them bit for bit.
+Before its fused phase kernel (oracle._phase_terms, which both of its paths
+evaluate on a column of nodes) it evaluated G and psi as the two closures
+below, each a direct transcription of the formulas in the cdf_cf
+docstring.  They live here, unchanged, so that the tests can hold the
+kernel to them bit for bit.
 """
 
 import numpy as np
@@ -26,14 +24,3 @@ def psi(lam, delta_sq, u):
     """psi(u) = sum_k [ arctan(2 l)/2 + a_k d^2 u/(1 + 4 l^2) ], l = a_k u."""
     lu = lam * u
     return float(np.sum(0.5 * np.arctan(2.0 * lu) + lam * delta_sq * u / (1.0 + 4.0 * lu * lu)))
-
-
-def death_point(g, lo, up, stop):
-    """The up of (lo, up] after 200 bisection steps keeping g(lo) < stop <= g(up)."""
-    for _ in range(200):
-        mid = 0.5 * (lo + up)
-        if g(mid) >= stop:
-            up = mid
-        else:
-            lo = mid
-    return up

@@ -89,6 +89,14 @@ def test_log_mgf_domain():
         qc.log_mgf_centered(CHI1, 0.5)
     # negative y is fine for the raw term (two-sided transform)
     assert math.isfinite(qc.log_mgf_term(1.0, 1.0, -3.0))
+    # a, b and y must be finite real scalars, each refused with ValidationError
+    for args in ((1.0, math.inf, 0.1), (True, 1.0, 0.1), ("1", 1.0, 0.1),
+                 (math.nan, 1.0, 0.1), (1.0, 1.0, np.array([0.1, 0.2]))):
+        with pytest.raises(ValidationError):
+            qc.log_mgf_term(*args)
+    # a vector of y is refused, not read at its first entry
+    with pytest.raises(ValidationError):
+        qc.log_mgf_centered(CHI1, [0.1, 0.2])
 
 
 def test_log_mgf_at_extreme_scales():

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from _cf_reference import death_point, g_decay, psi
+from _cf_reference import g_decay, psi
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -307,6 +307,8 @@ def test_cdf_numpy_scalars_match_python_floats():
 def test_cdf_cf_matches_chi_square():
     assert qc.cdf_cf(CHI1, 3.841) == pytest.approx(qc.cdf_p1(1.0, 0.0, 3.841), abs=1e-9)
     assert qc.cdf_cf(CHI3, 3.0) == pytest.approx(0.6083748237289109, abs=1e-9)
+    # omega = 0 exactly on a form without damping: the integrand does not oscillate
+    assert abs(qc.cdf_cf(CHI1, 0.0)) <= 1e-9
 
 
 def test_cdf_cf_frozen_hard_cases():
@@ -314,6 +316,16 @@ def test_cdf_cf_frozen_hard_cases():
     assert qc.cdf_cf(hetero, 50.0) == pytest.approx(HETERO_CDF_AT_50, abs=1e-9)
     mixed = qc.DiagonalForm(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
     assert qc.cdf_cf(mixed, 1.0) == pytest.approx(MIXED_CDF_AT_1, abs=1e-9)
+    # at t = omega0 = -sum_k b_k^2/(4 a_k) = 1/4 the phase slope is 0 exactly, and
+    # sum_k d_k^2/2 = 5/8 leaves the form without damping; conditioning on z0
+    # leaves the p = 1 closed form of the other coordinate
+    a, b, t = np.array([1.0, -0.5]), np.array([1.0, 1.0]), 0.25
+
+    def conditional(z):
+        return norm.pdf(z) * qc.cdf_p1(a[1], b[1], t - a[0] * z * z - b[0] * z)
+
+    want, _ = quad(conditional, -np.inf, np.inf, epsabs=1e-13, epsrel=1e-12, limit=200)
+    assert abs(qc.cdf_cf(qc.DiagonalForm(a, b), t) - want) <= 1e-9
 
 
 def test_cdf_cf_support_edge():
@@ -385,10 +397,10 @@ def test_cdf_cf_tiny_curvature_with_shift_is_right_or_refused(eps, t):
 @pytest.mark.parametrize("t", [0.0, 1.0, 3.0])
 @pytest.mark.parametrize("eps", [1e-8, 1e-16, 1e-20, 1e-50, 1e-100, 1e-150, 1e-200])
 def test_cdf_cf_tiny_curvature_without_shift_is_right_or_refused(eps, t):
-    # T = eps z0^2 + z1^2 is chi-square(1) up to about eps, but u_settle ~ 5/eps
-    # stretches the head integral over ~1/eps oscillations of sin(omega u).
-    # At t = 0 there is no oscillation, and a head reaching 5/eps once let
-    # quad miss the mass near 0 and return 0.5 (or, at 1e-200, overflow)
+    # T = eps z0^2 + z1^2 is chi-square(1) up to about eps, but its phase
+    # settles only near u ~ 1/eps.  At t = 0 there is no oscillation, and a
+    # rule that samples far past the scale of the mass near 0 misses it and
+    # returns 0.5
     form = qc.DiagonalForm(np.array([eps, 1.0]), np.zeros(2))
     try:
         got = qc.cdf_cf(form, t)
@@ -399,28 +411,28 @@ def test_cdf_cf_tiny_curvature_without_shift_is_right_or_refused(eps, t):
 
 @pytest.mark.parametrize("t", [0.5, 2.0, 5.0])
 def test_cdf_cf_split_head_matches_conditioning(t):
-    # T = 1e-3 z0^2 + z1^2: the walk splits the integral at five points
-    # doubling from 256/a_max and ends it at u_settle ~ 5/1e-3, where the
-    # weighted tails take over.  Conditioning on z0 leaves the chi-square(1) CDF at
-    # t - 1e-3 z0^2
-    def conditional(z):
-        return norm.pdf(z) * chi2.cdf(t - 1e-3 * z * z, 1)
+    # T = c z0^2 + z1^2 with a small curvature c: the phase settles only near
+    # u ~ 1/c, long after the amplitude of the z1 coordinate has begun its
+    # slow decay.  Conditioning on z0 leaves the chi-square(1) CDF at t - c z0^2
+    for c in (1e-3, 1e-4):
+        def conditional(z):
+            return norm.pdf(z) * chi2.cdf(t - c * z * z, 1)
 
-    reach = math.sqrt(t / 1e-3)
-    want, _ = quad(conditional, -reach, reach, epsabs=1e-13, epsrel=1e-12, limit=200)
-    got = qc.cdf_cf(qc.DiagonalForm(np.array([1e-3, 1.0]), np.zeros(2)), t)
-    assert abs(got - want) <= 1e-9, (got, want)
+        reach = math.sqrt(t / c)
+        want, _ = quad(conditional, -reach, reach, epsabs=1e-13, epsrel=1e-12, limit=200)
+        got = qc.cdf_cf(qc.DiagonalForm(np.array([c, 1.0]), np.zeros(2)), t)
+        assert abs(got - want) <= 1e-9, (c, got, want)
 
 
 def test_cdf_cf_refuses_tiny_curvature_before_the_phase_overflows(monkeypatch):
-    # u_settle = 5e200 would square a u = 5e200 in the phase kernel; the
-    # log1p bound on G puts the death point past 1e20, where the phase
-    # rounding alone spends the accuracy budget, so the refusal comes first
+    # b0^2/(4 a0) = 2.5e99: psi and the slope r u that cancels it reach
+    # 2.5e99 u, so the phase rounding alone spends the accuracy budget, and
+    # the refusal comes before any phase is computed
     def no_kernel(*args):
         raise AssertionError("the phase kernel ran")
 
-    monkeypatch.setattr(oracle, "_phase_kernel", no_kernel)
-    form = qc.DiagonalForm(np.array([1e-200, 1.0]), np.zeros(2))
+    monkeypatch.setattr(oracle, "_phase_terms", no_kernel)
+    form = qc.DiagonalForm(np.array([1e-200, 1.0]), np.array([1e-50, 0.0]))
     for t in (1.0, -1.0, 3.0):
         with pytest.raises(NumericalError) as info:
             qc.cdf_cf(form, t)
@@ -503,22 +515,6 @@ def test_cdf_p1_scale_covariance_bitwise(a, b, t, k):
     assert qc.cdf_p1(*scaled).hex() == qc.cdf_p1(a, b, t).hex()
 
 
-def test_death_floor_is_below_the_death_point():
-    # G stays under the stop at the floor, so the head integral reaches it
-    rng = np.random.default_rng(77)
-    for _ in range(50):
-        p = int(rng.integers(1, 12))
-        a = rng.choice([-1.0, 1.0], p) * np.exp(rng.uniform(-20, 5, p))
-        b = rng.normal(size=p) * np.exp(rng.uniform(-3, 3))
-        sd = math.sqrt(float(np.sum(2.0 * a * a + b * b)))
-        u_lo = math.sqrt(2.0 * oracle._G_STOP) / sd
-        u_hi = u_lo * math.exp(rng.uniform(0, 60))
-        floor = oracle._death_floor(a, 0.5 * float(np.sum(b * b)), u_lo, u_hi)
-        assert u_lo <= floor <= u_hi
-        g, _ = oracle._phase_kernel(a, (b / (2.0 * a)) ** 2, 0.0)(floor)
-        assert g <= oracle._G_STOP * (1.0 + 1e-12)
-
-
 def test_cdf_cf_against_monte_carlo():
     rng = np.random.default_rng(99)
     form = qc.DiagonalForm(rng.uniform(-2, 2, 8), rng.uniform(-2, 2, 8))
@@ -538,6 +534,12 @@ def _phase_inputs(a, b):
     return lam, delta_sq, sigma_sq
 
 
+def _phase_at(lam, delta_sq, sigma_sq, u):
+    # (G(u), psi(u)) from the kernel's terms at the single node u
+    g_terms, psi_terms = oracle._phase_terms(lam, delta_sq, ())(u)
+    return float(g_terms.sum()) + 0.5 * sigma_sq * u * u, float(psi_terms.sum())
+
+
 @given(
     st.integers(1, 8),
     st.integers(0, 2**31 - 1),
@@ -553,14 +555,13 @@ def test_phase_kernel_matches_textbook_bitwise(p, seed, k, central, log2_u):
     a[0] = a[0] or 1.0  # at least one quadratic coordinate
     b = np.zeros(p) if central else rng.uniform(-3.0, 3.0, p)
     lam, delta_sq, sigma_sq = _phase_inputs(a * 2.0**k, b * 2.0**k)
-    phase = oracle._phase_kernel(lam, delta_sq, sigma_sq)
-    # nodes from deep in the head (2^-20 u_settle) out into the weighted tail
+    # nodes from deep in the head, 2^-20 times the scale on which the phase
+    # settles, far out into the tail
     u_settle = 5.0 * float(np.sum((1.0 + delta_sq) / np.abs(lam)))
     for e in log2_u:
         u = u_settle * 2.0**e
         want = (g_decay(lam, delta_sq, sigma_sq, u).hex(), psi(lam, delta_sq, u).hex())
-        assert tuple(x.hex() for x in phase(u)) == want, u
-        assert phase(u) is phase(u)  # memoized: a node is evaluated once
+        assert tuple(x.hex() for x in _phase_at(lam, delta_sq, sigma_sq, u)) == want, u
 
 
 @pytest.mark.parametrize("p", [24, 96, 300])
@@ -568,61 +569,15 @@ def test_phase_kernel_matches_textbook_bitwise_at_large_p(p):
     # the benchmark's sizes, and one past numpy's 128-element pairwise block
     rng = np.random.default_rng(p)
     lam, delta_sq, sigma_sq = _phase_inputs(*rng.normal(size=(2, p)))
-    phase = oracle._phase_kernel(lam, delta_sq, sigma_sq)
     nodes = np.geomspace(1e-4, 1e4, 41)
-    # the trapezoid grid evaluates the nodes as one column, a row each
+    # both paths of cdf_cf evaluate their nodes as one column, a row each
     g_terms, psi_terms = oracle._phase_terms(lam, delta_sq, nodes.shape)(nodes[:, None])
     column = zip((g_terms.sum(axis=1) + 0.5 * sigma_sq * nodes * nodes).tolist(),
                  psi_terms.sum(axis=1).tolist())
     for u, at_u in zip(nodes.tolist(), column):
         want = [x.hex() for x in (g_decay(lam, delta_sq, sigma_sq, u), psi(lam, delta_sq, u))]
-        assert [x.hex() for x in phase(u)] == want, u
+        assert [x.hex() for x in _phase_at(lam, delta_sq, sigma_sq, u)] == want, u
         assert [x.hex() for x in at_u] == want, u
-
-
-@pytest.mark.parametrize("k", [-1000, -200, 0, 200, 1000])
-def test_death_bracket_matches_full_bisection(k):
-    stop = oracle._G_STOP
-    scale = 2.0**k
-    rng = np.random.default_rng(1 + abs(k))
-    lam, delta_sq, sigma_sq = _phase_inputs(*rng.normal(size=(2, 12)) / scale)
-    kernel = oracle._phase_kernel(lam, delta_sq, sigma_sq)
-    gs = [
-        lambda u: kernel(u)[0],
-        lambda u: (u / scale) ** 2,
-        lambda u: math.sqrt(u / scale),
-        lambda u: 1e-3 * u / scale,
-        lambda u: stop if u >= 3.0 * scale else 0.0,  # a step lands exactly on the stop
-    ]
-    for g in gs:
-        for hi in (64.0 * scale, 1e6 * scale):
-            if g(hi) >= stop:
-                assert oracle._death_point(g, 0.0, hi) == death_point(g, 0.0, hi, stop), (g, hi)
-
-
-def test_death_search_stops_once_the_bracket_is_tight(monkeypatch):
-    # the form would take the trapezoid path; an empty node budget sends it
-    # down the adaptive path, whose death search is the one under test
-    monkeypatch.setattr(oracle, "_NODE_BUDGET", 0)
-    rng = np.random.default_rng(24)
-    form = qc.DiagonalForm(rng.normal(size=24), rng.normal(size=24))
-
-    def cdf_counting_search_evaluations(search):
-        evaluations = []
-
-        def spy(g, lo, up):
-            return search(lambda u: evaluations.append(u) or g(u), lo, up)
-
-        monkeypatch.setattr(oracle, "_death_point", spy)
-        return qc.cdf_cf(form, 3.0), len(evaluations)
-
-    got, early = cdf_counting_search_evaluations(oracle._death_point)
-    want, full = cdf_counting_search_evaluations(
-        lambda g, lo, up: death_point(g, lo, up, oracle._G_STOP)
-    )
-    assert got.hex() == want.hex()
-    # the form's amplitude dies; the fixed loop takes all of its 200 steps
-    assert 0 < early < 100 and full == 200, (early, full)
 
 
 def _cold_cdf_cf(form, t):
@@ -644,7 +599,7 @@ def _on_trapezoid_path(form, t):
 
 
 def test_grid_cache_shared_across_forms_gives_cold_bits():
-    # A and 2A normalize to one form and share a grid; B takes the adaptive
+    # A and 2A normalize to one form and share a grid; B takes the slow-decay
     # path and evicts it, and A0, A's a without its b, has a grid of its
     # own.  Interleaved, every value must have the bits of a call that
     # starts from an empty cache
@@ -833,7 +788,7 @@ def _matrix_like_forms():
             yield form, ts
 
 
-def test_cdf_cf_trapezoid_matches_adaptive_path(monkeypatch):
+def test_cdf_cf_trapezoid_matches_slow_decay_path(monkeypatch):
     forms = list(_matrix_like_forms())
     trapezoid = []
     for form, ts in forms:
@@ -879,7 +834,7 @@ def test_cdf_cf_clamps_past_the_chernoff_radii():
     assert oracle._grid_slot[1] is grid
 
 
-def test_cdf_cf_over_budget_form_takes_the_adaptive_path():
+def test_cdf_cf_over_budget_form_takes_the_slow_decay_path():
     # chi-square(3) decays like u^(-3/2): the grid would need millions of nodes
     assert _on_trapezoid_path(CHI3, 3.0) == (pytest.approx(0.6083748237289109, abs=1e-9), False)
 
