@@ -8,14 +8,14 @@ Three routes, none sharing code with the bounds machinery they validate:
 * a characteristic-function inversion (Gil-Pelaez / Imhof style) for
   general p, cross-validated against the other two.
 
-Sampling uses counter-based Philox streams: block c of DEFAULT_CHUNK draws
+Sampling uses counter-based Philox streams: chunk c of DEFAULT_CHUNK draws
 is generated from counter c * 2^128, so runs of different total size agree
-bit for bit on the shared prefix.  The block size is part of what defines a
+bit for bit on the shared prefix.  The chunk size is part of what defines a
 stream, so it is a module constant, not a parameter.  Normals come from an
 explicit Box-Muller transform rather than a library-version-dependent
-method.  The blocks run one after the other on the calling thread.  A block
-of m draws of a p-coordinate form holds about 2.5 m p doubles while its
-normals are made, so peak memory is the output plus that much.
+method.  The chunks run one after the other on the calling thread, each one
+block of about _BLOCK_NORMALS normals at a time in buffers of about
+2.5 _BLOCK_NORMALS doubles, so peak memory is the output plus that much.
 
 scipy is imported only where it is used, by the binomial interval.
 Importing this module, and both of cdf_cf's paths, load numpy only.  The
@@ -31,6 +31,9 @@ from .bounds import DiagonalForm, _binade, _check_count, _check_direction, _chec
 from .errors import DegenerateFormError, NumericalError, ValidationError
 
 DEFAULT_CHUNK = 65536
+# sample makes about this many normals at a time; unlike DEFAULT_CHUNK, it
+# is not part of what defines the stream
+_BLOCK_NORMALS = 2**17
 DEFAULT_CONFIDENCE = 0.99
 
 # characteristic-function inversion: both paths drop a tail of the integral
@@ -81,54 +84,55 @@ def _check_seed(seed):
     return int(seed)
 
 
-def _chunk_normals(seed, chunk_index, count):
-    """`count` standard normals from chunk `chunk_index` of the stream for `seed`.
-
-    The uniforms are split into two contiguous halves and every step after
-    that writes into them or into one scratch half, so a chunk holds about
-    2.5 `count` doubles at its peak.  Each operation is the one the
-    textbook form radius * (cos, sin)(angle) performs, on arrays of the
-    same layout, so the bits are those of the plain expression.
-    """
-    pairs = (count + 1) // 2
-    bitgen = np.random.Philox(key=seed, counter=chunk_index << 128)
-    raw = bitgen.random_raw(2 * pairs)
-    # top 53 bits -> uniforms; u1 in (0, 1] so log never sees 0
-    raw >>= np.uint64(11)
-    raw[0::2] += np.uint64(1)
-    u1 = raw[0::2].astype(float)
-    u2 = raw[1::2].astype(float)
-    u1 *= 2.0**-53
-    u2 *= 2.0**-53
-    # radius into u1, angle into u2, then radius * cos and radius * sin
-    np.log(u1, out=u1)
-    u1 *= -2.0
-    np.sqrt(u1, out=u1)
-    u2 *= 2.0 * np.pi
-    scratch = np.cos(u2)
-    scratch *= u1
-    np.sin(u2, out=u2)
-    u2 *= u1
-    # the raw bits are spent; their buffer takes the interleaved normals
-    out = raw.view(np.float64)
-    out[0::2] = scratch
-    out[1::2] = u2
-    return out[:count]
-
-
 def sample(form: DiagonalForm, n: int, seed: int) -> np.ndarray:
-    """n realizations of the diagonal form, reproducible for a fixed seed."""
+    """n realizations of the diagonal form, reproducible for a fixed seed.
+
+    Chunk c of DEFAULT_CHUNK rows draws from one Philox generator at counter
+    c * 2^128.  The chunk is processed one block of about _BLOCK_NORMALS
+    normals at a time: uniforms, the Box-Muller transform and both
+    matrix-vector products run in buffers that every block reuses.  A
+    counter-based stream continues bit for bit across calls, and every step
+    is elementwise or a row product, so at one BLAS thread the bits are
+    those of the whole chunk's radius * (cos, sin)(angle) followed by
+    (z * z) @ a + z @ b.
+    """
     n, seed = _check_count(n, "n"), _check_seed(seed)
     p, size = form.p, DEFAULT_CHUNK
     a, b = np.array(form.a), np.array(form.b)
     out = np.empty(n)
-    for chunk, lo in enumerate(range(0, n, size)):
-        m = min(size, n - lo)
-        z = _chunk_normals(seed, chunk, m * p).reshape(m, p)
-        # (z * z) @ a + z @ b, squaring z in place once z @ b is taken
-        linear = z @ b
-        np.multiply(z, z, out=z)
-        out[lo : lo + m] = z @ a + linear
+    # a multiple of 64 rows, so that every block but a chunk's last starts
+    # BLAS's row kernels where the whole chunk's product would; at p <= 2 a
+    # block is the whole chunk
+    rows = min(size, max(64, _BLOCK_NORMALS // p // 64 * 64))
+    pairs = (rows * p + 1) // 2
+    normals = np.empty(2 * pairs)
+    radius, angle, cosine = np.empty((3, pairs))
+    linear = np.empty(rows)
+    for chunk, start in enumerate(range(0, n, size)):
+        uniform = np.random.Generator(np.random.Philox(key=seed, counter=chunk << 128)).random
+        stop = min(start + size, n)
+        for lo in range(start, stop, rows):
+            m = min(rows, stop - lo)
+            k = (m * p + 1) // 2
+            z, r, t, c = normals[: 2 * k], radius[:k], angle[:k], cosine[:k]
+            # (bits >> 11) * 2^-53 in stream order; u1 = that + 2^-53 is in
+            # (0, 1], so log never sees 0
+            uniform(out=z)
+            np.add(z[0::2], 2.0**-53, out=r)
+            np.multiply(z[1::2], 2.0 * np.pi, out=t)
+            np.log(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            np.cos(t, out=c)
+            np.sin(t, out=t)
+            np.multiply(c, r, out=z[0::2])
+            np.multiply(t, r, out=z[1::2])
+            # (z * z) @ a + z @ b, squaring z in place once z @ b is taken
+            z = z[: m * p].reshape(m, p)
+            np.matmul(z, b, out=linear[:m])
+            np.multiply(z, z, out=z)
+            np.matmul(z, a, out=out[lo : lo + m])
+            out[lo : lo + m] += linear[:m]
     return out
 
 

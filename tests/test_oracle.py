@@ -6,17 +6,20 @@ the Gaussian weight of the remaining coordinate, adaptive quad); the two
 routes agreed to ~1e-15 on every probe.
 """
 
-import hashlib
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from _cf_reference import g_decay, psi
+from _sample_reference import chunk_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -82,28 +85,72 @@ def test_sample_moments():
     assert abs(draws.var() - 2.0) < 0.1
 
 
-def _sample_loop_referee(form, n, seed, chunk_size, matrix):
-    # sample's chunk loop written out; in matrix form it samples z'Az + b'z
-    # without any reduction, the referee of reduce in law
-    out = np.empty(n)
-    for chunk in range((n + chunk_size - 1) // chunk_size):
-        lo = chunk * chunk_size
-        m = min(chunk_size, n - lo)
-        z = oracle._chunk_normals(seed, chunk, m * form.p).reshape(m, form.p)
-        if matrix:
-            out[lo : lo + m] = np.einsum("ij,jk,ik->i", z, form.matrix, z) + z @ form.b
-        else:
-            out[lo : lo + m] = (z * z) @ form.a + z @ form.b
-    return out
+SAMPLER_PROBE = r"""
+import sys
+import numpy as np
+import quadconc as qc
+from _sample_reference import chunk_loop
+from quadconc import oracle
+
+p, n, chunk_size = map(int, sys.argv[1:])
+rng = np.random.default_rng(2009)
+form = qc.DiagonalForm(rng.uniform(-2, 2, p), rng.uniform(-2, 2, p))
+oracle.DEFAULT_CHUNK = chunk_size
+got, want = qc.sample(form, n, 77), chunk_loop(form, n, 77, chunk_size)
+print(np.count_nonzero(got.view(np.uint64) != want.view(np.uint64)))
+"""
 
 
-@pytest.mark.parametrize("n, chunk_size", [(1, 4096), (4096, 4096), (10007, 4096), (777, 1)])
-def test_samplers_match_their_chunk_loops_bitwise(n, chunk_size, monkeypatch):
-    rng = np.random.default_rng(2009)
-    diag = qc.DiagonalForm(rng.uniform(-2, 2, 5), rng.uniform(-2, 2, 5))
-    monkeypatch.setattr(oracle, "DEFAULT_CHUNK", chunk_size)
-    got = qc.sample(diag, n, 77)
-    assert got.tobytes() == _sample_loop_referee(diag, n, 77, chunk_size, False).tobytes()
+@pytest.mark.parametrize(
+    "p, n, chunk_size",
+    [
+        pytest.param(5, 1, 4096, id="1-4096"),
+        pytest.param(5, 4096, 4096, id="4096-4096"),
+        pytest.param(5, 10007, 4096, id="10007-4096"),
+        pytest.param(5, 777, 1, id="777-1"),
+        # several blocks per chunk, a ragged last block in each chunk and a
+        # ragged last chunk; at p = 2100 a block is the 64-row minimum
+        pytest.param(24, 150001, 65536, id="p24-150001-65536"),
+        pytest.param(97, 40001, 16384, id="p97-40001-16384"),
+        pytest.param(2100, 200, 65536, id="p2100-200-65536"),
+    ],
+)
+def test_samplers_match_their_chunk_loops_bitwise(p, n, chunk_size, monkeypatch):
+    # cases at p >= 96 run at one BLAS thread: there OpenBLAS's thread split
+    # of the referee's whole-chunk gemv can send rows of a ragged chunk
+    # through its tail kernel (seen at p = 97)
+    if p < 96:
+        rng = np.random.default_rng(2009)
+        form = qc.DiagonalForm(rng.uniform(-2, 2, p), rng.uniform(-2, 2, p))
+        monkeypatch.setattr(oracle, "DEFAULT_CHUNK", chunk_size)
+        got = qc.sample(form, n, 77)
+        assert got.tobytes() == chunk_loop(form, n, 77, chunk_size).tobytes()
+        return
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    path = [str(SRC), str(Path(__file__).resolve().parent), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    res = subprocess.run(
+        [sys.executable, "-c", SAMPLER_PROBE, str(p), str(n), str(chunk_size)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "0"
+
+
+def test_sample_memory_is_one_block():
+    # the normals of one whole chunk at p = 24 are 12.6 MB; sample holds
+    # about 2.5 blocks of _BLOCK_NORMALS doubles beside the n-vector
+    rng = np.random.default_rng(24)
+    form = qc.DiagonalForm(rng.uniform(-2, 2, 24), rng.uniform(-2, 2, 24))
+    n = 2 * oracle.DEFAULT_CHUNK
+    qc.sample(form, n, 3)
+    tracemalloc.start()
+    try:
+        qc.sample(form, n, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n + 3 * 8 * oracle._BLOCK_NORMALS, peak
 
 
 def test_sample_validation():
@@ -132,16 +179,19 @@ import hashlib
 import numpy as np
 import quadconc as qc
 
-rng = np.random.default_rng(24)
-form = qc.DiagonalForm(rng.uniform(-2, 2, 24), rng.uniform(-2, 2, 24))
-print(hashlib.sha256(qc.sample(form, 150001, 11).tobytes()).hexdigest())
+# at p = 97 the last chunk has 6001 rows, and one gemv over all of them is
+# large enough for OpenBLAS to split it across threads
+for p, n in ((24, 150001), (97, 71537)):
+    rng = np.random.default_rng(p)
+    form = qc.DiagonalForm(rng.uniform(-2, 2, p), rng.uniform(-2, 2, p))
+    print(hashlib.sha256(qc.sample(form, n, 11).tobytes()).hexdigest())
 """
 
 
 def test_sample_bitwise_across_blas_threads():
-    rng = np.random.default_rng(24)
-    form = qc.DiagonalForm(rng.uniform(-2, 2, 24), rng.uniform(-2, 2, 24))
-    here = hashlib.sha256(qc.sample(form, 150001, 11).tobytes()).hexdigest()
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(SAMPLE_PROBE, {})
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         old = env.get("PYTHONPATH")
@@ -151,7 +201,7 @@ def test_sample_bitwise_across_blas_threads():
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == here, threads
+        assert res.stdout == here.getvalue(), threads
 
 
 def test_clopper_pearson_bitwise_equal_to_beta_ppf():
@@ -844,6 +894,6 @@ def test_matrix_and_diagonal_samplers_agree_in_law():
     mat = rng.normal(size=(5, 5))
     b = rng.normal(size=5)
     qf = qc.QuadraticForm(mat, b)
-    direct = _sample_loop_referee(qf, 10**5, 111, oracle.DEFAULT_CHUNK, True)
+    direct = chunk_loop(qf, 10**5, 111, oracle.DEFAULT_CHUNK, matrix=True)
     reduced = qc.sample(qc.reduce(qf).diagonal_form(), 10**5, 222)
     assert ks_2samp(direct, reduced).pvalue > 1e-3
