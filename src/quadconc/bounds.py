@@ -45,9 +45,12 @@ def _is_integer(value):
 def _check_real(value, name, sign):
     """`value` as a float if it is a finite real of the given sign, else ValidationError.
 
-    sign is "any", "nonnegative" or "positive".  An integer past the float
-    range is not finite here, rather than an OverflowError.
+    sign is "any", "nonnegative" or "positive".  A 0-d array counts as the
+    scalar it holds.  An integer past the float range is not finite here,
+    rather than an OverflowError.
     """
+    if getattr(value, "ndim", None) == 0:
+        value = value[()]
     try:
         x = float(value) if _is_real_type(type(value)) else math.nan
     except OverflowError:
@@ -117,6 +120,12 @@ class DiagonalForm:
         return len(self.a)
 
 
+def _check_form(form):
+    """ValidationError unless form is a DiagonalForm, whose checked tuples cannot change."""
+    if not isinstance(form, DiagonalForm):
+        raise ValidationError("form must be a DiagonalForm, got %s" % type(form).__name__)
+
+
 @dataclass(frozen=True)
 class FormStats:
     """Scalars that determine both tails of a DiagonalForm.
@@ -169,6 +178,7 @@ def form_stats(form: DiagonalForm) -> FormStats:
     by exactly 2^k.  The sums are math.fsum's, correctly rounded, so they do
     not depend on the order of the coordinates: permuting them moves no bit.
     """
+    _check_form(form)
     a, b = form.a, form.b
     e = _binade(a, b)
     a_s, b_s = [math.ldexp(x, -e) for x in a], [math.ldexp(y, -e) for y in b]

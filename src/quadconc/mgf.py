@@ -28,7 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DiagonalForm, FormStats, _binade, _check_count, _check_real, form_stats
+from .bounds import (
+    DiagonalForm,
+    FormStats,
+    _binade,
+    _check_count,
+    _check_form,
+    _check_real,
+    form_stats,
+)
 from .errors import DomainError, ValidationError
 
 LINEAR_ONLY_Y_MAX = 10.0  # grid reach when a_plus = 0 and there is no pole
@@ -147,22 +155,17 @@ def _centered_sums(a, b, ys):
     return sums
 
 
-def _check_scalar(value, name):
-    """_check_real(value), with a numpy 0-d array taken as the scalar it holds."""
-    is_0d = isinstance(value, np.ndarray) and value.ndim == 0
-    return _check_real(value[()] if is_0d else value, name, "any")
-
-
 def log_mgf_term(a: float, b: float, y: float) -> float:
     """log E exp(y (a z^2 + b z)) for finite real scalars a, b, y with 1 - 2ay > 0."""
-    a, b, y = (_check_scalar(val, name) for name, val in (("a", a), ("b", b), ("y", y)))
+    a, b, y = (_check_real(val, name, "any") for name, val in (("a", a), ("b", b), ("y", y)))
     _, terms, _ = next(_log_mgf_terms(a, b, y))
     return float(terms[0, 0])
 
 
 def log_mgf_centered(form: DiagonalForm, y: float) -> float:
     """log E exp(y (T - mean)) = sum_k [log_mgf_term(a_k, b_k, y) - a_k y] at a real scalar y."""
-    return float(_centered_sums(form.a, form.b, _check_scalar(y, "y"))[0])
+    _check_form(form)
+    return float(_centered_sums(form.a, form.b, _check_real(y, "y", "any"))[0])
 
 
 def envelope_y_grid(a_plus: float, n: int) -> np.ndarray:
@@ -210,7 +213,7 @@ def envelope_grid_check(form: DiagonalForm, n: int) -> EnvelopeCheck:
     range, whether in the rescaled products or in the slack, raises
     ValidationError.
     """
-    stats = form_stats(form)
+    stats = form_stats(form)  # which refuses what is not a DiagonalForm
     ys = envelope_y_grid(stats.a_plus, n)
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         try:

@@ -27,7 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DiagonalForm, _binade, _check_count, _check_direction, _check_real, _is_integer
+from .bounds import (
+    DiagonalForm,
+    _binade,
+    _check_count,
+    _check_direction,
+    _check_form,
+    _check_real,
+    _is_integer,
+    _ldexp_or_inf,
+)
 from .errors import DegenerateFormError, NumericalError, ValidationError
 
 DEFAULT_CHUNK = 65536
@@ -56,9 +65,7 @@ _DE_LADDER = (64, 256, 1024, 4096)
 _DE_TAU = (-12.0, 5.5)
 _DE_HEAD = 1e-17
 _DE_AGREE = 1e-10
-# ((key, a, b, e), grid) for the last form: key holds the bytes of its
-# normalized a and b, a and b are the form's own tuples and e its _binade;
-# grid is None on the slow-decay path
+# (form, grid) for the last form cdf_cf saw; grid is None on the slow-decay path
 _grid_slot = (None, None)
 
 
@@ -96,6 +103,7 @@ def sample(form: DiagonalForm, n: int, seed: int) -> np.ndarray:
     those of the whole chunk's radius * (cos, sin)(angle) followed by
     (z * z) @ a + z @ b.
     """
+    _check_form(form)
     n, seed = _check_count(n, "n"), _check_seed(seed)
     p, size = form.p, DEFAULT_CHUNK
     a, b = np.array(form.a), np.array(form.b)
@@ -224,60 +232,50 @@ def cdf_p1(a: float, b: float, t: float) -> float:
     return _phi(lo) + 1.0 - _phi(hi)
 
 
-def _phase_terms(lam, delta_sq, nodes):
-    """terms(u) -> (g, psi): the per-coordinate terms of G and psi at u, for cdf_cf.
+def _phase_sums(lam, delta_sq, half_sigma_sq, u):
+    """G and psi at every node of the vector u, for cdf_cf.
 
-    With l_k = a_k u over the coordinates with a_k != 0, the sums in
+    With l_k = a_k u over the coordinates with a_k != 0,
 
         G(u)   = sum_k [ log1p(4 l_k^2)/4 + 2 l_k^2 d_k^2 / (1 + 4 l_k^2) ] + sigma^2 u^2 / 2
         psi(u) = sum_k [ arctan(2 l_k)/2 + a_k d_k^2 u / (1 + 4 l_k^2) ]
 
-    (the caller adds the sigma^2 piece) come from one pass over l = a u:
-    the u-independent factors 2 d^2 and a d^2 are computed once, the shared
-    denominator 1 + 4 l^2 once per u, and every step writes into buffers of
-    shape nodes + lam.shape, which the returned arrays are.  With nodes = () u is one node; with
-    nodes = (n,) it is a column of n nodes, one per row.  Each rewrite of
+    come from one pass over l = a u, a block of _GRID_BLOCK (node,
+    coordinate) terms at a time, one node per row, in buffers that every
+    block reuses: the u-independent factors 2 d^2 and a d^2 are computed
+    once, the shared denominator 1 + 4 l^2 once per term.  Each rewrite of
     the textbook expressions (tests/_cf_reference.py) hoists a left factor
     or regroups a power-of-two scaling, and numpy sums a row pairwise as it
-    sums a vector, so the sums of the terms are bitwise equal to the
-    textbook wherever no intermediate overflows or is subnormal.
+    sums a vector, so G and psi are bitwise equal to the textbook wherever
+    no intermediate overflows or is subnormal.
     """
     two_delta_sq = 2.0 * delta_sq
     lam_delta_sq = lam * delta_sq
-    lu, l2, q, den, g = (np.empty(nodes + lam.shape) for _ in range(5))
-
-    def terms(u):
-        # G terms into g: 0.25 log1p(4 l^2) + (2 d^2) l^2 / (1 + 4 l^2)
-        np.multiply(lam, u, lu)
+    g, psi = np.empty(u.size), np.empty(u.size)
+    step = max(1, min(u.size, _GRID_BLOCK // lam.size))
+    buffers = np.empty((5, step, lam.size))
+    for start in range(0, u.size, step):
+        col = u[start : start + step, None]
+        lu, l2, q, den, terms = buffers[:, : col.shape[0]]
+        # G terms: 0.25 log1p(4 l^2) + (2 d^2) l^2 / (1 + 4 l^2)
+        np.multiply(lam, col, lu)
         np.multiply(lu, lu, l2)
         np.multiply(l2, 4.0, q)
         np.add(q, 1.0, den)
-        np.log1p(q, g)
-        np.multiply(g, 0.25, g)
+        np.log1p(q, terms)
+        np.multiply(terms, 0.25, terms)
         np.multiply(l2, two_delta_sq, q)
         np.divide(q, den, q)
-        np.add(g, q, g)
-        # psi terms into lu: 0.5 arctan(2 l) + (a d^2) u / (1 + 4 l^2)
+        np.add(terms, q, terms)
+        terms.sum(axis=1, out=g[start : start + step])
+        # psi terms: 0.5 arctan(2 l) + (a d^2) u / (1 + 4 l^2)
         np.multiply(lu, 2.0, lu)
         np.arctan(lu, lu)
         np.multiply(lu, 0.5, lu)
-        np.multiply(lam_delta_sq, u, q)
+        np.multiply(lam_delta_sq, col, q)
         np.divide(q, den, q)
         np.add(lu, q, lu)
-        return g, lu
-
-    return terms
-
-
-def _phase_sums(lam, delta_sq, half_sigma_sq, u):
-    """G and psi at every node of the vector u, _GRID_BLOCK (node, coordinate) terms at a time."""
-    g, psi = np.empty(u.size), np.empty(u.size)
-    step = max(1, _GRID_BLOCK // lam.size)
-    for start in range(0, u.size, step):
-        col = u[start : start + step, None]
-        g_terms, psi_terms = _phase_terms(lam, delta_sq, col.shape[:1])(col)
-        g[start : start + step] = g_terms.sum(axis=1)
-        psi[start : start + step] = psi_terms.sum(axis=1)
+        lu.sum(axis=1, out=psi[start : start + step])
     g += half_sigma_sq * u * u
     return g, psi
 
@@ -373,13 +371,16 @@ def _certified(total, achieved):
 
 @dataclass(frozen=True)
 class _NodeGrid:
-    """cdf_cf's trapezoid nodes u_k = (k + 1/2) delta for one normalized form.
+    """cdf_cf's trapezoid nodes u_k = (k + 1/2) delta for one form scaled by 2^-e.
 
-    The grid serves the thresholds in [lo, hi]; w_k = exp(-G(u_k))/(k + 1/2)
-    and psi_k = psi(u_k); the phase slope at t is omega0 - t.  The error
-    account at t is error + omega_error |omega|, in probability units.
+    cdf scales t by 2^-e itself; lo, hi, omega0 and u are in the scaled
+    units.  The grid serves the thresholds in [lo, hi]; w_k =
+    exp(-G(u_k))/(k + 1/2) and psi_k = psi(u_k); the phase slope at t is
+    omega0 - t.  The error account at t is error + omega_error |omega|, in
+    probability units.
     """
 
+    e: int
     lo: float
     hi: float
     omega0: float
@@ -390,7 +391,8 @@ class _NodeGrid:
     omega_error: float
 
     def cdf(self, t):
-        """F(t) at a normalized t: the clamp outside [lo, hi], else one sum over the nodes."""
+        """F(t): the clamp outside [lo, hi], else one sum over the nodes."""
+        t = _ldexp_or_inf(t, -self.e)  # an infinite t lands in the clamps
         if not self.lo <= t <= self.hi:
             return 0.0 if t < self.lo else 1.0
         omega = self.omega0 - t
@@ -401,7 +403,7 @@ class _NodeGrid:
         return _certified(float(terms.sum()), self.error + self.omega_error * abs(omega))
 
 
-def _node_grid(lam, lb, delta_sq, sigma_sq, sd, s_terms, omega0):
+def _node_grid(lam, lb, delta_sq, sigma_sq, sd, s_terms, omega0, e):
     """The trapezoid grid of a 2^-e-normalized form, or None past _NODE_BUDGET nodes.
 
     With P(T <= lo) and P(T >= hi) below exp(-_TAIL_LOG) (_chernoff_radius),
@@ -441,7 +443,7 @@ def _node_grid(lam, lb, delta_sq, sigma_sq, sd, s_terms, omega0):
     rounding = _EPS * float(np.sum(w * (count + 4.0 + (p + 8.0) * g))) + phase_rounding
     error = 2.0 * math.exp(-_TAIL_LOG) + (ENVELOPE_CUTOFF + rounding) / math.pi
     omega_error = 2.0 * (p + 16) * _EPS * reach / math.pi
-    return _NodeGrid(lo, hi, omega0, u, w, psi, error, omega_error)
+    return _NodeGrid(e, lo, hi, omega0, u, w, psi, error, omega_error)
 
 
 def _damping_end(lam, delta_sq, sigma_sq):
@@ -561,12 +563,6 @@ def _split_rounding(lam, s_terms, omega, u_end):
     return bound
 
 
-def _normalized_t(t, e):
-    """t * 2^-e, infinite where that overflows: such a t lands in cdf_cf's clamps."""
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(t, -e))
-
-
 def cdf_cf(form: DiagonalForm, t: float) -> float:
     """P(T <= t) by numerical inversion of the characteristic function.
 
@@ -583,21 +579,20 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     Gil-Pelaez then gives F(t) = 1/2 - (1/pi) Int_0^inf exp(-G) sin(H)/u du,
     with H(u) = psi(u) + omega u split into its nonlinear part psi and the
     linear slope omega = -sum_k b_k^2/(4 a_k) - t that remains once arctan
-    and the noncentral terms saturate.  One kernel, _phase_terms, computes
-    G and psi together on a column of nodes.  There are two paths.
+    and the noncentral terms saturate.  One kernel, _phase_sums, computes
+    G and psi together on a vector of nodes.  There are two paths.
 
     The trapezoid path (Davies 1973) serves every form whose grid needs at
     most _NODE_BUDGET nodes: F(t) = 1/2 - (1/pi) sum_k w_k sin(psi_k +
     omega u_k) over the nodes u_k = (k + 1/2) delta of _node_grid, which
     picks delta from the Chernoff radii lo and hi of the form and the node
     count K from the central part of G.  The grid does not depend on t, so
-    it is built once per normalized form and kept in a one-slot module
-    cache keyed on the form's bytes (a form and its 2^k multiples normalize
-    alike).  The slot also holds the coefficient tuples of the last form
-    that used it and its _binade; a call on that very form, whose immutable
-    tuples cannot have changed, skips normalizing the form.  A threshold
-    inside [lo, hi] then costs one sine and one sum over the nodes, and one
-    outside it returns the clamp 0 or 1, off by at most exp(-_TAIL_LOG).
+    it is built once per form and kept in a one-slot module cache with the
+    form it was built for; a later call on a form equal to that one, which
+    as a DiagonalForm cannot have changed, goes straight to the grid.  A
+    threshold inside [lo, hi] then costs one sine and one sum over the
+    nodes, and one outside it returns the clamp 0 or 1, off by at most
+    exp(-_TAIL_LOG).
     The error account adds three parts: the alias term
     2 exp(-_TAIL_LOG), the truncation bound ENVELOPE_CUTOFF/pi, and the
     rounding of the terms and their sum (_node_grid) plus that of the phase,
@@ -633,20 +628,16 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     float range, and scaling the form and t by 2^k moves no bit.
     """
     global _grid_slot
-    t = _check_real(t, "t", "any")
-    slot_key, grid = _grid_slot
-    if grid is not None and slot_key[1] is form.a and slot_key[2] is form.b:
-        return grid.cdf(_normalized_t(t, slot_key[3]))
+    _check_form(form)
+    t_given = _check_real(t, "t", "any")
+    cached, grid = _grid_slot
+    if grid is not None and cached == form:
+        return grid.cdf(t_given)
     if not (any(form.a) or any(form.b)):
         raise DegenerateFormError("form is deterministic; its CDF is a step function")
     e = _binade(form.a, form.b)
     a, b = np.ldexp(form.a, -e), np.ldexp(form.b, -e)
-    t = _normalized_t(t, e)
-    key = (a.tobytes(), b.tobytes())
-    if slot_key is not None and slot_key[0] == key:
-        _grid_slot = ((key, form.a, form.b, e), grid)
-        if grid is not None:
-            return grid.cdf(t)
+    t = _ldexp_or_inf(t_given, -e)
     quad_mask = a != 0.0
     lam = a[quad_mask]
     lb = b[quad_mask]
@@ -675,11 +666,11 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
             "coefficient scales overflow the characteristic-function phase",
             accuracy=float("inf"),
         )
-    if slot_key is None or slot_key[0] != key:
-        grid = _node_grid(lam, lb, delta_sq, sigma_sq, sd, s_terms, omega0)
-        _grid_slot = ((key, form.a, form.b, e), grid)
+    if cached != form:
+        grid = _node_grid(lam, lb, delta_sq, sigma_sq, sd, s_terms, omega0, e)
+        _grid_slot = (form, grid)
     if grid is not None:
-        return grid.cdf(t)
+        return grid.cdf(t_given)
 
     # the slope a_k d_k^2 of a coordinate whose noncentral term saturates
     # before the damping ends joins the sum's frequency; the others stay in

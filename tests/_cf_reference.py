@@ -1,8 +1,8 @@
 """Textbook G(u) and psi(u): referees for cdf_cf's phase kernel.
 
 cdf_cf inverts the characteristic function exp(-G(u) + i (psi(u) + omega u)).
-Before its fused phase kernel (oracle._phase_terms, which both of its paths
-evaluate on a column of nodes) it evaluated G and psi as the two closures
+Before its fused phase kernel (oracle._phase_sums, which both of its paths
+evaluate on a vector of nodes) it evaluated G and psi as the two closures
 below, each a direct transcription of the formulas in the cdf_cf
 docstring.  They live here, unchanged, so that the tests can hold the
 kernel to them bit for bit.

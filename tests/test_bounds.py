@@ -324,7 +324,8 @@ def test_integers_past_the_float_range_are_refused():
 
 def test_numpy_scalars_match_python_floats():
     stats = qc.form_stats(qc.DiagonalForm(np.array([1.0, -0.5]), np.array([0.3, 2.0])))
-    for value in (np.float32(1.0), np.int64(2), np.float64(0.3), np.float32(0.1)):
+    for value in (np.float32(1.0), np.int64(2), np.float64(0.3), np.float32(0.1), np.array(0.3),
+                  np.array(2)):
         plain = float(value)
         for one in (qc.upper_threshold, qc.lower_threshold):
             got = one(stats, value)

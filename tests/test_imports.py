@@ -139,10 +139,11 @@ def test_public_api_is_pinned():
 
 
 # what oracle.py may import from .bounds: the form type and the private
-# helpers that check inputs and pick a power-of-two scale, never a piece
-# of the bound (form_stats, FormStats, a threshold function, _deviation)
+# helpers that check inputs and pick or apply a power-of-two scale, never a
+# piece of the bound (form_stats, FormStats, a threshold function, _deviation)
 ORACLE_FROM_BOUNDS = {
-    "DiagonalForm", "_binade", "_check_real", "_check_count", "_check_direction", "_is_integer",
+    "DiagonalForm", "_binade", "_check_real", "_check_count", "_check_direction", "_check_form",
+    "_is_integer", "_ldexp_or_inf",
 }
 
 

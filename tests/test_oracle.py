@@ -15,6 +15,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -345,13 +346,31 @@ def test_cdf_inputs_must_be_finite_reals(bad):
             qc.cdf_p1(*args)
 
 
+def test_functions_of_a_form_refuse_other_objects():
+    # an object with lists a and b once passed as a form: cdf_cf gave 0.5384
+    # for this one, and the same stale 0.5384 after ns.a[0] = 5.0, where the
+    # form of the changed lists gives 0.2957
+    ns = SimpleNamespace(a=[0.5] * 24, b=[0.0] * 24)
+    calls = (lambda: qc.cdf_cf(ns, 12.0), lambda: qc.form_stats(ns),
+             lambda: qc.sample(ns, 10, 1), lambda: qc.envelope_grid_check(ns, 16),
+             lambda: qc.log_mgf_centered(ns, 0.1))
+    for call in calls:
+        with pytest.raises(ValidationError, match="DiagonalForm"):
+            call()
+    ns.a[0] = 5.0
+    with pytest.raises(ValidationError, match="DiagonalForm"):
+        qc.cdf_cf(ns, 12.0)
+    assert qc.cdf_cf(qc.DiagonalForm(ns.a, ns.b), 12.0) == pytest.approx(0.2957, abs=1e-4)
+
+
 def test_cdf_numpy_scalars_match_python_floats():
     form = qc.DiagonalForm(np.array([1.0, -0.5]), np.array([0.3, 2.0]))
     want = qc.cdf_cf(form, 1.0).hex()
-    for t in (np.float32(1.0), np.float64(1.0), np.int64(1), 1):
+    for t in (np.float32(1.0), np.float64(1.0), np.int64(1), 1, np.array(1.0), np.array(1)):
         assert qc.cdf_cf(form, t).hex() == want, type(t)
     want = qc.cdf_p1(1.0, 2.0, 1.0).hex()
     assert qc.cdf_p1(np.float32(1.0), np.int32(2), np.float64(1.0)).hex() == want
+    assert qc.cdf_p1(np.array(1.0), np.array(2), np.array(np.float32(1.0))).hex() == want
 
 
 def test_cdf_cf_matches_chi_square():
@@ -481,7 +500,7 @@ def test_cdf_cf_refuses_tiny_curvature_before_the_phase_overflows(monkeypatch):
     def no_kernel(*args):
         raise AssertionError("the phase kernel ran")
 
-    monkeypatch.setattr(oracle, "_phase_terms", no_kernel)
+    monkeypatch.setattr(oracle, "_phase_sums", no_kernel)
     form = qc.DiagonalForm(np.array([1e-200, 1.0]), np.array([1e-50, 0.0]))
     for t in (1.0, -1.0, 3.0):
         with pytest.raises(NumericalError) as info:
@@ -585,9 +604,9 @@ def _phase_inputs(a, b):
 
 
 def _phase_at(lam, delta_sq, sigma_sq, u):
-    # (G(u), psi(u)) from the kernel's terms at the single node u
-    g_terms, psi_terms = oracle._phase_terms(lam, delta_sq, ())(u)
-    return float(g_terms.sum()) + 0.5 * sigma_sq * u * u, float(psi_terms.sum())
+    # (G(u), psi(u)) from the kernel at the single node u
+    g, psi_u = oracle._phase_sums(lam, delta_sq, 0.5 * sigma_sq, np.array([u]))
+    return float(g[0]), float(psi_u[0])
 
 
 @given(
@@ -620,10 +639,8 @@ def test_phase_kernel_matches_textbook_bitwise_at_large_p(p):
     rng = np.random.default_rng(p)
     lam, delta_sq, sigma_sq = _phase_inputs(*rng.normal(size=(2, p)))
     nodes = np.geomspace(1e-4, 1e4, 41)
-    # both paths of cdf_cf evaluate their nodes as one column, a row each
-    g_terms, psi_terms = oracle._phase_terms(lam, delta_sq, nodes.shape)(nodes[:, None])
-    column = zip((g_terms.sum(axis=1) + 0.5 * sigma_sq * nodes * nodes).tolist(),
-                 psi_terms.sum(axis=1).tolist())
+    # both paths of cdf_cf evaluate their nodes as one vector, a row of terms each
+    column = zip(*(x.tolist() for x in oracle._phase_sums(lam, delta_sq, 0.5 * sigma_sq, nodes)))
     for u, at_u in zip(nodes.tolist(), column):
         want = [x.hex() for x in (g_decay(lam, delta_sq, sigma_sq, u), psi(lam, delta_sq, u))]
         assert [x.hex() for x in _phase_at(lam, delta_sq, sigma_sq, u)] == want, u
@@ -649,24 +666,30 @@ def _on_trapezoid_path(form, t):
 
 
 def test_grid_cache_shared_across_forms_gives_cold_bits():
-    # A and 2A normalize to one form and share a grid; B takes the slow-decay
-    # path and evicts it, and A0, A's a without its b, has a grid of its
-    # own.  Interleaved, every value must have the bits of a call that
-    # starts from an empty cache
+    # A and 2A normalize to one form; A's twin holds -0.0 where A holds 0.0,
+    # so it is == A and reuses A's grid; B takes the slow-decay path and
+    # evicts it, and A0, A's a without its b, has a grid of its own.
+    # Interleaved, every value must have the bits of a call that starts
+    # from an empty cache
     rng = np.random.default_rng(24)
-    form_a = qc.DiagonalForm(rng.normal(size=24), rng.normal(size=24))
+    a, b = rng.normal(size=(2, 24))
+    a[::6] = b[1::6] = 0.0
+    form_a = qc.DiagonalForm(a, b)
+    twin = qc.DiagonalForm(np.where(a == 0.0, -0.0, a), np.where(b == 0.0, -0.0, b))
+    assert twin == form_a and str(twin.a[0]) == str(twin.b[1]) == "-0.0"
     form_b = qc.DiagonalForm(np.array([1.0, -0.5]), np.array([0.3, 2.0]))
-    form_2a = qc.DiagonalForm(2.0 * np.array(form_a.a), 2.0 * np.array(form_a.b))
-    form_a0 = qc.DiagonalForm(form_a.a, np.zeros(24))
+    form_2a = qc.DiagonalForm(2.0 * a, 2.0 * b)
+    form_a0 = qc.DiagonalForm(a, np.zeros(24))
     assert _on_trapezoid_path(form_a, 0.0)[1] and not _on_trapezoid_path(form_b, 0.0)[1]
     cases = []
     for t_a, t_b in zip(_thresholds(form_a, 20), _thresholds(form_b, 20)):
         cases += [(form_a, t_a), (form_b, t_b), (form_2a, 2.0 * t_a), (form_a, -t_a),
-                  (form_a0, t_a)]
+                  (twin, -t_a), (form_a0, t_a)]
     warm = [qc.cdf_cf(form, t).hex() for form, t in cases]
     cold = [_cold_cdf_cf(form, t).hex() for form, t in cases]
     assert warm == cold
-    assert warm[0::5] == warm[2::5]  # scaling by 2 moves no bit
+    assert warm[0::6] == warm[2::6]  # scaling by 2 moves no bit
+    assert warm[3::6] == warm[4::6]
 
 
 def test_grid_cache_concurrent_calls_match_serial_bits():
@@ -726,9 +749,9 @@ def test_grid_cache_builds_no_grid_on_a_seen_form(monkeypatch):
 
 
 def test_grid_cache_warm_calls_skip_normalizing_the_form(monkeypatch):
-    # calls 2-32 on the same form object find its tuples in the slot and go
+    # calls 2-32 on the same form object find it in the slot and go
     # straight to the grid, with the bits of cold calls; a distinct form
-    # with equal values is found by its bytes and builds no grid
+    # with equal values is found by its value and builds no grid
     binades, builds = [], []
     binade, node_grid = oracle._binade, oracle._node_grid
 
@@ -857,8 +880,8 @@ def test_cdf_cf_trapezoid_matches_slow_decay_path(monkeypatch):
 @given(st.sampled_from([24, 96]), st.integers(0, 2**31 - 1), st.integers(-1000, 1000),
        st.floats(-3.0, 3.0), st.booleans())
 def test_cdf_cf_trapezoid_scale_covariance_bitwise(p, seed, k, z, central):
-    # the grid is built on the normalized form and cached under its bytes,
-    # so scaling the form and t by 2^k changes no bit of the answer
+    # the grid is built on the normalized form, so scaling the form and t
+    # by 2^k changes no bit of the answer
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.1, 4.0, p) * rng.choice([-1.0, 1.0], p)
     b = np.zeros(p) if central else rng.uniform(-3.0, 3.0, p)
