@@ -113,9 +113,11 @@ def load_document(path):
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8-sig")  # UTF-8, with or without a BOM
     except OSError as exc:
         raise InputError("%s: %s" % (path, exc.strerror or exc))
+    except UnicodeDecodeError as exc:
+        raise InputError("%s: not UTF-8: %s" % (path, exc))
     obj = (_csv_columns if path.suffix.lower() == ".csv" else _json_object)(path, text)
     try:
         if "a" in obj:

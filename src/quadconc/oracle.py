@@ -19,7 +19,8 @@ block of about _BLOCK_NORMALS normals at a time in buffers of about
 
 scipy is imported only where it is used, by the binomial interval.
 Importing this module, and both of cdf_cf's paths, load numpy only.  The
-form's coefficient tuples become arrays once per call.
+form's coefficient tuples become arrays once per sample call and once per
+form that cdf_cf sees.
 """
 
 import math
@@ -65,8 +66,8 @@ _DE_LADDER = (64, 256, 1024, 4096)
 _DE_TAU = (-12.0, 5.5)
 _DE_HEAD = 1e-17
 _DE_AGREE = 1e-10
-# (form, grid) for the last form cdf_cf saw; grid is None on the slow-decay path
-_grid_slot = (None, None)
+# (form, plan) for the last form cdf_cf saw; the plan is _plan(form)
+_slot = (None, None)
 
 
 @dataclass(frozen=True)
@@ -211,8 +212,8 @@ def cdf_p1(a: float, b: float, t: float) -> float:
     limiting 0 or 1, and scaling all three by 2^k moves no bit.
     """
     a, b, t = (_check_real(val, name, "any") for name, val in (("a", a), ("b", b), ("t", t)))
-    with np.errstate(over="ignore"):  # a t that overflows here lands in the 0/1 answers below
-        a, b, t = np.ldexp([a, b, t], -_binade(a, b)).tolist()
+    e = _binade(a, b)  # a t that overflows here lands in the 0/1 answers below
+    a, b, t = (_ldexp_or_inf(v, -e) for v in (a, b, t))
     if a == 0.0:
         if b == 0.0:
             return 1.0 if t >= 0.0 else 0.0
@@ -369,42 +370,11 @@ def _certified(total, achieved):
     return min(1.0, max(0.0, 0.5 - total / math.pi))
 
 
-@dataclass(frozen=True)
-class _NodeGrid:
-    """cdf_cf's trapezoid nodes u_k = (k + 1/2) delta for one form scaled by 2^-e.
+def _node_grid(lam, delta_sq, half_sigma_sq, s_terms, omega0, lo, hi):
+    """t -> F(t) on [lo, hi] of a 2^-e-normalized form, or None past _NODE_BUDGET nodes.
 
-    cdf scales t by 2^-e itself; lo, hi, omega0 and u are in the scaled
-    units.  The grid serves the thresholds in [lo, hi]; w_k =
-    exp(-G(u_k))/(k + 1/2) and psi_k = psi(u_k); the phase slope at t is
-    omega0 - t.  The error account at t is error + omega_error |omega|, in
-    probability units.
-    """
-
-    e: int
-    lo: float
-    hi: float
-    omega0: float
-    u: np.ndarray
-    w: np.ndarray
-    psi: np.ndarray
-    error: float
-    omega_error: float
-
-    def cdf(self, t):
-        """F(t): the clamp outside [lo, hi], else one sum over the nodes."""
-        t = _ldexp_or_inf(t, -self.e)  # an infinite t lands in the clamps
-        if not self.lo <= t <= self.hi:
-            return 0.0 if t < self.lo else 1.0
-        omega = self.omega0 - t
-        # a pairwise sum, not BLAS: no thread pool wakes, and the bits do not
-        # depend on which BLAS kernel the host runs
-        terms = np.sin(self.psi + omega * self.u)
-        terms *= self.w
-        return _certified(float(terms.sum()), self.error + self.omega_error * abs(omega))
-
-
-def _node_grid(lam, lb, delta_sq, sigma_sq, sd, s_terms, omega0, e):
-    """The trapezoid grid of a 2^-e-normalized form, or None past _NODE_BUDGET nodes.
+    F(t) = 1/2 - (1/pi) sum_k w_k sin(psi_k + omega u_k) over the nodes
+    u_k = (k + 1/2) delta, w_k = exp(-G(u_k))/(k + 1/2) and omega = omega0 - t.
 
     With P(T <= lo) and P(T >= hi) below exp(-_TAIL_LOG) (_chernoff_radius),
     delta = 2 pi/(hi - lo) puts every alias of a t in [lo, hi] beyond one
@@ -419,13 +389,10 @@ def _node_grid(lam, lb, delta_sq, sigma_sq, sd, s_terms, omega0, e):
     eps sum_k w_k (K + 4 + (p + 8) G(u_k)).  Rounding the phase costs at
     most twice _split_rounding over (0, K delta): w_k <= delta/u_k, and the
     nodes sample the decreasing bound of its integrand at midpoints.  That
-    bound is the one at omega = 0 plus (p + 16) eps K delta |omega|.
+    bound is the one at omega = 0, where _split_rounding raises if it alone
+    spends the budget, plus (p + 16) eps K delta |omega|.
     """
     p = lam.size
-    half_b_sq = 0.5 * lb * lb
-    half_sigma_sq = 0.5 * sigma_sq
-    lo = -_chernoff_radius(-lam, half_b_sq, half_sigma_sq, sd)
-    hi = _chernoff_radius(lam, half_b_sq, half_sigma_sq, sd)
     delta = 2.0 * math.pi / (hi - lo)
     log_scales = float(np.sum(np.log(2.0 * np.abs(lam))))
     log_u = -(2.0 * math.log(0.5 * p * ENVELOPE_CUTOFF) + log_scales) / p
@@ -443,7 +410,16 @@ def _node_grid(lam, lb, delta_sq, sigma_sq, sd, s_terms, omega0, e):
     rounding = _EPS * float(np.sum(w * (count + 4.0 + (p + 8.0) * g))) + phase_rounding
     error = 2.0 * math.exp(-_TAIL_LOG) + (ENVELOPE_CUTOFF + rounding) / math.pi
     omega_error = 2.0 * (p + 16) * _EPS * reach / math.pi
-    return _NodeGrid(e, lo, hi, omega0, u, w, psi, error, omega_error)
+
+    def cdf(t):
+        omega = omega0 - t
+        # a pairwise sum, not BLAS: no thread pool wakes, and the bits do not
+        # depend on which BLAS kernel the host runs
+        terms = np.sin(psi + omega * u)
+        terms *= w
+        return _certified(float(terms.sum()), error + omega_error * abs(omega))
+
+    return cdf
 
 
 def _damping_end(lam, delta_sq, sigma_sq):
@@ -563,6 +539,79 @@ def _split_rounding(lam, s_terms, omega, u_end):
     return bound
 
 
+def _plan(form):
+    """(e, lo, hi, at): all that cdf_cf computes for a form without t.
+
+    e = _binade(a, b); lo and hi are the Chernoff radii of the form scaled
+    by 2^-e; at(t) is F at a scaled t in [lo, hi] by either path, or raises
+    the refusal of a form whose phase scales overflow or whose grid's phase
+    rounding spends the budget.
+    """
+    if not (any(form.a) or any(form.b)):
+        raise DegenerateFormError("form is deterministic; its CDF is a step function")
+    e = _binade(form.a, form.b)
+    a, b = np.ldexp(form.a, -e), np.ldexp(form.b, -e)
+    quad_mask = a != 0.0
+    lam, lb = a[quad_mask], b[quad_mask]
+    sigma_sq = float(np.sum(b[~quad_mask] ** 2))
+    if lam.size == 0:
+        sigma = math.sqrt(sigma_sq)
+        return e, -math.inf, math.inf, lambda t: _phi(t / sigma)
+    sd = math.sqrt(float(np.sum(2.0 * a * a + b * b)))
+    half_b_sq, half_sigma_sq = 0.5 * lb * lb, 0.5 * sigma_sq
+    lo = -_chernoff_radius(-lam, half_b_sq, half_sigma_sq, sd)
+    hi = _chernoff_radius(lam, half_b_sq, half_sigma_sq, sd)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        delta_sq = (lb / (2.0 * lam)) ** 2
+        # a_k d_k^2, the linear phase slope each coordinate leaves once arctan
+        # and its noncentral term saturate
+        slopes = lb * lb / (4.0 * lam)
+        s_terms = np.abs(slopes)
+        phase_scales = (float(np.max(delta_sq)), float(np.sum(s_terms)))
+    try:
+        if not all(map(math.isfinite, phase_scales)):
+            raise NumericalError(
+                "coefficient scales overflow the characteristic-function phase",
+                accuracy=float("inf"),
+            )
+        at = _node_grid(lam, delta_sq, half_sigma_sq, s_terms, float(-np.sum(slopes)), lo, hi)
+    except NumericalError as exc:
+        def at(t, message=str(exc), accuracy=exc.accuracy):
+            raise NumericalError(message, accuracy=accuracy)
+    if at is not None:
+        return e, lo, hi, at
+
+    # the slope a_k d_k^2 of a coordinate whose noncentral term saturates
+    # before the damping ends joins the sum's frequency; the others stay in
+    # theta, where they cancel the linear part of psi
+    u_stop = _damping_end(lam, delta_sq, sigma_sq)
+    pulled = np.abs(lam) * u_stop > 0.5
+    pulled_slope, kept_slope = float(np.sum(slopes[pulled])), float(np.sum(slopes[~pulled]))
+    # exp(-G) <= (2 a_max u)^(-1/2) leaves at most ENVELOPE_CUTOFF of J past u_envelope
+    u_envelope = 2.0 / (float(np.max(np.abs(lam))) * ENVELOPE_CUTOFF**2)
+    w_floor = math.pi / min(u_stop, u_envelope)
+    # |sin(psi + omega u)|/u <= w + |r| + sum_k |a_k| (1 + d_k^2) bounds the head
+    head = float(np.sum(np.abs(lam) * (1.0 + delta_sq)))
+
+    def at(t):
+        omega = -pulled_slope - t
+        w = max(abs(omega), w_floor)
+        s = 1.0 if omega >= 0.0 else -1.0
+        r = -kept_slope + (omega - s * w)
+        # refuse a hopeless split before any phase; the last rung reaches furthest
+        err = _split_rounding(lam, s_terms, r, min(u_stop, _DE_LADDER[-1] * _DE_TAU[1] / w))
+        u_min = _DE_HEAD / (w + abs(r) + head)
+        total = None
+        for m in _DE_LADDER:
+            previous, total = total, _de_sum(lam, delta_sq, half_sigma_sq, m, s, w, r, u_min)
+            if previous is not None and abs(total - previous) <= _DE_AGREE:
+                break
+        err += abs(total - previous) + _DE_HEAD + ENVELOPE_CUTOFF
+        return _certified(total, err / math.pi)
+
+    return e, lo, hi, at
+
+
 def cdf_cf(form: DiagonalForm, t: float) -> float:
     """P(T <= t) by numerical inversion of the characteristic function.
 
@@ -580,26 +629,27 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     with H(u) = psi(u) + omega u split into its nonlinear part psi and the
     linear slope omega = -sum_k b_k^2/(4 a_k) - t that remains once arctan
     and the noncentral terms saturate.  One kernel, _phase_sums, computes
-    G and psi together on a vector of nodes.  There are two paths.
+    G and psi together on a vector of nodes.
+
+    All that does not depend on t is one plan per form (_plan), kept in a
+    one-slot module cache with its form; a later call on a form equal to
+    that one, which as a DiagonalForm cannot have changed, goes straight
+    to the plan.  A call scales t by 2^-e once, and a t outside the
+    Chernoff radii [lo, hi] returns 0 or 1, off by at most exp(-_TAIL_LOG),
+    on either path: the one place where cdf_cf finds a t out of its reach.
+    The plan is never written after it is made, so calls from several
+    threads give the values of serial calls.
 
     The trapezoid path (Davies 1973) serves every form whose grid needs at
     most _NODE_BUDGET nodes: F(t) = 1/2 - (1/pi) sum_k w_k sin(psi_k +
     omega u_k) over the nodes u_k = (k + 1/2) delta of _node_grid, which
-    picks delta from the Chernoff radii lo and hi of the form and the node
-    count K from the central part of G.  The grid does not depend on t, so
-    it is built once per form and kept in a one-slot module cache with the
-    form it was built for; a later call on a form equal to that one, which
-    as a DiagonalForm cannot have changed, goes straight to the grid.  A
-    threshold inside [lo, hi] then costs one sine and one sum over the
-    nodes, and one outside it returns the clamp 0 or 1, off by at most
-    exp(-_TAIL_LOG).
+    picks delta from lo and hi and the node count K from the central part
+    of G.  A threshold then costs one sine and one sum over the nodes.
     The error account adds three parts: the alias term
     2 exp(-_TAIL_LOG), the truncation bound ENVELOPE_CUTOFF/pi, and the
     rounding of the terms and their sum (_node_grid) plus that of the phase,
     at most twice _split_rounding over (0, K delta), since the nodes sample
-    the decreasing bound of _split_rounding's integrand at midpoints.  The
-    cached grid is never written after it is built, so calls from several
-    threads give the values of serial calls.
+    the decreasing bound of _split_rounding's integrand at midpoints.
 
     Forms past the budget, whose characteristic function decays slowly
     (few coordinates, or a few that dominate), take the slow-decay path,
@@ -621,76 +671,23 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     that.  The accounting includes the rounding of the phase split
     (_split_rounding): a tiny nonzero a_k with a nonzero b_k makes psi and
     r u cancel in size b_k^2 u/(4|a_k|), where theta keeps few correct
-    digits.  Such forms raise before any phase is computed.
+    digits.  Such forms raise before any phase is computed.  The radii come
+    first: a refusal of the form alone, kept in its plan, and one at a given
+    t are raised only for a t in [lo, hi].
 
     F depends on (a, b, t) only up to a common scale, so it is evaluated on
     (a, b, t) * 2^-e, e = _binade(a, b): nothing squared then leaves the
     float range, and scaling the form and t by 2^k moves no bit.
     """
-    global _grid_slot
+    global _slot
     _check_form(form)
-    t_given = _check_real(t, "t", "any")
-    cached, grid = _grid_slot
-    if grid is not None and cached == form:
-        return grid.cdf(t_given)
-    if not (any(form.a) or any(form.b)):
-        raise DegenerateFormError("form is deterministic; its CDF is a step function")
-    e = _binade(form.a, form.b)
-    a, b = np.ldexp(form.a, -e), np.ldexp(form.b, -e)
-    t = _ldexp_or_inf(t_given, -e)
-    quad_mask = a != 0.0
-    lam = a[quad_mask]
-    lb = b[quad_mask]
-    sigma_sq = float(np.sum(b[~quad_mask] ** 2))
-    if lam.size == 0:
-        return _phi(t / math.sqrt(sigma_sq))
-
-    mean = float(np.sum(a))
-    sd = math.sqrt(float(np.sum(2.0 * a * a + b * b)))
-    # Chebyshev clamp: beyond 1e6 standard deviations the answer is 0/1 to 1e-12
-    if t - mean > 1e6 * sd:
-        return 1.0
-    if mean - t > 1e6 * sd:
-        return 0.0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        delta_sq = (lb / (2.0 * lam)) ** 2
-        # a_k d_k^2, the linear phase slope each coordinate leaves once arctan
-        # and its noncentral term saturate, and omega, the slope of them all
-        slopes = lb * lb / (4.0 * lam)
-        omega0 = float(-np.sum(slopes))
-        omega = omega0 - t
-        s_terms = np.abs(slopes)
-    phase_scales = (float(np.max(delta_sq)), float(np.sum(s_terms)), omega)
-    if not all(map(math.isfinite, phase_scales)):
-        raise NumericalError(
-            "coefficient scales overflow the characteristic-function phase",
-            accuracy=float("inf"),
-        )
+    t = _check_real(t, "t", "any")
+    cached, plan = _slot
     if cached != form:
-        grid = _node_grid(lam, lb, delta_sq, sigma_sq, sd, s_terms, omega0, e)
-        _grid_slot = (form, grid)
-    if grid is not None:
-        return grid.cdf(t_given)
-
-    # the slope a_k d_k^2 of a coordinate whose noncentral term saturates
-    # before the damping ends joins the sum's frequency; the others stay in
-    # theta, where they cancel the linear part of psi
-    u_stop = _damping_end(lam, delta_sq, sigma_sq)
-    pulled = np.abs(lam) * u_stop > 0.5
-    omega_de = -float(np.sum(slopes[pulled])) - t
-    # exp(-G) <= (2 a_max u)^(-1/2) leaves at most ENVELOPE_CUTOFF of J past u_envelope
-    u_envelope = 2.0 / (float(np.max(np.abs(lam))) * ENVELOPE_CUTOFF**2)
-    w = max(abs(omega_de), math.pi / min(u_stop, u_envelope))
-    s = 1.0 if omega_de >= 0.0 else -1.0
-    r = -float(np.sum(slopes[~pulled])) + (omega_de - s * w)
-    # refuse a hopeless split before any phase; the last rung reaches furthest
-    err = _split_rounding(lam, s_terms, r, min(u_stop, _DE_LADDER[-1] * _DE_TAU[1] / w))
-    # |sin(psi + omega u)|/u <= w + |r| + sum_k |a_k| (1 + d_k^2) bounds the head
-    u_min = _DE_HEAD / (w + abs(r) + float(np.sum(np.abs(lam) * (1.0 + delta_sq))))
-    total = None
-    for m in _DE_LADDER:
-        previous, total = total, _de_sum(lam, delta_sq, 0.5 * sigma_sq, m, s, w, r, u_min)
-        if previous is not None and abs(total - previous) <= _DE_AGREE:
-            break
-    err += abs(total - previous) + _DE_HEAD + ENVELOPE_CUTOFF
-    return _certified(total, err / math.pi)
+        plan = _plan(form)
+        _slot = (form, plan)
+    e, lo, hi, at = plan
+    t = _ldexp_or_inf(t, -e)  # an infinite t lands in the clamp
+    if not lo <= t <= hi:
+        return 0.0 if t < lo else 1.0
+    return at(t)

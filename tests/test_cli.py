@@ -428,6 +428,43 @@ def test_printable_unicode_label_accepted(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "name, text",
+    [("form.csv", "a,b\n1.0,0.5\n2.0,0.0\n"), ("form.json", CHI5_JSON)],
+    ids=["csv", "json"],
+)
+def test_document_with_a_utf8_bom_reads_as_without(tmp_path, name, text):
+    # a byte order mark, as some editors write it, is not part of the document
+    plain, marked = tmp_path / name, tmp_path / ("bom-" + name)
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    want = run("bound", "--input", plain, "--x", "0.5,2")
+    got = run("bound", "--input", marked, "--x", "0.5,2")
+    assert want.returncode == got.returncode == 0, got.stderr
+    assert got.stdout == want.stdout
+
+
+def test_document_that_is_not_utf8_exits_1(tmp_path):
+    doc = tmp_path / "latin.json"
+    doc.write_bytes(b'{"a": [1], "b": [0], "label": "caf\xff"}\n')
+    res = run("bound", "--input", doc, "--x", "1")
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1, res.stderr
+    assert "latin.json" in res.stderr
+
+
+def test_document_is_read_as_utf8_under_an_ascii_locale(tmp_path, monkeypatch):
+    # the process's locale encoding is ASCII; a document is UTF-8 whatever it is
+    for name, value in (("LC_ALL", "C"), ("PYTHONUTF8", "0"), ("PYTHONCOERCECLOCALE", "0")):
+        monkeypatch.setenv(name, value)
+    doc = tmp_path / "unicode.json"
+    doc.write_bytes(json.dumps({"a": [1, 1], "b": [0, 0], "label": "σ² fit"},
+                               ensure_ascii=False).encode("utf-8"))
+    res = run_process("bound", "--input", doc, "--x", "1", "--format", "json")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["label"] == "σ² fit"
+
+
+@pytest.mark.parametrize(
     "text",
     [
         '{"a": [true, false], "b": [0, 1]}',

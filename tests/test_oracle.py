@@ -42,9 +42,9 @@ CP_ZERO_HIGH = 5.298303330489367e-06  # k = 0, n = 1e6, 99% two-sided
 
 
 @pytest.fixture(autouse=True)
-def cold_grid_cache():
-    # every test starts from an empty node-grid cache, as if it ran alone
-    oracle._grid_slot = (None, None)
+def cold_plan_cache():
+    # every test starts from an empty plan cache, as if it ran alone
+    oracle._slot = (None, None)
 
 
 def test_sample_deterministic():
@@ -496,16 +496,24 @@ def test_cdf_cf_split_head_matches_conditioning(t):
 def test_cdf_cf_refuses_tiny_curvature_before_the_phase_overflows(monkeypatch):
     # b0^2/(4 a0) = 2.5e99: psi and the slope r u that cancels it reach
     # 2.5e99 u, so the phase rounding alone spends the accuracy budget, and
-    # the refusal comes before any phase is computed
+    # the refusal comes before any phase is computed.  It comes after the
+    # clamp: t = -1 lies below the form's lower Chernoff radius
     def no_kernel(*args):
         raise AssertionError("the phase kernel ran")
 
     monkeypatch.setattr(oracle, "_phase_sums", no_kernel)
     form = qc.DiagonalForm(np.array([1e-200, 1.0]), np.array([1e-50, 0.0]))
-    for t in (1.0, -1.0, 3.0):
+    for t in (1.0, 3.0):
         with pytest.raises(NumericalError) as info:
             qc.cdf_cf(form, t)
         assert info.value.accuracy > 1.0
+    assert qc.cdf_cf(form, -1.0) == 0.0
+    # b0^2/(4 a0) overflows outright: a refusal of the form alone, kept in
+    # its plan and raised only between the radii
+    overflow = qc.DiagonalForm(np.array([1e-300, 1.0]), np.array([1.0, 0.0]))
+    assert qc.cdf_cf(overflow, 1e10) == 1.0
+    with pytest.raises(NumericalError):
+        qc.cdf_cf(overflow, 2.0)
 
 
 def test_cdf_cf_at_tiny_scales():
@@ -648,8 +656,8 @@ def test_phase_kernel_matches_textbook_bitwise_at_large_p(p):
 
 
 def _cold_cdf_cf(form, t):
-    # cdf_cf with the node-grid cache emptied first: any grid built afresh
-    oracle._grid_slot = (None, None)
+    # cdf_cf with the plan cache emptied first: any plan made afresh
+    oracle._slot = (None, None)
     return qc.cdf_cf(form, t)
 
 
@@ -660,9 +668,9 @@ def _thresholds(form, count):
 
 
 def _on_trapezoid_path(form, t):
-    # cdf_cf(form, t) and whether the form's grid is the one now cached
+    # cdf_cf(form, t) and whether the plan now cached sums over a node grid
     value = qc.cdf_cf(form, t)
-    return value, oracle._grid_slot[1] is not None
+    return value, oracle._slot[1][3].__qualname__.startswith("_node_grid.")
 
 
 def test_grid_cache_shared_across_forms_gives_cold_bits():
@@ -706,7 +714,7 @@ def test_grid_cache_concurrent_calls_match_serial_bits():
     jobs = [[(form, t) for t in _thresholds(form, 12)] for form in forms]
     jobs += [job[::-1] for job in jobs]
     serial = [[_cold_cdf_cf(form, t).hex() for form, t in job] for job in jobs]
-    oracle._grid_slot = (None, None)
+    oracle._slot = (None, None)
     got = [None] * len(jobs)
     start = threading.Barrier(len(jobs))
 
@@ -745,7 +753,23 @@ def test_grid_cache_builds_no_grid_on_a_seen_form(monkeypatch):
         qc.cdf_cf(form, t)
         counts.append(len(builds) - before)
     assert counts == [1, 0, 0]
-    assert oracle._grid_slot[1] is not None
+    assert _on_trapezoid_path(form, 3.0)[1]
+
+
+def test_plan_cache_sets_up_the_slow_decay_path_once(monkeypatch):
+    # chi-square(3) takes the slow-decay path; its damping end, like the
+    # rest of its plan, is found on the first call only
+    ends = []
+    damping_end = oracle._damping_end
+
+    def counting_damping_end(*args):
+        ends.append(args)
+        return damping_end(*args)
+
+    monkeypatch.setattr(oracle, "_damping_end", counting_damping_end)
+    warm = [_on_trapezoid_path(CHI3, t) for t in (1.0, 3.0, 6.0)]
+    assert len(ends) == 1 and not any(on for _, on in warm)
+    assert [v for v, _ in warm] == [_cold_cdf_cf(CHI3, t) for t in (1.0, 3.0, 6.0)]
 
 
 def test_grid_cache_warm_calls_skip_normalizing_the_form(monkeypatch):
@@ -894,17 +918,25 @@ def test_cdf_cf_trapezoid_scale_covariance_bitwise(p, seed, k, z, central):
 
 
 def test_cdf_cf_clamps_past_the_chernoff_radii():
-    # a = 1/2 is already normalized, so the grid's radii are in t's units;
+    # a = 1/2 is already normalized, so the plan's radii are in t's units;
     # chi-square(24)/2 puts less than e^-30 beyond each of them
     form = qc.DiagonalForm(np.full(24, 0.5), np.zeros(24))
     qc.cdf_cf(form, 12.0)
-    grid = oracle._grid_slot[1]
-    assert chi2.cdf(2.0 * grid.lo, 24) <= math.exp(-30.0)
-    assert chi2.sf(2.0 * grid.hi, 24) <= math.exp(-30.0)
-    assert qc.cdf_cf(form, float(np.nextafter(grid.lo, -np.inf))) == 0.0
-    assert qc.cdf_cf(form, float(np.nextafter(grid.hi, np.inf))) == 1.0
-    assert qc.cdf_cf(form, grid.hi) == pytest.approx(1.0, abs=1e-12)
-    assert oracle._grid_slot[1] is grid
+    plan = oracle._slot[1]
+    e, lo, hi, _ = plan
+    assert e == 0
+    assert chi2.cdf(2.0 * lo, 24) <= math.exp(-30.0)
+    assert chi2.sf(2.0 * hi, 24) <= math.exp(-30.0)
+    assert qc.cdf_cf(form, float(np.nextafter(lo, -np.inf))) == 0.0
+    assert qc.cdf_cf(form, float(np.nextafter(hi, np.inf))) == 1.0
+    assert qc.cdf_cf(form, hi) == pytest.approx(1.0, abs=1e-12)
+    assert oracle._slot[1] is plan
+    # the slow-decay path clamps at its radii too: chi-square(3) puts less
+    # than e^-30 above 72.557, and 73 lies past that
+    qc.cdf_cf(CHI3, 3.0)
+    e, _, hi, _ = oracle._slot[1]
+    assert 72.5 < math.ldexp(hi, e) < 73.0 and chi2.sf(math.ldexp(hi, e), 3) <= math.exp(-30.0)
+    assert qc.cdf_cf(CHI3, 73.0) == 1.0
 
 
 def test_cdf_cf_over_budget_form_takes_the_slow_decay_path():

@@ -1,10 +1,12 @@
-"""The example scripts still run against the library's public API.
+"""The example scripts and the README quickstart still run against the public API.
 
-Each script runs in a fresh interpreter with small arguments; a renamed or
-removed function they call fails here rather than at a user's prompt.
+Each runs in a fresh interpreter, the scripts with small arguments; a
+renamed or removed function they call fails here rather than at a user's
+prompt.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,16 +14,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=300,
         env=env,
     )
+
+
+def run_script(name, *args):
+    return run_python(str(ROOT / "scripts" / name), *args)
 
 
 def test_envelope_slack_runs():
@@ -44,3 +50,11 @@ def test_threshold_table_runs():
     assert lines[0].startswith("chi-square p=5: p=5 mean=5.0000 u_sq=5.0000")
     assert any(line.startswith("mixed random p=8: p=8 ") for line in lines)
     assert "CONTRADICTED" not in res.stdout
+
+
+def test_readme_quickstart_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    res = run_python("-c", blocks[0])
+    assert res.returncode == 0, res.stderr
