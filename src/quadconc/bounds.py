@@ -49,12 +49,15 @@ def _check_real(value, name, sign):
     scalar it holds.  An integer past the float range is not finite here,
     rather than an OverflowError.
     """
-    if getattr(value, "ndim", None) == 0:
-        value = value[()]
-    try:
-        x = float(value) if _is_real_type(type(value)) else math.nan
-    except OverflowError:
-        x = math.nan
+    if type(value) is float:  # the common case, without the ABC check below
+        x = value
+    else:
+        if getattr(value, "ndim", None) == 0:
+            value = value[()]
+        try:
+            x = float(value) if _is_real_type(type(value)) else math.nan
+        except OverflowError:
+            x = math.nan
     signed = {"any": True, "nonnegative": x >= 0.0, "positive": x > 0.0}[sign]
     if not (signed and math.isfinite(x)):
         kind = "" if sign == "any" else sign + " "

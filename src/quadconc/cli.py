@@ -41,6 +41,8 @@ from .errors import InputError, NumericalError, ValidationError
 # package's, which loads them on first access, so bound and invert on a
 # diagonal form import no numpy.  Commands look them up on this module when
 # they run (PEP 562), so whatever is set on quadconc.cli.<name> is what runs.
+# verify streams its draws rather than calling sample, which stays here for
+# the code that wraps these names, such as bench/spans.py.
 _DEFERRED = {"spectral_reduce": "reduce", "sample": "sample", "empirical_tail": "empirical_tail",
              "envelope_grid_check": "envelope_grid_check"}
 _package = sys.modules[__package__]
@@ -209,13 +211,23 @@ def _header(label, direction):
 
 
 def _write(fmt, columns, rows, payload, comments=()):
-    """Print the rows as text or csv, or the payload as json."""
+    """Print the rows as text or csv, or the payload as json.
+
+    The output is written in one piece, so a character that stdout's
+    encoding cannot hold, such as a label's under an ASCII locale, is an
+    InputError before any of it is printed.
+    """
     if fmt == "text":
-        sys.stdout.write(_render_text(columns, rows, comments))
+        text = _render_text(columns, rows, comments)
     elif fmt == "csv":
-        sys.stdout.write(_render_csv(columns, rows))
+        text = _render_csv(columns, rows)
     else:
-        sys.stdout.write(_render_json(payload))
+        text = _render_json(payload)
+    try:
+        sys.stdout.write(text)
+    except UnicodeEncodeError as exc:
+        raise InputError("stdout's encoding %s cannot write %r; set PYTHONIOENCODING=utf-8"
+                         % (exc.encoding, exc.object[exc.start : exc.end]))
 
 
 def cmd_bound(args) -> int:
@@ -243,7 +255,7 @@ def cmd_invert(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .oracle import DEFAULT_CONFIDENCE
+    from .oracle import DEFAULT_CONFIDENCE, _chunks
 
     if args.samples < 10**4:
         raise ValidationError("need at least 10^4 samples for a meaningful check")
@@ -254,9 +266,10 @@ def cmd_verify(args) -> int:
         raise ValidationError("form is deterministic; nothing to verify")
     one = upper_threshold if args.direction == "upper" else lower_threshold
     tail_bounds = [one(stats, x) for x in xs]
-    draws = _cli.sample(form, args.samples, args.seed)
+    # each chunk of draws is counted, then overwritten by the next one
+    _, chunks = _chunks(form, args.samples, args.seed)
     thresholds = [tb.threshold for tb in tail_bounds]
-    estimates = _cli.empirical_tail(draws, thresholds, args.direction)
+    estimates = _cli.empirical_tail(chunks, thresholds, args.direction)
     rows = [
         (x, tb.threshold, tb.prob_bound, est.p_hat, est.ci_low, est.ci_high,
          est.ci_low <= tb.prob_bound)

@@ -15,7 +15,10 @@ stream, so it is a module constant, not a parameter.  Normals come from an
 explicit Box-Muller transform rather than a library-version-dependent
 method.  The chunks run one after the other on the calling thread, each one
 block of about _BLOCK_NORMALS normals at a time in buffers of about
-2.5 _BLOCK_NORMALS doubles, so peak memory is the output plus that much.
+2.5 _BLOCK_NORMALS doubles.  sample writes them into its n-vector, so its
+peak memory is the output plus that much; verify takes them as a stream of
+chunks in one reused buffer, which empirical_tail counts as they come, so
+its memory does not grow with n.
 
 scipy is imported only where it is used, by the binomial interval.
 Importing this module, and both of cdf_cf's paths, load numpy only.  The
@@ -24,6 +27,7 @@ form that cdf_cf sees.
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,23 +96,24 @@ def _check_seed(seed):
     return int(seed)
 
 
-def sample(form: DiagonalForm, n: int, seed: int) -> np.ndarray:
-    """n realizations of the diagonal form, reproducible for a fixed seed.
+def _chunks(form, n, seed, whole=False):
+    """(out, chunks) for sample(form, n, seed), the request checked at once.
 
-    Chunk c of DEFAULT_CHUNK rows draws from one Philox generator at counter
-    c * 2^128.  The chunk is processed one block of about _BLOCK_NORMALS
-    normals at a time: uniforms, the Box-Muller transform and both
-    matrix-vector products run in buffers that every block reuses.  A
-    counter-based stream continues bit for bit across calls, and every step
-    is elementwise or a row product, so at one BLAS thread the bits are
-    those of the whole chunk's radius * (cos, sin)(angle) followed by
-    (z * z) @ a + z @ b.
+    `chunks` is an iterator that yields the draws one chunk at a time, each
+    written into `out`: into its slice of the n-vector if `whole`, else into
+    one buffer of DEFAULT_CHUNK draws that the next chunk overwrites, so a
+    caller that is done with each chunk before asking for the next holds
+    O(chunk) memory whatever n is.
     """
     _check_form(form)
     n, seed = _check_count(n, "n"), _check_seed(seed)
-    p, size = form.p, DEFAULT_CHUNK
-    a, b = np.array(form.a), np.array(form.b)
-    out = np.empty(n)
+    out = np.empty(n if whole else min(n, DEFAULT_CHUNK))
+    return out, _fill_chunks(np.array(form.a), np.array(form.b), n, seed, out)
+
+
+def _fill_chunks(a, b, n, seed, out):
+    """The generator behind _chunks: fill out with each chunk in turn, then yield it."""
+    p, size = a.size, DEFAULT_CHUNK
     # a multiple of 64 rows, so that every block but a chunk's last starts
     # BLAS's row kernels where the whole chunk's product would; at p <= 2 a
     # block is the whole chunk
@@ -119,9 +124,10 @@ def sample(form: DiagonalForm, n: int, seed: int) -> np.ndarray:
     linear = np.empty(rows)
     for chunk, start in enumerate(range(0, n, size)):
         uniform = np.random.Generator(np.random.Philox(key=seed, counter=chunk << 128)).random
-        stop = min(start + size, n)
-        for lo in range(start, stop, rows):
-            m = min(rows, stop - lo)
+        # the chunk's slice of the n-vector, or the head of the one-chunk buffer
+        draws = out[start : start + size] if out.size == n else out[: min(size, n - start)]
+        for lo in range(0, draws.size, rows):
+            m = min(rows, draws.size - lo)
             k = (m * p + 1) // 2
             z, r, t, c = normals[: 2 * k], radius[:k], angle[:k], cosine[:k]
             # (bits >> 11) * 2^-53 in stream order; u1 = that + 2^-53 is in
@@ -140,8 +146,26 @@ def sample(form: DiagonalForm, n: int, seed: int) -> np.ndarray:
             z = z[: m * p].reshape(m, p)
             np.matmul(z, b, out=linear[:m])
             np.multiply(z, z, out=z)
-            np.matmul(z, a, out=out[lo : lo + m])
-            out[lo : lo + m] += linear[:m]
+            np.matmul(z, a, out=draws[lo : lo + m])
+            draws[lo : lo + m] += linear[:m]
+        yield draws
+
+
+def sample(form: DiagonalForm, n: int, seed: int) -> np.ndarray:
+    """n realizations of the diagonal form, reproducible for a fixed seed.
+
+    Chunk c of DEFAULT_CHUNK rows draws from one Philox generator at counter
+    c * 2^128.  The chunk is processed one block of about _BLOCK_NORMALS
+    normals at a time: uniforms, the Box-Muller transform and both
+    matrix-vector products run in buffers that every block reuses.  A
+    counter-based stream continues bit for bit across calls, and every step
+    is elementwise or a row product, so at one BLAS thread the bits are
+    those of the whole chunk's radius * (cos, sin)(angle) followed by
+    (z * z) @ a + z @ b.
+    """
+    out, chunks = _chunks(form, n, seed, whole=True)
+    for _ in chunks:
+        pass
     return out
 
 
@@ -160,17 +184,23 @@ def empirical_tail(samples, t, direction: str):
     """Exact-binomial estimates of P(T >= t) (upper) or P(T <= t) (lower).
 
     `t` is one threshold, giving one TailEstimate, or a 1-D array of them,
-    giving a list with one estimate per threshold.  The samples are counted
-    in DEFAULT_CHUNK blocks: a sorted copy of each block locates every
-    threshold by binary search, so one pass over the samples, with O(block)
-    extra memory, counts them all exactly.  NaN samples are refused rather
-    than counted as misses.  The intervals are two-sided at
-    DEFAULT_CONFIDENCE.
+    giving a list with one estimate per threshold.  `samples` is a vector,
+    counted in DEFAULT_CHUNK blocks of which each is sorted as a copy, or an
+    iterator over nonempty float64 arrays of one dimension, such as the
+    chunks of verify's sampler, each of which is sorted in place: a stream
+    that refills one buffer is counted with no copy and O(block) memory,
+    whatever its length.
+    Every threshold is located in each sorted block by binary search, so one
+    pass over the samples counts them all exactly, and the intervals are
+    computed once, from the totals.  NaN samples are refused rather than
+    counted as misses.  The intervals are two-sided at DEFAULT_CONFIDENCE.
     """
     _check_direction(direction)
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValidationError("samples must be a nonempty vector")
+    if not isinstance(samples, Iterator):
+        x = np.asarray(samples, dtype=float)
+        if x.ndim != 1 or x.size == 0:
+            raise ValidationError("samples must be a nonempty vector")
+        samples = (x[lo : lo + DEFAULT_CHUNK].copy() for lo in range(0, x.size, DEFAULT_CHUNK))
     thresholds = np.asarray(t, dtype=float)
     if thresholds.ndim > 1:
         raise ValidationError("thresholds must be a scalar or a vector")
@@ -180,12 +210,15 @@ def empirical_tail(samples, t, direction: str):
     # upper counts x >= t as the x not below t; lower counts x <= t directly
     side = "left" if direction == "upper" else "right"
     located = np.zeros(flat.size, dtype=np.int64)
-    for lo in range(0, x.size, DEFAULT_CHUNK):
-        block = np.sort(x[lo : lo + DEFAULT_CHUNK])
+    n = 0
+    for block in samples:
+        block.sort()
         if np.isnan(block[-1]):  # a sort puts NaNs last
             raise ValidationError("samples must not be NaN")
         located += np.searchsorted(block, flat, side=side)
-    n = x.size
+        n += block.size
+    if n == 0:
+        raise ValidationError("samples must be a nonempty vector")
     counts = n - located if direction == "upper" else located
     estimates = []
     for k in counts.tolist():

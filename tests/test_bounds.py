@@ -392,6 +392,21 @@ def test_scalar_checks_name_the_argument_and_its_sign():
         with pytest.raises(ValidationError) as info:
             call()
         assert str(info.value).startswith(message), (str(info.value), message)
+    # a plain float takes a fast path that must keep every refusal of a numpy
+    # scalar: NaN and +-inf always, +-0.0 where the sign rule wants x > 0
+    from quadconc.bounds import _check_real
+
+    for sign, kind in (("any", ""), ("nonnegative", "nonnegative "), ("positive", "positive ")):
+        for value in (math.nan, math.inf, -math.inf, 0.0, -0.0):
+            for scalar in (value, np.float64(value)):
+                if value == 0.0 and sign != "positive":
+                    got = _check_real(scalar, "v", sign)
+                    assert type(got) is float
+                    assert math.copysign(1.0, got) == math.copysign(1.0, value)
+                    continue
+                with pytest.raises(ValidationError) as info:
+                    _check_real(scalar, "v", sign)
+                assert str(info.value) == "v must be a %sfinite real, got %r" % (kind, scalar)
 
 
 def test_binade_brackets_the_largest_magnitude():

@@ -12,13 +12,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 import quadconc.cli
-from quadconc import __version__, spectral
+from quadconc import __version__, oracle, spectral
 from quadconc.errors import NumericalError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -176,6 +177,55 @@ def test_verify_out_suffix_stripped(tmp_path, chi5):
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "rep.csv").exists()
     assert (tmp_path / "rep.json").exists()
+
+
+def _verify_peak(doc, out, n):
+    """The tracemalloc peak of one in-process verify of n draws."""
+    tracemalloc.start()
+    try:
+        res = run("verify", "--input", doc, "--samples", n, "--seed", 5,
+                  "--x-grid", "0.5:3:0.5", "--out", out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.returncode == 0, res.stderr
+    return peak
+
+
+def test_verify_memory_does_not_grow_with_n(tmp_path):
+    # verify counts each chunk of draws before the next is drawn; holding
+    # the n-vector would add 8 bytes a draw, about 48 MB between these n
+    doc = tmp_path / "p1.json"
+    doc.write_text('{"a": [1], "b": [0.5]}\n')
+    _verify_peak(doc, tmp_path / "warm", 10**4)  # imports scipy.special outside the trace
+    small = _verify_peak(doc, tmp_path / "small", 2**21 + 1)
+    large = _verify_peak(doc, tmp_path / "large", 2**23 + 1)
+    assert abs(large - small) < 8 * oracle.DEFAULT_CHUNK, (small, large)
+
+
+@pytest.mark.parametrize("n", [10**4, oracle.DEFAULT_CHUNK, 2 * oracle.DEFAULT_CHUNK + 1],
+                         ids=["below-chunk", "one-chunk", "k-chunks-plus-1"])
+def test_verify_reports_match_the_sampled_vector(tmp_path, monkeypatch, n):
+    # the referee counts the n-vector of sample; the streamed counts must
+    # give the same report bytes
+    doc = tmp_path / "mixed.json"
+    doc.write_text('{"a": [1, -0.5, 2], "b": [0.3, 0, -1], "label": "mixed"}\n')
+    argv = ("verify", "--input", doc, "--samples", n, "--seed", 9, "--x-grid", "0.25:4:0.25")
+    outputs = {}
+    for side in ("streamed", "referee"):
+        if side == "referee":
+            form = quadconc.cli.load_document(doc)[1]
+            monkeypatch.setattr(quadconc.cli, "empirical_tail", lambda chunks, t, direction:
+                                oracle.empirical_tail(quadconc.sample(form, n, 9), t, direction))
+        for direction in ("upper", "lower"):
+            out = tmp_path / side / direction
+            out.parent.mkdir(exist_ok=True)
+            res = run(*argv, "--direction", direction, "--out", out)
+            assert res.returncode == 0, res.stderr
+            reports = [out.with_suffix(s).read_bytes() for s in (".csv", ".json")]
+            outputs[side, direction] = (res.stdout.replace(str(out.parent), ""), reports)
+    for direction in ("upper", "lower"):
+        assert outputs["streamed", direction] == outputs["referee", direction]
 
 
 def test_verify_rejects_small_n(chi5, tmp_path):
@@ -462,6 +512,10 @@ def test_document_is_read_as_utf8_under_an_ascii_locale(tmp_path, monkeypatch):
     res = run_process("bound", "--input", doc, "--x", "1", "--format", "json")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["label"] == "σ² fit"
+    # text output prints the label, which the ASCII stdout cannot encode
+    res = run_process("bound", "--input", doc, "--x", "1", "--format", "text")
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1, res.stderr
 
 
 @pytest.mark.parametrize(
@@ -519,7 +573,7 @@ def test_verify_rejects_seed_out_of_range(chi5, tmp_path, seed):
     ("", "out of memory"),
 ], ids=["numpy-message", "bare"])
 @pytest.mark.parametrize("command, target", [
-    (("verify", "--samples", 10**10, "--seed", 1, "--x-grid", "1:2:1"), "sample"),
+    (("verify", "--samples", 10**10, "--seed", 1, "--x-grid", "1:2:1"), "empirical_tail"),
     (("mgf-check", "--grid", 10**9), "envelope_grid_check"),
 ], ids=["verify", "mgf-check"])
 def test_out_of_memory_exits_2(chi5, tmp_path, monkeypatch, message, shown, command, target):

@@ -35,7 +35,8 @@ def _stem(document):
 
 def _fixed_interval(samples, t, direction):
     # one interval per threshold, above every bound past x = 0.5, so those rows must FAIL
-    return [TailEstimate(p_hat=0.5, ci_low=0.4, ci_high=0.6, n=len(samples)) for _ in t]
+    n = sum(block.size for block in samples)
+    return [TailEstimate(p_hat=0.5, ci_low=0.4, ci_high=0.6, n=n) for _ in t]
 
 
 def _cases():

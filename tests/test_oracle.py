@@ -301,6 +301,37 @@ def test_sorted_counts_match_count_nonzero(values, thresholds, block):
         assert up.p_hat == np.count_nonzero(x >= t) / x.size
 
 
+@pytest.mark.parametrize("n", [1000, oracle.DEFAULT_CHUNK, 3 * oracle.DEFAULT_CHUNK + 1],
+                         ids=["below-chunk", "one-chunk", "k-chunks-plus-1"])
+def test_streamed_counts_match_the_sampled_vector(n):
+    # a stream of chunks in one reused buffer counts exactly what the
+    # n-vector of sample counts, and yields the same draws in the same order
+    form = qc.DiagonalForm([1.0, -0.5, 2.0], [0.3, 0.0, -1.0])
+    draws = qc.sample(form, n, 13)
+    ts = np.concatenate([np.quantile(draws, [0.0, 0.01, 0.5, 0.99, 1.0]), [-np.inf, np.inf]])
+    for direction in qc.DIRECTIONS:
+        _, chunks = oracle._chunks(form, n, 13)
+        assert qc.empirical_tail(chunks, ts, direction) == qc.empirical_tail(draws, ts, direction)
+    buffer, chunks = oracle._chunks(form, n, 13)
+    assert buffer.size == min(n, oracle.DEFAULT_CHUNK)
+    streamed = []
+    for chunk in chunks:
+        assert np.shares_memory(chunk, buffer)
+        streamed.append(chunk.copy())
+    assert np.concatenate(streamed).tobytes() == draws.tobytes()
+
+
+def test_streamed_samples_are_checked():
+    with pytest.raises(ValidationError, match="nonempty"):
+        qc.empirical_tail(iter([]), 0.0, "upper")
+    for direction in qc.DIRECTIONS:
+        with pytest.raises(ValidationError, match="NaN"):
+            qc.empirical_tail(iter([np.zeros(3), np.array([1.0, math.nan])]), 0.5, direction)
+    for n, seed, message in ((10, -1, "seed must"), (10, 2**64, "seed must"), (0, 1, "n must")):
+        with pytest.raises(ValidationError, match=message):
+            oracle._chunks(CHI1, n, seed)
+
+
 def test_cdf_p1_chi_square():
     for t in (-1.0, 0.0, 0.5, 1.0, 3.0, 3.841, 10.0):
         assert qc.cdf_p1(1.0, 0.0, t) == pytest.approx(chi2.cdf(t, 1), abs=1e-14)
