@@ -14,12 +14,12 @@ linear term large ones (sub-exponential regime), the usual shape of bounds
 obtained from a (u*y)^2/(1-v*y) log-MGF envelope in the style of
 Birge & Massart (1998).  This module evaluates the thresholds, inverts them
 (deviation -> exponent), and inflates exponents for finite union bounds.
-It imports no numpy, so neither does a CLI call that needs nothing else.
+It imports neither numpy nor dataclasses, so a CLI call that needs
+nothing else loads neither.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, field
 
 from .errors import DegenerateFormError, ValidationError
 
@@ -72,6 +72,36 @@ def _check_count(value, name):
     return int(value)  # value + 1 would wrap for a numpy integer at its dtype's maximum
 
 
+class _Record:
+    """A frozen value object: its fields are what its __init__ puts in __dict__.
+
+    Each subclass's __init__ checks its arguments and then sets every field
+    once, in a fixed order, through self.__dict__; after that, assignment
+    and deletion raise AttributeError.  Two records are equal when they are
+    of the same class and their fields are equal, compared as tuples are;
+    against anything else == is NotImplemented.  The hash is that of the
+    field tuple, so a record that holds an array has none.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % item for item in self.__dict__.items())
+        return "%s(%s)" % (self.__class__.__qualname__, fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
 def _binade(*values):
     """The e with 2^(e-1) <= max|v| < 2^e over every entry of `values`.
 
@@ -85,8 +115,7 @@ def _binade(*values):
     return math.frexp(largest)[1]
 
 
-@dataclass(frozen=True)
-class DiagonalForm:
+class DiagonalForm(_Record):
     """Coefficients of T = sum_k a_k z_k^2 + b_k z_k, each a tuple of floats.
 
     Every coefficient must be a finite real: bools, strings, None, nestings
@@ -94,12 +123,9 @@ class DiagonalForm:
     read through tolist(), and a scalar counts as a one-entry vector.
     """
 
-    a: tuple
-    b: tuple
-
-    def __post_init__(self):
-        for name in ("a", "b"):
-            values = getattr(self, name)
+    def __init__(self, a, b):
+        fields = self.__dict__
+        for name, values in (("a", a), ("b", b)):
             values = values.tolist() if hasattr(values, "tolist") else values
             values = values if isinstance(values, (list, tuple)) else [values]
             # one check per distinct entry type: a million floats make one check
@@ -111,7 +137,7 @@ class DiagonalForm:
                 values = (math.inf,)
             if not all(map(math.isfinite, values)):
                 raise ValidationError("%s entries must be finite" % name)
-            object.__setattr__(self, name, values)
+            fields[name] = values
         if len(self.a) != len(self.b) or not self.a:
             raise ValidationError(
                 "a and b must have equal positive length, got %d and %d"
@@ -129,8 +155,7 @@ def _check_form(form):
         raise ValidationError("form must be a DiagonalForm, got %s" % type(form).__name__)
 
 
-@dataclass(frozen=True)
-class FormStats:
+class FormStats(_Record):
     """Scalars that determine both tails of a DiagonalForm.
 
     mean    = sum_k a_k
@@ -139,15 +164,13 @@ class FormStats:
     a_minus = max(max_k -a_k, 0)
     """
 
-    mean: float
-    u: float
-    a_plus: float
-    a_minus: float
-
-    def __post_init__(self):
-        for name in ("mean", "u", "a_plus", "a_minus"):
-            sign = "any" if name == "mean" else "nonnegative"
-            object.__setattr__(self, name, _check_real(getattr(self, name), name, sign))
+    def __init__(self, mean, u, a_plus, a_minus):
+        self.__dict__.update(
+            mean=_check_real(mean, "mean", "any"),
+            u=_check_real(u, "u", "nonnegative"),
+            a_plus=_check_real(a_plus, "a_plus", "nonnegative"),
+            a_minus=_check_real(a_minus, "a_minus", "nonnegative"),
+        )
 
     def envelope(self, direction):
         """(u, v) of one tail, v = 2*a_plus (upper) or 2*a_minus (lower)."""
@@ -155,21 +178,17 @@ class FormStats:
         return self.u, 2.0 * (self.a_plus if direction == "upper" else self.a_minus)
 
 
-@dataclass(frozen=True)
-class TailBound:
+class TailBound(_Record):
     """One evaluated tail guarantee: P(T beyond threshold) <= prob_bound = exp(-x)."""
 
-    direction: str
-    x: float
-    threshold: float
-    prob_bound: float = field(init=False)
-
-    def __post_init__(self):
-        _check_direction(self.direction)
-        _check_real(self.x, "exponent x", "positive")
-        if not math.isfinite(self.threshold):
+    def __init__(self, direction, x, threshold):
+        _check_direction(direction)
+        _check_real(x, "exponent x", "positive")
+        if not math.isfinite(threshold):
             raise ValidationError("threshold must be finite")
-        object.__setattr__(self, "prob_bound", math.exp(-self.x))
+        self.__dict__.update(
+            direction=direction, x=x, threshold=threshold, prob_bound=math.exp(-x)
+        )
 
 
 def form_stats(form: DiagonalForm) -> FormStats:

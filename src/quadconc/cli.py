@@ -7,11 +7,12 @@ Subcommands:
   mgf-check  grid check of the log-MGF envelope inequality
 
 Inputs are JSON documents with exactly one of {"matrix": ..., "b": ...} or
-{"a": ..., "b": ...} plus an optional "label" free of control and
-line-break characters, or a two-column CSV (header "a,b") for diagonal
-forms.  Each output format has one writer, fed column names and rows.
-Numbers use the shortest representation that round-trips to the same
-double, so outputs and reports are byte-stable for fixed inputs and seeds.
+{"a": ..., "b": ...} plus an optional "label" free of control,
+line-break and surrogate characters, or a two-column CSV (header "a,b")
+for diagonal forms.  Each output format has one writer, fed column names
+and rows.  Numbers use the shortest representation that round-trips to
+the same double, so outputs and reports are byte-stable for fixed inputs
+and seeds.
 
 Exit codes: 0 ok, 1 input/IO error, 2 validation or degenerate form,
 3 numerical failure (the message carries the residual and/or accuracy the
@@ -101,9 +102,12 @@ def _json_object(path, text):
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
         raise InputError("%s: label must be a string" % path)
-    # a control or line-break character would let a label forge output lines
-    if label and any(unicodedata.category(ch) in ("Cc", "Zl", "Zp") for ch in label):
-        raise InputError("%s: label must not contain control or line-break characters" % path)
+    # a control or line-break character would let a label forge output lines,
+    # and a lone surrogate (which JSON's \ud800 escapes allow) has no UTF-8
+    if label and any(unicodedata.category(ch) in ("Cc", "Zl", "Zp", "Cs") for ch in label):
+        raise InputError(
+            "%s: label must not contain control, line-break or surrogate characters" % path
+        )
     return obj
 
 

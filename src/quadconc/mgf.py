@@ -24,7 +24,6 @@ slack keeps the bits of the whole-grid evaluation.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .bounds import (
     _check_count,
     _check_form,
     _check_real,
+    _Record,
     form_stats,
 )
 from .errors import DomainError, ValidationError
@@ -45,16 +45,13 @@ ENVELOPE_SLACK = 1e-10
 _BLOCK_CELLS = 2**15  # (coefficient, y) cells per block of the log-MGF grid
 
 
-@dataclass(frozen=True)
-class MgfEnvelope:
+class MgfEnvelope(_Record):
     """Envelope parameters: centered log-MGF <= (u*y)^2 / (1 - v*y) on 0 < y < 1/v."""
 
-    u: float
-    v: float
-
-    def __post_init__(self):
-        for name in ("u", "v"):
-            object.__setattr__(self, name, _check_real(getattr(self, name), name, "nonnegative"))
+    def __init__(self, u, v):
+        self.__dict__.update(
+            u=_check_real(u, "u", "nonnegative"), v=_check_real(v, "v", "nonnegative")
+        )
 
     @classmethod
     def from_stats(cls, stats: FormStats, direction: str = "upper"):
@@ -183,15 +180,17 @@ def envelope_y_grid(a_plus: float, n: int) -> np.ndarray:
         return np.ldexp(y_max * np.arange(1, n + 1) / n, -e)
 
 
-@dataclass(frozen=True)
-class EnvelopeCheck:
+class EnvelopeCheck(_Record):
     """Grid verdict for the envelope inequality on one form."""
 
-    grid_size: int
-    y_max: float
-    max_slack: float
-    worst_y: float
-    violations: int
+    def __init__(self, grid_size, y_max, max_slack, worst_y, violations):
+        self.__dict__.update(
+            grid_size=grid_size,
+            y_max=y_max,
+            max_slack=max_slack,
+            worst_y=worst_y,
+            violations=violations,
+        )
 
     @property
     def ok(self):

@@ -28,7 +28,6 @@ form that cdf_cf sees.
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .bounds import (
     _check_real,
     _is_integer,
     _ldexp_or_inf,
+    _Record,
 )
 from .errors import DegenerateFormError, NumericalError, ValidationError
 
@@ -74,20 +74,15 @@ _DE_AGREE = 1e-10
 _slot = (None, None)
 
 
-@dataclass(frozen=True)
-class TailEstimate:
+class TailEstimate(_Record):
     """Monte Carlo tail probability with an exact binomial confidence interval."""
 
-    p_hat: float
-    ci_low: float
-    ci_high: float
-    n: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.ci_low <= self.p_hat <= self.ci_high <= 1.0:
+    def __init__(self, p_hat, ci_low, ci_high, n):
+        if not 0.0 <= ci_low <= p_hat <= ci_high <= 1.0:
             raise ValidationError("interval must satisfy 0 <= ci_low <= p_hat <= ci_high <= 1")
-        if self.n < 1:
+        if n < 1:
             raise ValidationError("n must be positive")
+        self.__dict__.update(p_hat=p_hat, ci_low=ci_low, ci_high=ci_high, n=n)
 
 
 def _check_seed(seed):

@@ -17,11 +17,9 @@ iteration (Golub & Van Loan, Matrix Computations, section 8.5) that shares
 no code with this module.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bounds import DiagonalForm, _binade, _is_real_type
+from .bounds import DiagonalForm, _binade, _is_real_type, _Record
 from .errors import NumericalError, ValidationError
 
 # accepted ||S V - V diag(w)||_F / ||S||_F and ||V'V - I||_F; LAPACK's
@@ -53,38 +51,34 @@ def _float_array(values, name, ndim=1):
     return arr
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
-    """Matrix form T = z'Az + b'z; z is an implicit standard Gaussian vector."""
+class QuadraticForm(_Record):
+    """Matrix form T = z'Az + b'z; z is an implicit standard Gaussian vector.
 
-    matrix: np.ndarray
-    b: np.ndarray
+    matrix and b are read-only float arrays of their own.
+    """
 
-    def __post_init__(self):
-        m, b = _float_array(self.matrix, "matrix", 2), _float_array(self.b, "b")
+    def __init__(self, matrix, b):
+        m, b = _float_array(matrix, "matrix", 2), _float_array(b, "b")
         if m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValidationError("matrix must be square with p >= 1, got shape %r" % (m.shape,))
         if b.size != m.shape[0]:
             raise ValidationError("b must be a vector of length p = %d" % m.shape[0])
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "b", b)
+        self.__dict__.update(matrix=m, b=b)
 
     @property
     def p(self):
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class SpectralReduction:
+class SpectralReduction(_Record):
     """Eigendecomposition of the symmetric part (certified by eigen_sym), rotated b."""
 
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-    rotated_b: np.ndarray
-
-    def __post_init__(self):
-        for name, ndim in (("eigenvalues", 1), ("basis", 2), ("rotated_b", 1)):
-            object.__setattr__(self, name, _float_array(getattr(self, name), name, ndim))
+    def __init__(self, eigenvalues, basis, rotated_b):
+        self.__dict__.update(
+            eigenvalues=_float_array(eigenvalues, "eigenvalues", 1),
+            basis=_float_array(basis, "basis", 2),
+            rotated_b=_float_array(rotated_b, "rotated_b", 1),
+        )
 
     def diagonal_form(self) -> DiagonalForm:
         return DiagonalForm(self.eigenvalues, self.rotated_b)

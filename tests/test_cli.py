@@ -459,15 +459,25 @@ def test_numerical_failure_reports_diagnostics(tmp_path, monkeypatch, capsys, fi
 @pytest.mark.parametrize(
     "label",
     ["x\nx=1.0 threshold=-5.0 bound=0.9", "a\rb", "tab\there", "nul\x00", "del\x7f",
-     "next\x85line", "line\u2028sep", "para\u2029sep"],
+     "next\x85line", "line\u2028sep", "para\u2029sep", "x\ud800y"],
 )
-def test_label_with_control_characters_rejected(tmp_path, capsys, label):
+def test_label_with_control_characters_rejected(tmp_path, label):
+    # json.dumps writes a lone surrogate as the escape \ud800, so the file is UTF-8
     doc = tmp_path / "forged.json"
     doc.write_text(json.dumps({"a": [1, 1], "b": [0, 0], "label": label}))
-    assert quadconc.cli.main(["bound", "--input", str(doc), "--x", "1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "label must not contain control or line-break characters" in captured.err
+    for argv in (
+        ["bound", "--input", doc, "--x", "1"],
+        ["bound", "--input", doc, "--x", "1", "--format", "json"],
+        ["invert", "--input", doc, "--deviation", "1"],
+        ["verify", "--input", doc, "--samples", 10000, "--seed", 1, "--x-grid", "1:2:1",
+         "--out", tmp_path / "r"],
+        ["mgf-check", "--input", doc, "--grid", 16],
+    ):
+        res = run(*argv)
+        assert res.returncode == 1 and res.stdout == "", argv
+        assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: "), argv
+        assert "label must not contain control, line-break or surrogate characters" in res.stderr
+    assert not list(tmp_path.glob("r.*"))
 
 
 def test_printable_unicode_label_accepted(tmp_path, capsys):

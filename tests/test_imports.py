@@ -3,9 +3,11 @@ API is pinned, and the oracles take nothing from the bounds they check but
 input contracts.
 
 `bound` and `invert` on a diagonal form need only sums, a max and a square
-root, so a cold call of either must not pay for importing numpy.  Matrix
-documents and `mgf-check` need numpy arithmetic but no scipy.  Each check
-runs in a fresh interpreter, since this test process has both loaded already.
+root, so a cold call of either must not pay for importing numpy, nor for
+`dataclasses` and the `inspect` that it loads.  Matrix documents and
+`mgf-check` need numpy arithmetic but no scipy, and no `dataclasses`.
+Each check runs in a fresh interpreter, since this test process has all
+of these loaded already.
 """
 
 import ast
@@ -38,9 +40,14 @@ def run_cli(argv):
             assert exc.code == 0, (argv, exc.code)
 
 
+def heavy_modules():
+    return sorted(name for name in ("dataclasses", "inspect") if name in sys.modules)
+
+
 import quadconc
 
 assert "numpy" not in sys.modules and scipy_modules() == [], "import quadconc"
+assert heavy_modules() == [], ("import quadconc", heavy_modules())
 
 tmp = Path(tempfile.mkdtemp())
 form = tmp / "form.json"
@@ -56,12 +63,15 @@ for doc in (form, table):
     ):
         run_cli(argv)
         assert "numpy" not in sys.modules, (argv[0], doc.name)
+        assert heavy_modules() == [], (argv[0], doc.name, heavy_modules())
+# numpy loads inspect, but not dataclasses
 for argv in (
     ["bound", "--input", str(matrix), "--x", "1"],
     ["mgf-check", "--input", str(form), "--grid", "64"],
 ):
     run_cli(argv)
     assert "numpy" in sys.modules and scipy_modules() == [], (argv[0], scipy_modules())
+    assert "dataclasses" not in sys.modules, argv[0]
 
 # the oracles that do need scipy still work in the same process
 from quadconc import cli
@@ -138,12 +148,13 @@ def test_public_api_is_pinned():
     assert all(hasattr(quadconc, name) for name in quadconc.__all__)
 
 
-# what oracle.py may import from .bounds: the form type and the private
-# helpers that check inputs and pick or apply a power-of-two scale, never a
-# piece of the bound (form_stats, FormStats, a threshold function, _deviation)
+# what oracle.py may import from .bounds: the form type, the value-object
+# base and the private helpers that check inputs and pick or apply a
+# power-of-two scale, never a piece of the bound (form_stats, FormStats, a
+# threshold function, _deviation)
 ORACLE_FROM_BOUNDS = {
-    "DiagonalForm", "_binade", "_check_real", "_check_count", "_check_direction", "_check_form",
-    "_is_integer", "_ldexp_or_inf",
+    "DiagonalForm", "_Record", "_binade", "_check_real", "_check_count", "_check_direction",
+    "_check_form", "_is_integer", "_ldexp_or_inf",
 }
 
 
