@@ -13,12 +13,15 @@ is generated from counter c * 2^128, so runs of different total size agree
 bit for bit on the shared prefix.  The chunk size is part of what defines a
 stream, so it is a module constant, not a parameter.  Normals come from an
 explicit Box-Muller transform rather than a library-version-dependent
-method.  The chunks run one after the other on the calling thread, each one
-block of about _BLOCK_NORMALS normals at a time in buffers of about
-2.5 _BLOCK_NORMALS doubles.  sample writes them into its n-vector, so its
-peak memory is the output plus that much; verify takes them as a stream of
-chunks in one reused buffer, which empirical_tail counts as they come, so
-its memory does not grow with n.
+method: radius sqrt(-2 log u1) times (cos, sin)(2 pi u2), where the cosine
+and sine come from u2 itself, a table of _TURN_KNOTS + 1 knots and two short
+polynomials (see _polar), in + - * and rint, which IEEE 754 rounds the same
+on every host.  The chunks run one after the other on the calling thread,
+each one block of about _BLOCK_NORMALS normals at a time in buffers of
+about 4.5 _BLOCK_NORMALS doubles.  sample writes them into its n-vector, so
+its peak memory is the output plus that much; verify takes them as a stream
+of chunks in one reused buffer, which empirical_tail counts as they come,
+so its memory does not grow with n.
 
 scipy is imported only where it is used, by the binomial interval.
 Importing this module, and both of cdf_cf's paths, load numpy only.  The
@@ -45,9 +48,13 @@ from .bounds import (
 from .errors import DegenerateFormError, NumericalError, ValidationError
 
 DEFAULT_CHUNK = 65536
-# sample makes about this many normals at a time; unlike DEFAULT_CHUNK, it
-# is not part of what defines the stream
-_BLOCK_NORMALS = 2**17
+# sample makes about this many normals at a time, so that a block's buffers
+# stay in a core's L2 cache; unlike DEFAULT_CHUNK, it is not part of what
+# defines the stream
+_BLOCK_NORMALS = 2**15
+# Box-Muller's angle 2 pi u is the knot 2 pi j / _TURN_KNOTS nearest to it
+# plus a turn of at most pi / _TURN_KNOTS
+_TURN_KNOTS = 256
 DEFAULT_CONFIDENCE = 0.99
 
 # characteristic-function inversion: both paths drop a tail of the integral
@@ -85,6 +92,99 @@ class TailEstimate(_Record):
         self.__dict__.update(p_hat=p_hat, ci_low=ci_low, ci_high=ci_high, n=n)
 
 
+def _turn_table(n):
+    """(cos, sin)(2 pi j / n) for j = 0..n, n a multiple of 8, correctly rounded.
+
+    Worked out in 128-bit fixed point on Python ints: pi by Machin's
+    formula, each angle of the first octant by its Taylor series, the rest
+    by the octant's and the quadrants' symmetries, exact on ints, and each
+    value rounded once by int / int.  So every host builds the same bits,
+    and the knots at the axes are exact zeros and ones.
+    """
+    one = 1 << 128
+
+    def arccot(x):  # one * arctan(1 / x)
+        total = term = one // x
+        k, sign = 3, -1
+        while term:
+            term //= x * x
+            total += sign * (term // k)
+            k, sign = k + 2, -sign
+        return total
+
+    def cos_sin(x):  # one * (cos, sin)(x / one)
+        sums, term, k = [0, 0], one, 0
+        while term:
+            sums[k % 2] += -term if k % 4 >= 2 else term
+            k += 1
+            term = term * x // (one * k)
+        return sums
+
+    step = 8 * (4 * arccot(5) - arccot(239)) // n  # one * 2 pi / n
+    octant = [cos_sin(k * step) for k in range(n // 8 + 1)]
+    cos, sin = [], []
+    for j in range(n + 1):
+        quarters, r = divmod(j, n // 4)
+        c, s = octant[min(r, n // 4 - r)]
+        if r > n // 8:  # past the octant, the angle is pi/2 less a knot of it
+            c, s = s, c
+        for _ in range(quarters):
+            c, s = -s, c
+        cos.append(c / one)
+        sin.append(s / one)
+    return np.array(cos), np.array(sin)
+
+
+_TURN_COS, _TURN_SIN = _turn_table(_TURN_KNOTS)
+
+
+def _polar(u, radius, x, y, work):
+    """x = radius * cos(2 pi u) and y = radius * sin(2 pi u), for u in [0, 1].
+
+    With v = N u, N = _TURN_KNOTS, j = rint(v) and the turn
+    t = (v - j) 2 pi / N, each step exact but the last, so |t| <= pi / N:
+
+        cos 2 pi u = C_j + (C_j (cos t - 1) - S_j sin t)
+        sin 2 pi u = S_j + (S_j (cos t - 1) + C_j sin t)
+
+    with C_j, S_j the table knots, sin t = t + t z (-1/6 + z/120) and
+    cos t - 1 = z (-1/2 + z (1/24 - z/720)), z = t^2.  Only + - *, rint
+    and a table lookup, in this order, so the bits are the same on every
+    host; each cosine and sine is within 2^-52 of its value at the exact
+    angle.  `work` is six scratch rows of u.size doubles; y may be u.
+    """
+    v, j, c, s, sin_t, cos_t = work
+    knot = sin_t.view(np.int64)  # the knots' indices, until sin t is formed
+    np.multiply(u, _TURN_KNOTS, out=v)
+    np.rint(v, out=j)
+    v -= j
+    v *= 2.0 * math.pi / _TURN_KNOTS
+    np.copyto(knot, j, casting="unsafe")
+    # every index is in 0..N: clip only spares take its bounds check
+    np.take(_TURN_COS, knot, out=c, mode="clip")
+    np.take(_TURN_SIN, knot, out=s, mode="clip")
+    z = np.multiply(v, v, out=j)
+    np.multiply(z, 1.0 / 120.0, out=sin_t)
+    sin_t -= 1.0 / 6.0
+    sin_t *= z
+    sin_t *= v
+    sin_t += v
+    np.multiply(z, -1.0 / 720.0, out=cos_t)
+    cos_t += 1.0 / 24.0
+    cos_t *= z
+    cos_t -= 0.5
+    cos_t *= z
+    np.multiply(c, cos_t, out=v)
+    v -= np.multiply(s, sin_t, out=z)
+    v += c
+    np.multiply(v, radius, out=x)
+    cos_t *= s
+    sin_t *= c
+    cos_t += sin_t
+    cos_t += s
+    np.multiply(cos_t, radius, out=y)
+
+
 def _check_seed(seed):
     if not (_is_integer(seed) and 0 <= int(seed) < 2**64):
         raise ValidationError("seed must be an unsigned 64-bit integer, got %r" % (seed,))
@@ -103,19 +203,27 @@ def _chunks(form, n, seed, whole=False):
     _check_form(form)
     n, seed = _check_count(n, "n"), _check_seed(seed)
     out = np.empty(n if whole else min(n, DEFAULT_CHUNK))
-    return out, _fill_chunks(np.array(form.a), np.array(form.b), n, seed, out)
+    # the form is sampled at 2^-e times its scale, where no product or sum
+    # can overflow, and each chunk scaled back; a power of two commutes with
+    # every rounding, so the bits are those of the form itself wherever
+    # nothing leaves the float range
+    e = _binade(form.a, form.b)
+    a, b = np.ldexp(form.a, -e), np.ldexp(form.b, -e)
+    return out, _fill_chunks(a, b, e, n, seed, out)
 
 
-def _fill_chunks(a, b, n, seed, out):
-    """The generator behind _chunks: fill out with each chunk in turn, then yield it."""
+def _fill_chunks(a, b, e, n, seed, out):
+    """The generator behind _chunks: fill out with each chunk in turn, then yield it.
+
+    The draws are those of the form (a, b), scaled by 2^e.
+    """
     p, size = a.size, DEFAULT_CHUNK
     # a multiple of 64 rows, so that every block but a chunk's last starts
-    # BLAS's row kernels where the whole chunk's product would; at p <= 2 a
-    # block is the whole chunk
+    # BLAS's row kernels where the whole chunk's product would
     rows = min(size, max(64, _BLOCK_NORMALS // p // 64 * 64))
     pairs = (rows * p + 1) // 2
     normals = np.empty(2 * pairs)
-    radius, angle, cosine = np.empty((3, pairs))
+    radius, *work = np.empty((7, pairs))
     linear = np.empty(rows)
     for chunk, start in enumerate(range(0, n, size)):
         uniform = np.random.Generator(np.random.Philox(key=seed, counter=chunk << 128)).random
@@ -124,25 +232,24 @@ def _fill_chunks(a, b, n, seed, out):
         for lo in range(0, draws.size, rows):
             m = min(rows, draws.size - lo)
             k = (m * p + 1) // 2
-            z, r, t, c = normals[: 2 * k], radius[:k], angle[:k], cosine[:k]
+            z, r = normals[: 2 * k], radius[:k]
             # (bits >> 11) * 2^-53 in stream order; u1 = that + 2^-53 is in
             # (0, 1], so log never sees 0
             uniform(out=z)
             np.add(z[0::2], 2.0**-53, out=r)
-            np.multiply(z[1::2], 2.0 * np.pi, out=t)
             np.log(r, out=r)
             r *= -2.0
             np.sqrt(r, out=r)
-            np.cos(t, out=c)
-            np.sin(t, out=t)
-            np.multiply(c, r, out=z[0::2])
-            np.multiply(t, r, out=z[1::2])
+            _polar(z[1::2], r, z[0::2], z[1::2], [w[:k] for w in work])
             # (z * z) @ a + z @ b, squaring z in place once z @ b is taken
             z = z[: m * p].reshape(m, p)
             np.matmul(z, b, out=linear[:m])
             np.multiply(z, z, out=z)
             np.matmul(z, a, out=draws[lo : lo + m])
             draws[lo : lo + m] += linear[:m]
+        if e:
+            with np.errstate(over="ignore"):  # an infinity here is the rounded value
+                np.ldexp(draws, e, out=draws)
         yield draws
 
 
@@ -152,11 +259,16 @@ def sample(form: DiagonalForm, n: int, seed: int) -> np.ndarray:
     Chunk c of DEFAULT_CHUNK rows draws from one Philox generator at counter
     c * 2^128.  The chunk is processed one block of about _BLOCK_NORMALS
     normals at a time: uniforms, the Box-Muller transform and both
-    matrix-vector products run in buffers that every block reuses.  A
-    counter-based stream continues bit for bit across calls, and every step
-    is elementwise or a row product, so at one BLAS thread the bits are
-    those of the whole chunk's radius * (cos, sin)(angle) followed by
-    (z * z) @ a + z @ b.
+    matrix-vector products run in buffers that every block reuses.  The
+    transform's cosine and sine of 2 pi u2 are formed from u2 by a table of
+    knots and two short polynomials in exact IEEE operations (_polar), with
+    the same bits on every host; its log and the two products are numpy's
+    and BLAS's.  The form is sampled at 2^-e times its scale,
+    e = _binade(a, b), and each chunk is scaled back by 2^e, so a draw
+    overflows only where its value does.  A counter-based stream continues
+    bit for bit across calls, and every step is elementwise or a row
+    product, so at one BLAS thread the bits are those of the whole chunk's
+    normals followed by (z * z) @ a + z @ b.
     """
     out, chunks = _chunks(form, n, seed, whole=True)
     for _ in chunks:
@@ -181,18 +293,22 @@ def empirical_tail(samples, t, direction: str):
     `t` is one threshold, giving one TailEstimate, or a 1-D array of them,
     giving a list with one estimate per threshold.  `samples` is a vector,
     counted in DEFAULT_CHUNK blocks of which each is sorted as a copy, or an
-    iterator over nonempty float64 arrays of one dimension, such as the
-    chunks of verify's sampler, each of which is sorted in place: a stream
-    that refills one buffer is counted with no copy and O(block) memory,
-    whatever its length.
+    iterator over nonempty, writeable float64 arrays of one dimension, such
+    as the chunks of verify's sampler, each of which is sorted in place: a
+    stream that refills one buffer is counted with no copy and O(block)
+    memory, whatever its length.
     Every threshold is located in each sorted block by binary search, so one
     pass over the samples counts them all exactly, and the intervals are
-    computed once, from the totals.  NaN samples are refused rather than
-    counted as misses.  The intervals are two-sided at DEFAULT_CONFIDENCE.
+    computed once, from the totals.  NaN or complex samples, and blocks of
+    any other kind, are refused rather than counted.  The intervals are
+    two-sided at DEFAULT_CONFIDENCE.
     """
     _check_direction(direction)
     if not isinstance(samples, Iterator):
-        x = np.asarray(samples, dtype=float)
+        x = np.asarray(samples)
+        if x.dtype.kind == "c":
+            raise ValidationError("samples must be real, not complex")
+        x = x.astype(float, copy=False)
         if x.ndim != 1 or x.size == 0:
             raise ValidationError("samples must be a nonempty vector")
         samples = (x[lo : lo + DEFAULT_CHUNK].copy() for lo in range(0, x.size, DEFAULT_CHUNK))
@@ -207,6 +323,9 @@ def empirical_tail(samples, t, direction: str):
     located = np.zeros(flat.size, dtype=np.int64)
     n = 0
     for block in samples:
+        if not (isinstance(block, np.ndarray) and block.dtype == np.float64 and block.ndim == 1
+                and block.size and block.flags.writeable):
+            raise ValidationError("each block of samples must be a nonempty, writeable float64 vector")
         block.sort()
         if np.isnan(block[-1]):  # a sort puts NaNs last
             raise ValidationError("samples must not be NaN")

@@ -17,11 +17,12 @@ import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from _cf_reference import g_decay, psi
-from _sample_reference import chunk_loop
-from hypothesis import given, settings
+from _sample_reference import TABLE_COS, TABLE_SIN, chunk_loop, libm_normals, uniforms
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import beta, chi2, ks_2samp, ncx2, norm
@@ -76,6 +77,22 @@ def test_sample_chunk_size_changes_stream_layout(monkeypatch):
 def test_sample_degenerate_form_is_constant():
     form = qc.DiagonalForm(np.zeros(2), np.zeros(2))
     assert np.array_equal(qc.sample(form, 100, 0), np.zeros(100))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-1000, 1023))
+@example(1020)
+def test_sample_scale_covariance_bitwise(k):
+    # a power-of-two scale moves no bit of a draw that stays a finite normal
+    # float; at k = 1020 the products of the unscaled form overflowed
+    form = qc.DiagonalForm([1.0, -0.9], [0.5, 0.0])
+    scaled = qc.DiagonalForm([math.ldexp(v, k) for v in form.a], [math.ldexp(v, k) for v in form.b])
+    got = qc.sample(scaled, 10**5, 7)
+    with np.errstate(over="ignore"):
+        want = np.ldexp(qc.sample(form, 10**5, 7), k)
+    normal = np.isfinite(want) & (np.abs(want) >= np.finfo(float).tiny)
+    assert got[normal].tobytes() == want[normal].tobytes()
+    assert np.array_equal(np.isinf(got), np.isinf(want))
 
 
 def test_sample_moments():
@@ -138,9 +155,86 @@ def test_samplers_match_their_chunk_loops_bitwise(p, n, chunk_size, monkeypatch)
     assert res.stdout.strip() == "0"
 
 
+def test_polar_is_within_2_to_the_minus_52_of_the_exact_angle():
+    # 10^4 random uniforms, the edges 0 and 1 - 2^-53, every knot j / N, and
+    # every tie v - j = +-1/2 between knots (rint rounds it to the even knot)
+    # with its two neighbours
+    knots = oracle._TURN_KNOTS
+    ties = (np.arange(knots) + 0.5) / knots
+    u = np.concatenate([
+        np.random.default_rng(52).integers(0, 2**53, 10**4) * 2.0**-53,
+        [0.0, 1.0 - 2.0**-53], np.arange(knots + 1) / knots,
+        ties, np.nextafter(ties, 0.0), np.nextafter(ties, 1.0),
+    ])
+    x, y = np.empty(u.size), np.empty(u.size)
+    oracle._polar(u, np.ones(u.size), x, y, np.empty((6, u.size)))
+    worst = 0.0
+    with mpmath.workprec(120):
+        for turns, cos, sin in zip(u.tolist(), x.tolist(), y.tolist()):
+            twice = 2 * mpmath.mpf(turns)  # 2 pi u = pi * twice, exactly
+            worst = max(worst, abs(cos - mpmath.cospi(twice)), abs(sin - mpmath.sinpi(twice)))
+    assert worst <= 2.0**-52, float(worst)
+    # the table is each knot's value rounded once
+    assert oracle._TURN_COS.tobytes() == TABLE_COS.tobytes()
+    assert oracle._TURN_SIN.tobytes() == TABLE_SIN.tobytes()
+
+
+def test_normals_stay_near_libm_box_muller():
+    # libm's cos and sin of the rounded angle fl(fl(2 pi) u) are a second
+    # referee.  fl(2 pi) is off by under 2.45e-16 and the product by at most
+    # half an ulp of an angle below 8, 2^-51; libm is off by under an ulp of
+    # a value in [-1, 1], 2^-53.  The table kernel is within 2^-52 (above),
+    # and the two products with the same radius r round by at most 2^-53 r
+    # each, so the normals differ by at most r (2^-52 + 2.45e-16 + 2^-51 +
+    # 3 * 2^-53).  a = 0, b = 1 makes each draw one normal.
+    with mpmath.workprec(120):
+        two_pi = float(abs(2 * mpmath.pi - mpmath.mpf(2.0 * math.pi)))
+    assert two_pi < 2.45e-16
+    per_radius = 2.0**-52 + 2.45e-16 + 2.0**-51 + 3 * 2.0**-53
+    n, size = 2 * oracle.DEFAULT_CHUNK + 5, oracle.DEFAULT_CHUNK
+    got = qc.sample(qc.DiagonalForm([0.0], [1.0]), n, 2024)
+    for chunk, lo in enumerate(range(0, n, size)):
+        m = min(size, n - lo)
+        u1, _ = uniforms(2024, chunk, (m + 1) // 2)
+        radius = np.repeat(np.sqrt(-2.0 * np.log(u1)), 2)[:m]
+        gap = np.abs(got[lo : lo + m] - libm_normals(2024, chunk, m))
+        assert np.all(gap <= radius * per_radius), (gap / radius).max()
+
+
+POLAR_PROBE = r"""
+import hashlib
+import numpy as np
+from quadconc import oracle
+
+rng = np.random.Generator(np.random.Philox(key=52))
+u = np.concatenate([rng.random(10**5), np.arange(257) / 256, (np.arange(256) + 0.5) / 256])
+radius = 9.0 * rng.random(u.size)
+x, y = np.empty(u.size), np.empty(u.size)
+oracle._polar(u, radius, x, y, np.empty((6, u.size)))
+print(hashlib.sha256(x.tobytes() + y.tobytes()).hexdigest())
+"""
+
+
+def test_polar_bits_are_the_same_on_every_cpu_setting():
+    # numpy dispatching as on a host without AVX-512, and OpenBLAS running
+    # the kernels of a host without AVX2, give the kernel's bytes unchanged
+    hashes = set()
+    for setting in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+                    {"OPENBLAS_CORETYPE": "Sandybridge"}):
+        env = dict(os.environ, **setting)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        res = subprocess.run(
+            [sys.executable, "-c", POLAR_PROBE], capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert res.returncode == 0, res.stderr
+        hashes.add(res.stdout)
+    assert len(hashes) == 1, hashes
+
+
 def test_sample_memory_is_one_block():
-    # the normals of one whole chunk at p = 24 are 12.6 MB; sample holds
-    # about 2.5 blocks of _BLOCK_NORMALS doubles beside the n-vector
+    # the normals of one whole chunk at p = 24 are 12.6 MB; sample holds the
+    # block's normals and nine rows of about _BLOCK_NORMALS / 2 doubles
+    # beside the n-vector, 1.2 MB (with 2^17-normal blocks it held 2.6 MB)
     rng = np.random.default_rng(24)
     form = qc.DiagonalForm(rng.uniform(-2, 2, 24), rng.uniform(-2, 2, 24))
     n = 2 * oracle.DEFAULT_CHUNK
@@ -151,7 +245,7 @@ def test_sample_memory_is_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * n + 3 * 8 * oracle._BLOCK_NORMALS, peak
+    assert peak < 8 * n + 5 * 8 * 2**15, peak
 
 
 def test_sample_validation():
@@ -330,6 +424,14 @@ def test_streamed_samples_are_checked():
     for n, seed, message in ((10, -1, "seed must"), (10, 2**64, "seed must"), (0, 1, "n must")):
         with pytest.raises(ValidationError, match=message):
             oracle._chunks(CHI1, n, seed)
+    read_only = np.zeros(3)
+    read_only.flags.writeable = False
+    for block in (np.zeros((2, 3)), np.zeros(0), [1.0, 2.0], read_only, np.zeros(3, complex)):
+        with pytest.raises(ValidationError, match="block"):
+            qc.empirical_tail(iter([np.zeros(3), block]), 0.5, "upper")
+    for samples in (np.array([1.0 + 1.0j, 2.0]), [1.0, 2.0j]):
+        with pytest.raises(ValidationError, match="complex"):
+            qc.empirical_tail(samples, 0.5, "upper")
 
 
 def test_cdf_p1_chi_square():
