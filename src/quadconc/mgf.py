@@ -14,13 +14,18 @@ with u = sqrt(sum_k (a_k^2 + b_k^2/2)) and v = 2*a_plus, valid on
 This module evaluates both sides and checks the inequality on grids, which
 is what `quadconc mgf-check` runs.
 
-_log_mgf_terms is the one place the log-MGF terms are formed.  A grid of n
-points is evaluated one block of y-columns at a time, about _BLOCK_CELLS
-(coefficient, y) cells a block, in buffers that fit in a core's L2 cache,
-so a grid check holds O(n + block) memory rather than O(p n).  Each cell
-gets the same operations in the same order as on the whole grid, and the
-column sums run over the coefficients in order as they do there, so every
-slack keeps the bits of the whole-grid evaluation.
+_log_mgf_terms is the one place the log-MGF terms are formed, and it
+returns their sums over the coefficients at every point of a grid.  A grid
+of n points is evaluated in strips of _STRIP y-columns, each strip in tiles
+of whole coefficient rows, in buffers of about _BLOCK_CELLS (coefficient, y)
+cells, so a grid check holds O(n + block) memory rather than O(p n), and
+every broadcast product runs along rows of a whole strip.  A carry row
+sums each column over the coefficients in order, as numpy sums the whole
+(p, n) grid.  The cells are formed in doubled units and each column sum is
+halved once; where nothing is subnormal, that rounds as the half-unit
+formula summed over the whole grid does, so every slack keeps its bits, and
+a strip whose doubled sums leave the float range is formed again in half
+units.
 """
 
 import math
@@ -42,7 +47,8 @@ from .errors import DomainError, ValidationError
 LINEAR_ONLY_Y_MAX = 10.0  # grid reach when a_plus = 0 and there is no pole
 POLE_FRACTION = 0.999  # grids stop at this fraction of the MGF pole
 ENVELOPE_SLACK = 1e-10
-_BLOCK_CELLS = 2**15  # (coefficient, y) cells per block of the log-MGF grid
+_BLOCK_CELLS = 2**15  # (coefficient, y) cells per tile of the log-MGF grid, carry row included
+_STRIP = 4096  # y-columns per strip: numpy's broadcast products are slow along shorter rows
 
 
 class MgfEnvelope(_Record):
@@ -66,35 +72,50 @@ class MgfEnvelope(_Record):
         return (uy * uy / (1.0 - self.v * ys))[()]
 
 
-def _log_mgf_terms(a, b, ys):
-    """Yield (cols, terms, q), one block of y-columns cols at a time.
+def _log_mgf_terms(a, b, ys, centered):
+    """sum_k t_k(y) at every y of ys, less sum_k a_k y when centered.
 
-    terms holds log E exp(y (a_k z^2 + b_k z)) and q = -2 a_k y, one row per
-    coefficient k, one column per y of cols; the first plus q/2 (which is
-    -a_k y exactly) are the centered terms.
+    t_k(y) = log E exp(y (a_k z^2 + b_k z)) = b_k^2 y^2 / (2 (1 + q)) - log1p(q) / 2,
+    q = -2 a_k y.  Every term depends on y only through a_k y and b_k y, so
+    they are formed from (a, b) * 2^-e and y * 2^e, e = _binade(a, b): the
+    squares b_k^2 and y^2 then leave the float range only where a_k y or
+    b_k y is extreme itself, and the terms keep the bits of the unscaled
+    formula wherever nothing is subnormal.
 
-    Every term depends on y only through a_k y and b_k y, so they are formed
-    from (a, b) * 2^-e and y * 2^e, e = _binade(a, b): the squares b_k^2 and
-    y^2 then leave the float range only where a_k y or b_k y is extreme
-    itself, and the terms keep the bits of the unscaled formula wherever
-    nothing is subnormal.  Where b_k^2 y^2 still overflows, a large
-    1 - 2 a_k y can bring the term back into range, so there it is formed as
+    The grid is cut into strips of _STRIP columns; a lone last column joins
+    the strip before it, since numpy sums a single column pairwise but
+    several columns row by row.  Each strip is formed in tiles of whole
+    coefficient rows, as many as fit _BLOCK_CELLS cells beside the carry
+    row, in three buffers that belong to the call and are rewritten for
+    each tile.  The carry row is row 0 of the terms buffer: it holds each
+    column's sum over the tiles before, and each tile is summed together
+    with it, so every column is summed over k in order, row after row, as
+    numpy sums the whole (p, n) grid.  A one-column grid is one tile of all
+    p rows, which numpy sums pairwise, as it sums the whole grid's column.
+
+    A cell is formed in doubled units, 2 t_k(y) (+ q when centered), as
+    b_k^2 y^2 / (1 + q) - log1p(q) (+ q) with q = (-2 a_k) y, and each
+    column sum is halved once.  Scaling by 2 rounds nothing unless a value
+    is subnormal or leaves the float range, so where neither happens each
+    sum has the bits of the half-unit formula, t_k (+ q / 2) with
+    q = -2 (a_k y), summed over the whole grid.  Any cell or partial sum
+    that leaves the float range makes its column sum inf or NaN, and a
+    strip with such a sum is formed again in half units, so that every
+    value comes back as the half-unit formula gives it, finite or not.
+    The half units are also where b_k^2 y^2 may overflow although a large
+    1 - 2 a_k y brings the term back into range: there it is formed as
     (b_k y) (b_k y / (1 - 2 a_k y)) / 2, dividing before multiplying.
 
-    A block holds about _BLOCK_CELLS (k, y) cells in three buffers that
-    belong to the call and are rewritten for each block, so the caller reads
-    (and may overwrite) one block before asking for the next.  Each cell
-    gets the operations of the whole-grid formula in the same order, so
-    its bits do not depend on the block it falls in.  Rounding is monotone,
-    so each row's 1 - 2 a_k y is least at the smallest or the largest y,
-    and the pole is checked at those two once; the DomainError it raises
-    reports the caller's a and y at the first cell, row by row, that
-    reaches the pole.
+    Rounding is monotone, so each row's 1 - 2 a_k y is least at the
+    smallest or the largest y, and the pole is checked at those two once;
+    the DomainError it raises reports the caller's a and y at the first
+    cell, row by row, that reaches the pole.
     """
     a, b, ys = np.ravel(a), np.ravel(b), np.ravel(ys)  # a form's tuples or scalars, as arrays once
     e = _binade(a, b)
     a_s, b_s, y_s = np.ldexp(a, -e), np.ldexp(b, -e), np.ldexp(ys, e)
-    ends = 1.0 + -2.0 * np.multiply.outer(a_s, y_s[[np.argmin(y_s), np.argmax(y_s)]])
+    a2 = -2.0 * a_s  # q = (-2 a) y in doubled units
+    ends = 1.0 + np.multiply.outer(a2, y_s[[np.argmin(y_s), np.argmax(y_s)]])
     if not np.all(ends > 0.0):
         k = int(np.argmin(np.all(ends > 0.0, axis=1)))
         row = 1.0 + -2.0 * (a_s[k] * y_s)
@@ -105,58 +126,82 @@ def _log_mgf_terms(a, b, ys):
         )
     with np.errstate(over="ignore"):  # an overflowing square takes the fallback below
         b_sq, y_sq = np.square(b_s), np.square(y_s)
-    # with every b_k zero and every y^2 finite, 0.5 b^2 y^2 / (1 - 2ay) is +0
-    # in every cell; it is not formed, and the log part is subtracted from +0
+    # with every b_k zero and every y^2 finite, b^2 y^2 / (1 - 2ay) is +0 in
+    # every cell; it is not formed, and the log part is subtracted from +0,
+    # or from q when centered
     central = not b_sq.any() and bool(np.isfinite(y_sq).all())
     p, n = a.size, ys.size
-    # numpy sums a block's one column pairwise, but several columns row by
-    # row, as it sums the whole grid: a lone last column joins the block
-    # before it, so every block of a grid of two or more columns has two or more
-    width = max(2, _BLOCK_CELLS // p)
-    buffers = [np.empty(p * min(n, width + 1)) for _ in range(3)]
+    size = p + 1 if n == 1 else min(_BLOCK_CELLS, (p + 1) * min(n, _STRIP + 1))
+    q_buf, den_buf, terms_buf = (np.empty(size) for _ in range(3))
+
+    def fill(lo, out, doubled):
+        """out[:] = the column sums of y-columns lo, lo + 1, ..., in doubled or half units."""
+        w = out.size
+        y, y2 = y_s[lo : lo + w], y_sq[lo : lo + w]
+        rows = p if w == 1 else min(p, _BLOCK_CELLS // w - 1)
+        for k in range(0, p, rows):
+            ks = slice(k, min(p, k + rows))
+            r = ks.stop - k
+            q, den = q_buf[: r * w].reshape(r, w), den_buf[: r * w].reshape(r, w)
+            tile = terms_buf[: (r + 1) * w].reshape(r + 1, w)
+            terms = tile[1:]  # below the carry row
+            if doubled:
+                np.multiply.outer(a2[ks], y, out=q)
+            else:
+                np.multiply.outer(a_s[ks], y, out=q)
+                q *= -2.0
+            if not central:
+                # b^2 y^2 / (1 - 2ay), halved in half units, in place
+                np.add(q, 1.0, out=den)
+                with np.errstate(over="ignore", invalid="ignore"):  # formed again below, or in half units
+                    np.multiply.outer(b_sq[ks], y2, out=terms)
+                    if not doubled:
+                        terms *= 0.5
+                    terms /= den
+                if not (doubled or math.isfinite(terms.max())):  # the terms are >= 0 or NaN
+                    lost = ~np.isfinite(terms)
+                    by = np.multiply.outer(b_s[ks], y)[lost]
+                    terms[lost] = 0.5 * by * (by / den[lost])
+            # log1p keeps the small-y regime accurate where log(1 - 2ay) cancels against a*y
+            logs = terms if central else den
+            np.log1p(q, out=logs)
+            if not doubled:
+                logs *= 0.5
+                q *= 0.5
+            if central:
+                np.subtract(q if centered else 0.0, logs, out=terms)
+            else:
+                terms -= logs
+                if centered:
+                    terms += q
+            # the first tile's sum starts the carry row, later ones add to it
+            np.sum(terms if k == 0 else tile, axis=0, out=out)
+            tile[0] = out
+
+    sums = np.empty(n)
     lo = 0
     while lo < n:
-        hi = n if lo + width >= n - 1 else lo + width
-        q, den, terms = (buf[: p * (hi - lo)].reshape(p, hi - lo) for buf in buffers)
-        np.multiply.outer(a_s, y_s[lo:hi], out=q)
-        q *= -2.0
-        if not central:
-            # 0.5 b^2 y^2 / (1 - 2ay) in place
-            np.add(q, 1.0, out=den)
-            with np.errstate(over="ignore", invalid="ignore"):  # formed again just below
-                np.multiply.outer(b_sq, y_sq[lo:hi], out=terms)
-                terms *= 0.5
-                terms /= den
-            if not math.isfinite(terms.max()):  # the terms are >= 0 or NaN
-                lost = ~np.isfinite(terms)
-                by = np.multiply.outer(b_s, y_s[lo:hi])[lost]
-                terms[lost] = 0.5 * by * (by / den[lost])
-        # log1p keeps the small-y regime accurate where log(1 - 2ay) cancels against a*y
-        np.log1p(q, out=den)
-        den *= 0.5
-        if central:
-            np.subtract(0.0, den, out=terms)
+        hi = n if lo + _STRIP >= n - 1 else lo + _STRIP
+        out = sums[lo:hi]
+        with np.errstate(over="ignore", invalid="ignore"):  # a strip that leaves the range is formed again
+            fill(lo, out, doubled=True)
+        if np.isfinite(out).all():
+            out *= 0.5
         else:
-            terms -= den
-        yield slice(lo, hi), terms, q
+            fill(lo, out, doubled=False)
         lo = hi
+    return sums
 
 
 def _centered_sums(a, b, ys):
     """sum_k [log E exp(y (a_k z^2 + b_k z)) - a_k y] at every y of ys."""
-    sums = np.empty(np.size(ys))
-    for cols, terms, q in _log_mgf_terms(a, b, ys):
-        q *= 0.5
-        terms += q
-        np.sum(terms, axis=0, out=sums[cols])
-    return sums
+    return _log_mgf_terms(a, b, ys, centered=True)
 
 
 def log_mgf_term(a: float, b: float, y: float) -> float:
     """log E exp(y (a z^2 + b z)) for finite real scalars a, b, y with 1 - 2ay > 0."""
     a, b, y = (_check_real(val, name, "any") for name, val in (("a", a), ("b", b), ("y", y)))
-    _, terms, _ = next(_log_mgf_terms(a, b, y))
-    return float(terms[0, 0])
+    return float(_log_mgf_terms(a, b, y, centered=False)[0])
 
 
 def log_mgf_centered(form: DiagonalForm, y: float) -> float:

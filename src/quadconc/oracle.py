@@ -42,6 +42,7 @@ from .bounds import (
     _check_form,
     _check_real,
     _is_integer,
+    _is_real_type,
     _ldexp_or_inf,
     _Record,
 )
@@ -300,7 +301,9 @@ def empirical_tail(samples, t, direction: str):
     Every threshold is located in each sorted block by binary search, so one
     pass over the samples counts them all exactly, and the intervals are
     computed once, from the totals.  NaN or complex samples, and blocks of
-    any other kind, are refused rather than counted.  The intervals are
+    any other kind, are refused rather than counted, and so is a threshold
+    that is not a real number (a bool, a string, None, a complex value) or
+    is NaN; an infinite one counts every sample or none.  The intervals are
     two-sided at DEFAULT_CONFIDENCE.
     """
     _check_direction(direction)
@@ -312,12 +315,22 @@ def empirical_tail(samples, t, direction: str):
         if x.ndim != 1 or x.size == 0:
             raise ValidationError("samples must be a nonempty vector")
         samples = (x[lo : lo + DEFAULT_CHUNK].copy() for lo in range(0, x.size, DEFAULT_CHUNK))
-    thresholds = np.asarray(t, dtype=float)
+    # _check_real's rules for each threshold, except that it may be infinite
+    thresholds = t if isinstance(t, np.ndarray) else np.array(t, dtype=object)
+    kinds = set(map(type, thresholds.flat)) if thresholds.dtype == object else {thresholds.dtype.type}
+    real = all(map(_is_real_type, kinds))
+    if real:
+        try:
+            thresholds = thresholds.astype(float)
+        except OverflowError:  # an integer past the float range
+            real = False
+    if not real:
+        raise ValidationError("t must be a real number or a vector of real numbers")
     if thresholds.ndim > 1:
-        raise ValidationError("thresholds must be a scalar or a vector")
+        raise ValidationError("t must be a scalar or a vector")
     flat = thresholds.reshape(-1)
     if np.isnan(flat).any():
-        raise ValidationError("threshold must not be NaN")
+        raise ValidationError("t must not be NaN")
     # upper counts x >= t as the x not below t; lower counts x <= t directly
     side = "left" if direction == "upper" else "right"
     located = np.zeros(flat.size, dtype=np.int64)

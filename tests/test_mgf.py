@@ -125,6 +125,17 @@ def test_log_mgf_term_where_b_squared_y_squared_overflows():
         )
 
 
+def test_log_mgf_where_the_doubled_term_overflows():
+    # b^2 y^2 / 2 = 1.125e308 is finite but b^2 y^2 is not, so the doubled
+    # units that the grid forms its cells in overflow here: the term and the
+    # sum holding it are formed in half units, with the half-unit bits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert qc.log_mgf_term(0.0, 1.5e154, 1.0) == 1.1250000000000002e308
+        form = qc.DiagonalForm(np.array([0.0, 0.25]), np.array([1.5e154, 0.0]))
+        assert qc.log_mgf_centered(form, 1.0) == 1.1250000000000002e308
+
+
 def test_envelope_grid_near_the_float_limits():
     # the grid is spread for the rescaled pole: y_max * n does not overflow
     # for an a_plus near the bottom of the normal range
@@ -310,12 +321,16 @@ def whole_grid_check(form, n):
 @pytest.mark.parametrize(
     "p, n, shifted",
     [
-        (5, 512, True),  # one block
-        (24, 3000, True),  # 1365-column blocks and a ragged last block of 270
-        (24, 2731, False),  # a lone last column joins the block before it
-        (48, 4096, False),
+        (5, 512, True),  # one tile
+        (1, 7, False),  # one coefficient
+        (24, 3000, True),  # one strip in tiles of 9, 9 and 6 rows
+        (24, 2731, False),  # tiles of 10, 10 and 4 rows
+        (48, 4096, False),  # tiles of 7 rows; 48 is not a multiple of 7
+        (50, 4096, True),  # seven tiles of 7 rows and a last tile of one row
         (96, 4096, True),
-        (2**15 + 3, 5, True),  # more coefficients than a block's cells: two columns a block
+        (200, 4097, True),  # a lone column after a full strip joins it: tiles of 6 rows
+        (3, 2**16 + 5, True),  # 16 strips of 4096 columns and a last one of 5
+        (2**15 + 3, 5, True),  # more coefficients than a tile's cells: tiles of 6552 rows
         (2**15 + 3, 1, False),  # one column, summed pairwise, as the whole grid sums it
     ],
 )
@@ -374,15 +389,22 @@ def test_log_mgf_domain_error_names_the_first_pole_cell():
 
 
 def test_envelope_grid_memory_is_one_block():
-    # at p = 96, n = 4096 the whole grid holds 3 MB a (p, n) array; the
-    # blocked kernel holds three buffers of about _BLOCK_CELLS cells each
-    rng = np.random.default_rng(96)
-    form = qc.DiagonalForm(rng.normal(size=96), rng.normal(size=96))
-    qc.envelope_grid_check(form, 4096)
-    tracemalloc.start()
-    try:
-        qc.envelope_grid_check(form, 4096)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.5 * 96 * 4096 * 8, peak
+    cases = [
+        # the whole grid held a 3 MB (p, n) array at p = 96, n = 4096
+        (96, 4096, 0.5 * 96 * 4096 * 8),
+        # at its peak the check holds five n-vectors (the grid, the envelope,
+        # and the kernel's scaled grid, its squares and the sums) and the
+        # kernel's three buffers, with less than a fourth buffer to spare
+        (24, 2**17, 5 * 8 * 2**17 + 3 * 8 * mgf._BLOCK_CELLS + 2**16),
+    ]
+    for p, n, bound in cases:
+        rng = np.random.default_rng(p)
+        form = qc.DiagonalForm(rng.normal(size=p), rng.normal(size=p))
+        qc.envelope_grid_check(form, n)
+        tracemalloc.start()
+        try:
+            qc.envelope_grid_check(form, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (p, n, peak)

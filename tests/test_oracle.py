@@ -216,10 +216,12 @@ print(hashlib.sha256(x.tobytes() + y.tobytes()).hexdigest())
 
 
 def test_polar_bits_are_the_same_on_every_cpu_setting():
-    # numpy dispatching as on a host without AVX-512, and OpenBLAS running
-    # the kernels of a host without AVX2, give the kernel's bytes unchanged
+    # numpy dispatching as on a host without AVX-512, or at its x86-64-v2
+    # baseline without AVX2 either, and OpenBLAS running the kernels of a
+    # host without AVX2, give the kernel's bytes unchanged
     hashes = set()
     for setting in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+                    {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
                     {"OPENBLAS_CORETYPE": "Sandybridge"}):
         env = dict(os.environ, **setting)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -345,6 +347,26 @@ def test_tail_estimate_ordering_enforced():
         qc.empirical_tail(np.arange(10.0), math.nan, "upper")
     with pytest.raises(ValidationError):
         qc.empirical_tail(np.arange(10.0), 1.0, "both")
+
+
+def test_empirical_tail_refuses_thresholds_that_are_not_real_numbers():
+    # a complex threshold ended in an untyped TypeError, None was refused as
+    # NaN, and strings and bools were counted as the numbers they spell
+    x = np.arange(10.0)
+    for t in (1.0 + 0j, 2j, np.complex128(1.0), np.array([0.5, 1j]), "1", ["1", "2"],
+              np.array(["1"]), True, np.bool_(True), [True, 0.5], np.array([True, False]),
+              None, [0.5, None], [[1.0], [1.0, 2.0]], 10**400, [0.5, -(10**400)]):
+        for direction in qc.DIRECTIONS:
+            with pytest.raises(ValidationError, match=r"^t must be a real number"):
+                qc.empirical_tail(x, t, direction)
+    for t in (math.nan, [0.5, math.nan], np.array([math.nan])):
+        with pytest.raises(ValidationError, match=r"^t must not be NaN"):
+            qc.empirical_tail(x, t, "upper")
+    # real numbers of any type, infinities and 0-d arrays stay thresholds
+    want = qc.empirical_tail(x, [4.5, 7.0, 2.0, math.inf], "lower")
+    assert qc.empirical_tail(x, [np.float32(4.5), 7, np.int8(2), np.float64(math.inf)], "lower") == want
+    assert qc.empirical_tail(x, np.array(4.5), "lower") == want[0]
+    assert qc.empirical_tail(x, np.array([4.5, 7, 2, math.inf], dtype=object), "lower") == want
 
 
 def test_empirical_tail_rejects_nan_samples():
