@@ -12,7 +12,9 @@ line-break and surrogate characters, or a two-column CSV (header "a,b")
 for diagonal forms.  Each output format has one writer, fed column names
 and rows.  Numbers use the shortest representation that round-trips to
 the same double, so outputs and reports are byte-stable for fixed inputs
-and seeds.
+and seeds.  Each command returns its exit code and its whole stdout text,
+and main writes that text once: if stdout's encoding cannot hold a
+character of it, the call exits 1 with nothing printed.
 
 Exit codes: 0 ok, 1 input/IO error, 2 validation or degenerate form,
 3 numerical failure (the message carries the residual and/or accuracy the
@@ -214,27 +216,16 @@ def _header(label, direction):
     return {"tool": "quadconc", "version": __version__, "label": label, "direction": direction}
 
 
-def _write(fmt, columns, rows, payload, comments=()):
-    """Print the rows as text or csv, or the payload as json.
-
-    The output is written in one piece, so a character that stdout's
-    encoding cannot hold, such as a label's under an ASCII locale, is an
-    InputError before any of it is printed.
-    """
+def _render(fmt, columns, rows, payload, comments=()) -> str:
+    """The rows as text or csv, or the payload as json."""
     if fmt == "text":
-        text = _render_text(columns, rows, comments)
-    elif fmt == "csv":
-        text = _render_csv(columns, rows)
-    else:
-        text = _render_json(payload)
-    try:
-        sys.stdout.write(text)
-    except UnicodeEncodeError as exc:
-        raise InputError("stdout's encoding %s cannot write %r; set PYTHONIOENCODING=utf-8"
-                         % (exc.encoding, exc.object[exc.start : exc.end]))
+        return _render_text(columns, rows, comments)
+    if fmt == "csv":
+        return _render_csv(columns, rows)
+    return _render_json(payload)
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args) -> tuple[int, str]:
     label, form = load_document(args.input)
     stats = form_stats(form)
     xs = _parse_x_list(args.x)
@@ -243,22 +234,20 @@ def cmd_bound(args) -> int:
     rows = [(tb.x, tb.threshold, tb.prob_bound) for tb in (one(stats, x) for x in xs)]
     comments = ([("label", label)] if label else []) + [("direction", args.direction)]
     payload = dict(_header(label, args.direction), rows=_records(columns, rows))
-    _write(args.format, columns, rows, payload, comments)
-    return 0
+    return 0, _render(args.format, columns, rows, payload, comments)
 
 
-def cmd_invert(args) -> int:
+def cmd_invert(args) -> tuple[int, str]:
     label, form = load_document(args.input)
     stats = form_stats(form)
     tb = tail_exponent(stats, args.deviation, args.direction)
     columns = ("deviation", "x", "bound", "threshold")
     rows = [(args.deviation, tb.x, tb.prob_bound, tb.threshold)]
     payload = dict(_header(label, args.direction), **_records(columns, rows)[0])
-    _write(args.format, columns, rows, payload)
-    return 0
+    return 0, _render(args.format, columns, rows, payload)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     from .oracle import DEFAULT_CONFIDENCE, _chunks
 
     if args.samples < 10**4:
@@ -294,24 +283,20 @@ def cmd_verify(args) -> int:
     )
     json_path.write_text(_render_json({"metadata": metadata, "rows": _records(columns, rows)}))
     marked = [(r[0], r[3], r[2], "ok" if r[-1] else "FAIL") for r in rows]
-    sys.stdout.write(_render_text(("x", "p_hat", "bound", None), marked))
     all_passed = all(r[-1] for r in rows)
-    sys.stdout.write(
-        "%s (%d rows, wrote %s and %s)\n"
-        % ("all rows ok" if all_passed else "BOUND CONTRADICTED", len(rows), csv_path, json_path)
-    )
-    return 0 if all_passed else 4
+    summary = "%s (%d rows, wrote %s and %s)\n" % (
+        "all rows ok" if all_passed else "BOUND CONTRADICTED", len(rows), csv_path, json_path)
+    return (0 if all_passed else 4), _render_text(("x", "p_hat", "bound", None), marked) + summary
 
 
-def cmd_mgf_check(args) -> int:
+def cmd_mgf_check(args) -> tuple[int, str]:
     _, form = load_document(args.input)
     check = _cli.envelope_grid_check(form, args.grid)
-    sys.stdout.write("grid_size=%d y_max=%s\n" % (check.grid_size, _fmt(check.y_max)))
-    sys.stdout.write("max_slack=%s at y=%s\n" % (_fmt(check.max_slack), _fmt(check.worst_y)))
-    sys.stdout.write(
-        "envelope %s (%d violations)\n" % ("holds" if check.ok else "VIOLATED", check.violations)
+    return (0 if check.ok else 4), (
+        "grid_size=%d y_max=%s\n" % (check.grid_size, _fmt(check.y_max))
+        + "max_slack=%s at y=%s\n" % (_fmt(check.max_slack), _fmt(check.worst_y))
+        + "envelope %s (%d violations)\n" % ("holds" if check.ok else "VIOLATED", check.violations)
     )
-    return 0 if check.ok else 4
 
 
 def build_parser():
@@ -321,42 +306,43 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version="quadconc %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_bound = sub.add_parser("bound", help="evaluate tail thresholds")
-    p_bound.add_argument("--input", required=True)
+    commands = []
+    for name, func, text in (
+        ("bound", cmd_bound, "evaluate tail thresholds"),
+        ("invert", cmd_invert, "exponent for a requested deviation"),
+        ("verify", cmd_verify, "Monte Carlo check over an exponent grid"),
+        ("mgf-check", cmd_mgf_check, "grid check of the log-MGF envelope"),
+    ):
+        command = sub.add_parser(name, help=text)
+        command.set_defaults(func=func)
+        command.add_argument("--input", required=True)
+        commands.append(command)
+    # each option is declared where it falls in its commands' --help order
+    p_bound, p_invert, p_verify, p_mgf = commands
     p_bound.add_argument("--x", required=True, help="comma-separated positive exponents")
-    p_bound.add_argument("--direction", choices=("upper", "lower"), default="upper")
-    p_bound.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p_bound.set_defaults(func=cmd_bound)
-
-    p_invert = sub.add_parser("invert", help="exponent for a requested deviation")
-    p_invert.add_argument("--input", required=True)
     p_invert.add_argument("--deviation", required=True, type=float)
-    p_invert.add_argument("--direction", choices=("upper", "lower"), default="upper")
-    p_invert.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p_invert.set_defaults(func=cmd_invert)
-
-    p_verify = sub.add_parser("verify", help="Monte Carlo check over an exponent grid")
-    p_verify.add_argument("--input", required=True)
     p_verify.add_argument("--samples", required=True, type=int)
     p_verify.add_argument("--seed", required=True, type=int)
     p_verify.add_argument("--x-grid", required=True, help="START:STOP:STEP")
-    p_verify.add_argument("--direction", choices=("upper", "lower"), default="upper")
-    p_verify.add_argument("--out", required=True, help="report path; .csv and .json are written")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_mgf = sub.add_parser("mgf-check", help="grid check of the log-MGF envelope")
-    p_mgf.add_argument("--input", required=True)
     p_mgf.add_argument("--grid", type=int, default=256)
-    p_mgf.set_defaults(func=cmd_mgf_check)
-
+    for command in (p_bound, p_invert, p_verify):
+        command.add_argument("--direction", choices=("upper", "lower"), default="upper")
+    p_verify.add_argument("--out", required=True, help="report path; .csv and .json are written")
+    for command in (p_bound, p_invert):
+        command.add_argument("--format", choices=("text", "csv", "json"), default="text")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError as exc:  # e.g. a label's character under an ASCII locale
+            raise InputError("stdout's encoding %s cannot write %r; set PYTHONIOENCODING=utf-8"
+                             % (exc.encoding, exc.object[exc.start : exc.end]))
+        return code
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

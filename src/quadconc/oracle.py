@@ -17,11 +17,11 @@ method: radius sqrt(-2 log u1) times (cos, sin)(2 pi u2), where the cosine
 and sine come from u2 itself, a table of _TURN_KNOTS + 1 knots and two short
 polynomials (see _polar), in + - * and rint, which IEEE 754 rounds the same
 on every host.  The chunks run one after the other on the calling thread,
-each one block of about _BLOCK_NORMALS normals at a time in buffers of
-about 4.5 _BLOCK_NORMALS doubles.  sample writes them into its n-vector, so
-its peak memory is the output plus that much; verify takes them as a stream
-of chunks in one reused buffer, which empirical_tail counts as they come,
-so its memory does not grow with n.
+each one block of about _BLOCK normals at a time in buffers of about
+4.5 _BLOCK doubles.  sample writes them into its n-vector, so its peak
+memory is the output plus that much; verify takes them as a stream of
+chunks in one reused buffer, which empirical_tail counts as they come, so
+its memory does not grow with n.
 
 scipy is imported only where it is used, by the binomial interval.
 Importing this module, and both of cdf_cf's paths, load numpy only.  The
@@ -49,10 +49,11 @@ from .bounds import (
 from .errors import DegenerateFormError, NumericalError, ValidationError
 
 DEFAULT_CHUNK = 65536
-# sample makes about this many normals at a time, so that a block's buffers
-# stay in a core's L2 cache; unlike DEFAULT_CHUNK, it is not part of what
-# defines the stream
-_BLOCK_NORMALS = 2**15
+# sample makes about this many normals at a time, and cdf_cf's phase kernel
+# this many (node, coordinate) terms, so that a block's buffers stay in a
+# core's L2 cache; unlike DEFAULT_CHUNK, it is not part of what defines the
+# stream
+_BLOCK = 2**15
 # Box-Muller's angle 2 pi u is the knot 2 pi j / _TURN_KNOTS nearest to it
 # plus a turn of at most pi / _TURN_KNOTS
 _TURN_KNOTS = 256
@@ -67,13 +68,13 @@ ACCURACY_TARGET = 1e-6
 _EPS = float(np.finfo(float).eps)
 # trapezoid path: each tail beyond its Chernoff radius holds at most
 # exp(-_TAIL_LOG); a form needing more than _NODE_BUDGET nodes takes the
-# slow-decay path; G and psi are evaluated _GRID_BLOCK (node, coordinate) terms at a time
+# slow-decay path
 _TAIL_LOG = 30.0
 _NODE_BUDGET = 2**14
-_GRID_BLOCK = 2**16
 _RADIUS_STEPS = 100  # a cap on _chernoff_radius's steps; every step gives a valid radius
 # slow-decay path: the M of the ladder in turn until two sums agree within
-# _DE_AGREE, on tau in _DE_TAU less the head (0, u_min) of at most _DE_HEAD
+# _DE_AGREE, or 2^-10 of the phase rounding if more, on tau in _DE_TAU less
+# the head (0, u_min) of at most _DE_HEAD
 _DE_LADDER = (64, 256, 1024, 4096)
 _DE_TAU = (-12.0, 5.5)
 _DE_HEAD = 1e-17
@@ -221,7 +222,7 @@ def _fill_chunks(a, b, e, n, seed, out):
     p, size = a.size, DEFAULT_CHUNK
     # a multiple of 64 rows, so that every block but a chunk's last starts
     # BLAS's row kernels where the whole chunk's product would
-    rows = min(size, max(64, _BLOCK_NORMALS // p // 64 * 64))
+    rows = min(size, max(64, _BLOCK // p // 64 * 64))
     pairs = (rows * p + 1) // 2
     normals = np.empty(2 * pairs)
     radius, *work = np.empty((7, pairs))
@@ -258,9 +259,9 @@ def sample(form: DiagonalForm, n: int, seed: int) -> np.ndarray:
     """n realizations of the diagonal form, reproducible for a fixed seed.
 
     Chunk c of DEFAULT_CHUNK rows draws from one Philox generator at counter
-    c * 2^128.  The chunk is processed one block of about _BLOCK_NORMALS
-    normals at a time: uniforms, the Box-Muller transform and both
-    matrix-vector products run in buffers that every block reuses.  The
+    c * 2^128.  The chunk is processed one block of about _BLOCK normals
+    at a time: uniforms, the Box-Muller transform and both matrix-vector
+    products run in buffers that every block reuses.  The
     transform's cosine and sine of 2 pi u2 are formed from u2 by a table of
     knots and two short polynomials in exact IEEE operations (_polar), with
     the same bits on every host; its log and the two products are numpy's
@@ -401,10 +402,10 @@ def _phase_sums(lam, delta_sq, half_sigma_sq, u):
         G(u)   = sum_k [ log1p(4 l_k^2)/4 + 2 l_k^2 d_k^2 / (1 + 4 l_k^2) ] + sigma^2 u^2 / 2
         psi(u) = sum_k [ arctan(2 l_k)/2 + a_k d_k^2 u / (1 + 4 l_k^2) ]
 
-    come from one pass over l = a u, a block of _GRID_BLOCK (node,
-    coordinate) terms at a time, one node per row, in buffers that every
-    block reuses: the u-independent factors 2 d^2 and a d^2 are computed
-    once, the shared denominator 1 + 4 l^2 once per term.  Each rewrite of
+    come from one pass over l = a u, a block of _BLOCK (node, coordinate)
+    terms at a time, one node per row, in buffers that every block reuses:
+    the u-independent factors 2 d^2 and a d^2 are computed once, the
+    shared denominator 1 + 4 l^2 once per term.  Each rewrite of
     the textbook expressions (tests/_cf_reference.py) hoists a left factor
     or regroups a power-of-two scaling, and numpy sums a row pairwise as it
     sums a vector, so G and psi are bitwise equal to the textbook wherever
@@ -413,7 +414,7 @@ def _phase_sums(lam, delta_sq, half_sigma_sq, u):
     two_delta_sq = 2.0 * delta_sq
     lam_delta_sq = lam * delta_sq
     g, psi = np.empty(u.size), np.empty(u.size)
-    step = max(1, min(u.size, _GRID_BLOCK // lam.size))
+    step = max(1, min(u.size, _BLOCK // lam.size))
     buffers = np.empty((5, step, lam.size))
     for start in range(0, u.size, step):
         col = u[start : start + step, None]
@@ -761,10 +762,13 @@ def _plan(form):
         # refuse a hopeless split before any phase; the last rung reaches furthest
         err = _split_rounding(lam, s_terms, r, min(u_stop, _DE_LADDER[-1] * _DE_TAU[1] / w))
         u_min = _DE_HEAD / (w + abs(r) + head)
+        # a difference below 2^-10 of the rounding already booked is that
+        # rounding's noise; another rung would move the account by under 0.1%
+        agree = max(_DE_AGREE, err * 2.0**-10)
         total = None
         for m in _DE_LADDER:
             previous, total = total, _de_sum(lam, delta_sq, half_sigma_sq, m, s, w, r, u_min)
-            if previous is not None and abs(total - previous) <= _DE_AGREE:
+            if previous is not None and abs(total - previous) <= agree:
                 break
         err += abs(total - previous) + _DE_HEAD + ENVELOPE_CUTOFF
         return _certified(total, err / math.pi)
@@ -821,8 +825,9 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     at least pi/u_end, u_end the lesser of u_stop and the point past which
     exp(-G) <= (2 a_max u)^(-1/2) leaves at most ENVELOPE_CUTOFF, so theta
     turns slowly where the integrand lives.  The sum is taken for each M
-    of _DE_LADDER until two agree within _DE_AGREE; the account adds their
-    difference, an estimate rather than a bound, the head _DE_HEAD, the
+    of _DE_LADDER until two agree within _DE_AGREE, or within 2^-10 of the
+    phase rounding already booked for t if that is more; the account adds
+    their difference, an estimate rather than a bound, the head _DE_HEAD, the
     tail ENVELOPE_CUTOFF and _split_rounding of theta up to min(u_stop,
     the furthest node).
 

@@ -12,11 +12,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import quadconc.cli
 from quadconc import __version__, oracle, spectral
@@ -616,3 +619,102 @@ def test_matrix_document_with_a_non_orthonormal_basis_exits_3(tmp_path, monkeypa
     assert res.returncode == 3
     assert res.stdout == ""
     assert res.stderr.startswith("numerical failure: eigendecomposition ||V'V - I||_F is")
+
+
+# the error contract: every call ends in output and exit 0 or 4, or in one
+# stderr line and exit 1-3, whatever the document, the argv or stdout's encoding
+ERROR_PREFIXES = ("error: ", "invalid request: ", "numerical failure: ", "io error: ")
+# magnitudes at the ends of the float range, and an integer past it
+EXTREME = st.builds("{}{}".format, st.sampled_from(("", "-")),
+                    st.sampled_from(("0", "5e-324", "1e-300", "1.7e308", "1" + "0" * 400)))
+SMALL = st.floats(-4.0, 4.0).map(repr)
+# values float() reads but the commands refuse, then values it cannot read
+REFUSED = st.sampled_from(("nan", "inf", "-1", "0", "1e400"))
+JUNK = st.one_of(REFUSED, st.sampled_from(("", "zz")))
+
+
+def _mostly(clean, rare):
+    """clean three times in four, rare otherwise."""
+    return st.one_of(clean, clean, clean, rare)
+
+
+# printable labels, and labels with control, line-break and surrogate characters
+LABEL = _mostly(st.text(st.sampled_from("ab é σ²—𐏿"), max_size=6), st.text(st.one_of(
+    st.sampled_from("\n\r\t\x00\x7f\x85\u2028\ud800"), st.characters(max_codepoint=0x2FFF))))
+
+
+@st.composite
+def documents(draw):
+    """(file name, bytes) of a JSON diagonal or matrix document, or of a CSV one."""
+    kind = draw(st.sampled_from(("a", "matrix", "csv")))
+    number = draw(st.sampled_from((SMALL, SMALL, st.one_of(SMALL, EXTREME))))
+    p = draw(st.integers(1, 4))
+    a, b = (draw(st.lists(number, min_size=p, max_size=p)) for _ in "ab")
+    bom = draw(_mostly(st.just(""), st.just("\ufeff")))
+    if kind == "csv":
+        rows = ["%s,%s" % pair for pair in zip(a, b)]
+        if draw(_mostly(st.just(False), st.just(True))):  # a ragged row
+            rows.insert(draw(st.integers(0, p)), ",".join(draw(st.lists(number, max_size=3))))
+        return "form.csv", (bom + "\n".join(["a,b"] + rows) + "\n").encode()
+    if kind == "matrix":
+        cells = [[a[max(i, j)] for j in range(p)] for i in range(p)]
+        if draw(_mostly(st.just(False), st.just(True))):  # ragged
+            cells[-1].pop()
+        values = "[%s]" % ", ".join("[%s]" % ", ".join(row) for row in cells)
+    else:
+        values = "[%s]" % ", ".join(a)
+    text = '{"%s": %s, "b": [%s]' % (kind, values, ", ".join(b))
+    if draw(st.booleans()):
+        text += ', "label": %s' % json.dumps(draw(LABEL), ensure_ascii=draw(st.booleans()))
+    # a lone surrogate the label holds unescaped is not UTF-8, and exits 1
+    return "form.json", (bom + text + "}\n").encode("utf-8", "surrogatepass")
+
+
+@st.composite
+def requests(draw):
+    """The argv of one command, less --input and verify's --out."""
+    command = draw(st.sampled_from(("bound", "invert", "verify", "mgf-check")))
+    if command == "mgf-check":
+        return [command, "--grid", str(draw(st.integers(1, 64)))]
+    argv = [command, "--direction", draw(st.sampled_from(("upper", "lower")))]
+    if command == "verify":
+        start, step = draw(st.sampled_from((0.25, 1.0, 2.5))), draw(st.sampled_from((0.5, 1.0)))
+        grid = "%r:%r:%r" % (start, start + draw(st.integers(0, 6)) * step, step)
+        grid = draw(_mostly(st.just(grid), st.builds(":".join, st.lists(JUNK, max_size=4))))
+        return argv + ["--samples", "10000", "--seed", str(draw(st.integers(0, 2**32))),
+                       "--x-grid=" + grid]
+    argv += ["--format", draw(st.sampled_from(("text", "csv", "json")))]
+    positive = st.floats(1e-3, 50.0).map(repr)
+    if command == "invert":
+        # argparse refuses what float() cannot read, with a usage message
+        return argv + ["--deviation=" + draw(_mostly(positive, st.one_of(EXTREME, REFUSED)))]
+    xs = draw(st.lists(_mostly(positive, st.one_of(EXTREME, JUNK)), min_size=1, max_size=4))
+    return argv + ["--x=" + ",".join(xs)]
+
+
+@settings(max_examples=200)
+@given(documents(), requests(), st.sampled_from(("utf-8", "ascii")))
+# verify's closing line names reports under the non-ASCII directory; it once
+# printed its rows and then raised UnicodeEncodeError
+@example(("form.json", CHI5_JSON.encode()),
+         ["verify", "--samples", "10000", "--seed", "1", "--x-grid=1:2:1"], "ascii")
+def test_every_call_ends_in_output_or_one_error_line(document, request, encoding):
+    name, content = document
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "rép"
+        root.mkdir()
+        (root / name).write_bytes(content)
+        argv = request[:1] + ["--input", str(root / name)] + request[1:]
+        if request[0] == "verify":
+            argv += ["--out", str(root / "report")]
+        out, err = io.TextIOWrapper(io.BytesIO(), encoding=encoding), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = quadconc.cli.main(argv)
+        out.flush()
+    printed, message = out.buffer.getvalue(), err.getvalue()
+    if code in (0, 4):
+        assert printed and message == "", (argv, code, message)
+    else:
+        assert code in (1, 2, 3) and printed == b"", (argv, code, printed)
+        assert message.count("\n") == 1 and message.endswith("\n"), (argv, message)
+        assert message.startswith(ERROR_PREFIXES), (argv, message)

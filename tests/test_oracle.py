@@ -235,7 +235,7 @@ def test_polar_bits_are_the_same_on_every_cpu_setting():
 
 def test_sample_memory_is_one_block():
     # the normals of one whole chunk at p = 24 are 12.6 MB; sample holds the
-    # block's normals and nine rows of about _BLOCK_NORMALS / 2 doubles
+    # block's normals and nine rows of about _BLOCK / 2 doubles
     # beside the n-vector, 1.2 MB (with 2^17-normal blocks it held 2.6 MB)
     rng = np.random.default_rng(24)
     form = qc.DiagonalForm(rng.uniform(-2, 2, 24), rng.uniform(-2, 2, 24))
@@ -616,6 +616,23 @@ def test_cdf_cf_tiny_curvature_with_shift_is_right_or_refused(eps, t):
         assert eps != 1e-8, "the rounding guard refused a form it can certify"
         return
     assert abs(got - want) <= 1e-6, (got, want)
+
+
+def test_slow_decay_ladder_stops_at_the_phase_rounding(monkeypatch):
+    # _split_rounding books 1.5e-6 for this form's phase at t = 0, and the
+    # ladder's sums at M = 64, 256, 1024 and 4096 differ by 5.3e-10, 2.6e-10
+    # and 1.4e-10, rounding noise far below that account: the second rung ends it
+    ladder = []
+    de_sum = oracle._de_sum
+
+    def counting(*args):
+        ladder.append(args[3])
+        return de_sum(*args)
+
+    monkeypatch.setattr(oracle, "_de_sum", counting)
+    got = qc.cdf_cf(qc.DiagonalForm([1e-8, 1.0], [1.0, 0.0]), 0.0)
+    assert ladder == [64, 256]
+    assert abs(got - 0.2809852154437049) <= 1e-9
 
 
 @pytest.mark.parametrize("t", [0.0, 1.0, 3.0])
