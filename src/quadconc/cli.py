@@ -14,7 +14,9 @@ and rows.  Numbers use the shortest representation that round-trips to
 the same double, so outputs and reports are byte-stable for fixed inputs
 and seeds.  Each command returns its exit code and its whole stdout text,
 and main writes that text once: if stdout's encoding cannot hold a
-character of it, the call exits 1 with nothing printed.
+character of it, the call exits 1 with nothing printed.  main returns the
+exit code of every argv, and every failure, argparse's refusals included,
+is one stderr line.
 
 Exit codes: 0 ok, 1 input/IO error, 2 validation or degenerate form,
 3 numerical failure (the message carries the residual and/or accuracy the
@@ -299,8 +301,15 @@ def cmd_mgf_check(args) -> tuple[int, str]:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that refuses a request with ValidationError, not a usage exit."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadconc",
         description="Concentration bounds for Gaussian quadratic forms.",
     )
@@ -334,8 +343,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code, text = args.func(args)
         try:
             sys.stdout.write(text)
@@ -343,6 +352,8 @@ def main(argv=None) -> int:
             raise InputError("stdout's encoding %s cannot write %r; set PYTHONIOENCODING=utf-8"
                              % (exc.encoding, exc.object[exc.start : exc.end]))
         return code
+    except SystemExit as exc:  # --help and --version, once printed
+        return exc.code
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
@@ -357,13 +368,10 @@ def main(argv=None) -> int:
             message += " (%s)" % ", ".join(fields)
         print(message, file=sys.stderr)
         return 3
-    except ValidationError as exc:
-        print("invalid request: %s" % exc, file=sys.stderr)
-        return 2
-    except MemoryError as exc:  # e.g. --samples or --grid past the available memory
+    except (ValidationError, MemoryError) as exc:  # MemoryError: e.g. --samples past memory
         print("invalid request: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # e.g. a path that holds a lone surrogate
         print("io error: %s" % exc, file=sys.stderr)
         return 1
 

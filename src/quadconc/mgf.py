@@ -193,11 +193,6 @@ def _log_mgf_terms(a, b, ys, centered):
     return sums
 
 
-def _centered_sums(a, b, ys):
-    """sum_k [log E exp(y (a_k z^2 + b_k z)) - a_k y] at every y of ys."""
-    return _log_mgf_terms(a, b, ys, centered=True)
-
-
 def log_mgf_term(a: float, b: float, y: float) -> float:
     """log E exp(y (a z^2 + b z)) for finite real scalars a, b, y with 1 - 2ay > 0."""
     a, b, y = (_check_real(val, name, "any") for name, val in (("a", a), ("b", b), ("y", y)))
@@ -207,7 +202,7 @@ def log_mgf_term(a: float, b: float, y: float) -> float:
 def log_mgf_centered(form: DiagonalForm, y: float) -> float:
     """log E exp(y (T - mean)) = sum_k [log_mgf_term(a_k, b_k, y) - a_k y] at a real scalar y."""
     _check_form(form)
-    return float(_centered_sums(form.a, form.b, _check_real(y, "y", "any"))[0])
+    return float(_log_mgf_terms(form.a, form.b, _check_real(y, "y", "any"), centered=True)[0])
 
 
 def envelope_y_grid(a_plus: float, n: int) -> np.ndarray:
@@ -262,7 +257,7 @@ def envelope_grid_check(form: DiagonalForm, n: int) -> EnvelopeCheck:
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         try:
             rhs = MgfEnvelope.from_stats(stats).rhs(ys)
-            slack = _centered_sums(form.a, form.b, ys) - rhs
+            slack = _log_mgf_terms(form.a, form.b, ys, centered=True) - rhs
         except DomainError:  # every y is inside the pole: a product left the float range
             slack = np.array([math.nan])
     if not np.isfinite(slack).all():

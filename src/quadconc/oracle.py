@@ -289,6 +289,20 @@ def _clopper_pearson(k, n, confidence):
     return low, high
 
 
+def _real_values(values, name):
+    """`values` as a float array if _check_real's type rules admit every entry, infinities too."""
+    array = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    kinds = set(map(type, array.flat)) if array.dtype == object else {array.dtype.type}
+    refused = sorted(kind.__name__ for kind in kinds if not _is_real_type(kind))
+    if not refused:
+        try:
+            return array.astype(float, copy=False)
+        except OverflowError:
+            refused = ["an integer past the float range"]
+    raise ValidationError("%s must be a real number or a vector of real numbers, got %s"
+                          % (name, ", ".join(refused)))
+
+
 def empirical_tail(samples, t, direction: str):
     """Exact-binomial estimates of P(T >= t) (upper) or P(T <= t) (lower).
 
@@ -301,32 +315,19 @@ def empirical_tail(samples, t, direction: str):
     memory, whatever its length.
     Every threshold is located in each sorted block by binary search, so one
     pass over the samples counts them all exactly, and the intervals are
-    computed once, from the totals.  NaN or complex samples, and blocks of
-    any other kind, are refused rather than counted, and so is a threshold
-    that is not a real number (a bool, a string, None, a complex value) or
-    is NaN; an infinite one counts every sample or none.  The intervals are
-    two-sided at DEFAULT_CONFIDENCE.
+    computed once, from the totals.  A sample or threshold that is not a
+    real number (a bool, a string, None, a complex value) or is NaN, and a
+    block of any other kind, is refused rather than counted; an infinite
+    threshold counts every sample or none.  The intervals are two-sided at
+    DEFAULT_CONFIDENCE.
     """
     _check_direction(direction)
     if not isinstance(samples, Iterator):
-        x = np.asarray(samples)
-        if x.dtype.kind == "c":
-            raise ValidationError("samples must be real, not complex")
-        x = x.astype(float, copy=False)
+        x = _real_values(samples, "samples")
         if x.ndim != 1 or x.size == 0:
             raise ValidationError("samples must be a nonempty vector")
         samples = (x[lo : lo + DEFAULT_CHUNK].copy() for lo in range(0, x.size, DEFAULT_CHUNK))
-    # _check_real's rules for each threshold, except that it may be infinite
-    thresholds = t if isinstance(t, np.ndarray) else np.array(t, dtype=object)
-    kinds = set(map(type, thresholds.flat)) if thresholds.dtype == object else {thresholds.dtype.type}
-    real = all(map(_is_real_type, kinds))
-    if real:
-        try:
-            thresholds = thresholds.astype(float)
-        except OverflowError:  # an integer past the float range
-            real = False
-    if not real:
-        raise ValidationError("t must be a real number or a vector of real numbers")
+    thresholds = _real_values(t, "t")
     if thresholds.ndim > 1:
         raise ValidationError("t must be a scalar or a vector")
     flat = thresholds.reshape(-1)

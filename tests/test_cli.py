@@ -9,8 +9,6 @@ import contextlib
 import io
 import json
 import math
-import os
-import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -18,14 +16,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from _interpreter import run_python
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quadconc.cli
 from quadconc import __version__, oracle, spectral
 from quadconc.errors import NumericalError
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 CHI5_JSON = '{"a": [1, 1, 1, 1, 1], "b": [0, 0, 0, 0, 0], "label": "chi5"}\n'
 CHI5_MATRIX_JSON = (
@@ -45,25 +42,13 @@ def run(*args):
     """One in-process CLI call, reported like a finished process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = quadconc.cli.main([str(arg) for arg in args])
-        except SystemExit as exc:  # argparse exits on usage errors
-            code = exc.code
+        code = quadconc.cli.main([str(arg) for arg in args])
     return Result(code, out.getvalue(), err.getvalue())
 
 
 def run_process(*args):
     """One CLI call in a fresh ``python -m quadconc`` process."""
-    env = dict(os.environ)
-    old = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = str(SRC) + (os.pathsep + old if old else "")
-    return subprocess.run(
-        [sys.executable, "-m", "quadconc", *map(str, args)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
+    return run_python("-m", "quadconc", *args)
 
 
 @pytest.fixture
@@ -324,9 +309,67 @@ def test_process_exit_codes(tmp_path, chi5):
     res = run_process("invert", "--input", chi5, "--deviation", "0")
     assert res.returncode == 2
     assert res.stderr.startswith("invalid request: ")
-    res = run_process("bound", "--input", chi5)  # argparse usage error
-    assert res.returncode == 2
-    assert "--x" in res.stderr
+    res = run_process("bound", "--input", chi5)  # argparse's refusal
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "invalid request: the following arguments are required: --x\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--input", "DOC"),  # the required --x is missing
+    ("bound", "--input", "DOC", "--x", "-1.5e-05"),  # read as an option, not a value
+    ("invert", "--input", "DOC", "--deviation", "zz"),
+    ("verify", "--input", "DOC", "--samples", "1e4", "--seed", "1", "--x-grid", "1:2:1",
+     "--out", "R"),
+    ("mgf-check", "--input", "DOC", "--grid", "x"),
+    ("bound", "--input", "DOC", "--x", "1", "--format", "xml"),
+    ("bound", "--input", "DOC", "--x", "1", "--extra"),
+    ("zz", "--input", "DOC"),
+    (),
+], ids=["missing-x", "dash-x", "deviation-zz", "samples-1e4", "grid-x", "format-xml",
+        "extra-option", "unknown-command", "empty"])
+def test_argparse_refusals_are_one_invalid_request_line(tmp_path, chi5, argv):
+    # what argparse refuses takes the one-line contract, not a usage block and SystemExit(2)
+    argv = [{"DOC": chi5, "R": tmp_path / "r"}.get(arg, arg) for arg in argv]
+    res = run(*argv)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.startswith("invalid request: ") and res.stderr.count("\n") == 1, res.stderr
+    assert not list(tmp_path.glob("r.*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--input", "\ud800.json", "--x", "1"),
+    ("verify", "--input", "DOC", "--samples", 10000, "--seed", 1, "--x-grid", "1:2:1",
+     "--out", "\ud800"),
+], ids=["input", "out"])
+def test_unencodable_path_is_one_io_error_line(chi5, argv):
+    # a lone surrogate has no bytes in the file system's encoding, so open
+    # raises UnicodeEncodeError, not OSError
+    res = run(*[chi5 if arg == "DOC" else arg for arg in argv])
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr.startswith("io error: ") and res.stderr.count("\n") == 1, res.stderr
+
+
+BOUND_HELP = """\
+usage: quadconc bound [-h] --input INPUT --x X [--direction {upper,lower}]
+                      [--format {text,csv,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT
+  --x X                 comma-separated positive exponents
+  --direction {upper,lower}
+  --format {text,csv,json}
+"""
+
+
+def test_help_and_version_return_0(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    # argparse prints them and raises SystemExit(0), which main turns into its return value
+    assert run("--version") == Result(0, "quadconc %s\n" % __version__, "")
+    assert run("bound", "--help") == Result(0, BOUND_HELP, "")
+    res = run("--help")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.startswith("usage: quadconc [-h] [--version] {bound,invert,verify,mgf-check}")
 
 
 def test_missing_input_file(tmp_path):
@@ -672,41 +715,63 @@ def documents(draw):
 
 @st.composite
 def requests(draw):
-    """The argv of one command, less --input and verify's --out."""
+    """The argv of one command, with DOC for the document and OUT for verify's report.
+
+    Each option and its value are separate tokens.  One call in four has
+    one fault: an unknown command, an option left out, or a value that
+    argparse cannot read or refuses as a choice, or that the command refuses.
+    """
     command = draw(st.sampled_from(("bound", "invert", "verify", "mgf-check")))
+    positive = st.floats(1e-3, 50.0).map(repr)
+    options = {"--input": st.just("DOC")}
     if command == "mgf-check":
-        return [command, "--grid", str(draw(st.integers(1, 64)))]
-    argv = [command, "--direction", draw(st.sampled_from(("upper", "lower")))]
+        options["--grid"] = st.integers(1, 64).map(str)
+    else:
+        options["--direction"] = st.sampled_from(("upper", "lower"))
     if command == "verify":
         start, step = draw(st.sampled_from((0.25, 1.0, 2.5))), draw(st.sampled_from((0.5, 1.0)))
         grid = "%r:%r:%r" % (start, start + draw(st.integers(0, 6)) * step, step)
-        grid = draw(_mostly(st.just(grid), st.builds(":".join, st.lists(JUNK, max_size=4))))
-        return argv + ["--samples", "10000", "--seed", str(draw(st.integers(0, 2**32))),
-                       "--x-grid=" + grid]
-    argv += ["--format", draw(st.sampled_from(("text", "csv", "json")))]
-    positive = st.floats(1e-3, 50.0).map(repr)
+        options.update({
+            "--samples": st.just("10000"),
+            "--seed": st.integers(0, 2**32).map(str),
+            "--x-grid": _mostly(st.just(grid), st.builds(":".join, st.lists(JUNK, max_size=4))),
+            "--out": st.just("OUT"),
+        })
+    elif command != "mgf-check":
+        options["--format"] = st.sampled_from(("text", "csv", "json"))
     if command == "invert":
-        # argparse refuses what float() cannot read, with a usage message
-        return argv + ["--deviation=" + draw(_mostly(positive, st.one_of(EXTREME, REFUSED)))]
-    xs = draw(st.lists(_mostly(positive, st.one_of(EXTREME, JUNK)), min_size=1, max_size=4))
-    return argv + ["--x=" + ",".join(xs)]
+        options["--deviation"] = _mostly(positive, st.one_of(EXTREME, JUNK))
+    elif command == "bound":
+        xs = st.lists(_mostly(positive, st.one_of(EXTREME, JUNK)), min_size=1, max_size=4)
+        options["--x"] = xs.map(",".join)
+    fault = draw(st.sampled_from((None,) * 9 + ("command", "drop", "junk")))
+    # a path takes any string, and a junk --out would write to the working directory
+    named = sorted(set(options) - {"--input", "--out"})
+    target = draw(st.sampled_from(named if fault == "junk" else sorted(options)))
+    if fault == "junk":
+        options[target] = JUNK
+    argv = ["zz" if fault == "command" else command]
+    for option in sorted(options):
+        if not (fault == "drop" and option == target):
+            argv += [option, draw(options[option])]
+    return argv
 
 
 @settings(max_examples=200)
 @given(documents(), requests(), st.sampled_from(("utf-8", "ascii")))
 # verify's closing line names reports under the non-ASCII directory; it once
 # printed its rows and then raised UnicodeEncodeError
-@example(("form.json", CHI5_JSON.encode()),
-         ["verify", "--samples", "10000", "--seed", "1", "--x-grid=1:2:1"], "ascii")
+@example(("form.json", CHI5_JSON.encode()), ["verify", "--input", "DOC", "--samples", "10000",
+                                           "--seed", "1", "--x-grid", "1:2:1", "--out", "OUT"],
+         "ascii")
 def test_every_call_ends_in_output_or_one_error_line(document, request, encoding):
     name, content = document
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "rép"
         root.mkdir()
         (root / name).write_bytes(content)
-        argv = request[:1] + ["--input", str(root / name)] + request[1:]
-        if request[0] == "verify":
-            argv += ["--out", str(root / "report")]
+        paths = {"DOC": str(root / name), "OUT": str(root / "report")}
+        argv = [paths.get(arg, arg) for arg in request]
         out, err = io.TextIOWrapper(io.BytesIO(), encoding=encoding), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = quadconc.cli.main(argv)

@@ -11,12 +11,8 @@ of these loaded already.
 """
 
 import ast
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from _interpreter import SRC, run_python
 
 PROBE = r"""
 import contextlib
@@ -97,12 +93,7 @@ print("ok")
 
 
 def test_cold_paths_do_not_import_scipy():
-    env = dict(os.environ)
-    old = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = str(SRC) + (os.pathsep + old if old else "")
-    res = subprocess.run(
-        [sys.executable, "-c", PROBE], capture_output=True, text=True, env=env, timeout=300
-    )
+    res = run_python("-c", PROBE)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "ok"
 

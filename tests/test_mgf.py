@@ -340,11 +340,11 @@ def test_envelope_grid_blocks_match_the_whole_grid_bitwise(p, n, shifted):
     b = rng.normal(size=p) if shifted else np.zeros(p)
     form = qc.DiagonalForm(a, b)
     ys = envelope_y_grid(qc.form_stats(form).a_plus, n)
-    assert mgf._centered_sums(form.a, form.b, ys).tobytes() == whole_grid_sums(form, ys).tobytes()
-    got = qc.envelope_grid_check(form, n)
-    want = whole_grid_check(form, n)
-    assert (got.grid_size, got.y_max.hex(), got.max_slack.hex(), got.worst_y.hex(),
-            got.violations) == want
+    got = mgf._log_mgf_terms(form.a, form.b, ys, centered=True)
+    assert got.tobytes() == whole_grid_sums(form, ys).tobytes()
+    check = qc.envelope_grid_check(form, n)
+    assert (check.grid_size, check.y_max.hex(), check.max_slack.hex(), check.worst_y.hex(),
+            check.violations) == whole_grid_check(form, n)
 
 
 def test_envelope_grid_fallback_spans_blocks_bitwise():
@@ -355,7 +355,7 @@ def test_envelope_grid_fallback_spans_blocks_bitwise():
     ys = envelope_y_grid(qc.form_stats(form).a_plus, 3 * 2**14 + 7)
     with np.errstate(over="ignore"):
         assert not np.isfinite(np.square(np.ldexp(ys, 1))).all()
-    got = mgf._centered_sums(form.a, form.b, ys)
+    got = mgf._log_mgf_terms(form.a, form.b, ys, centered=True)
     assert np.isfinite(got).all()
     assert got.tobytes() == whole_grid_sums(form, ys).tobytes()
 
@@ -385,7 +385,7 @@ def test_log_mgf_domain_error_names_the_first_pole_cell():
     ]
     for ys, match in cases:
         with pytest.raises(DomainError, match=match):
-            mgf._centered_sums(a, np.zeros(3), np.array(ys))
+            mgf._log_mgf_terms(a, np.zeros(3), np.array(ys), centered=True)
 
 
 def test_envelope_grid_memory_is_one_block():

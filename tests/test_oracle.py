@@ -9,18 +9,16 @@ routes agreed to ~1e-15 on every probe.
 import contextlib
 import io
 import math
-import os
-import subprocess
 import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 from _cf_reference import g_decay, psi
+from _interpreter import run_python
 from _sample_reference import TABLE_COS, TABLE_SIN, chunk_loop, libm_normals, uniforms
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,8 +28,6 @@ from scipy.stats import beta, chi2, ks_2samp, ncx2, norm
 import quadconc as qc
 from quadconc import oracle
 from quadconc.errors import DegenerateFormError, NumericalError, ValidationError
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 CHI1 = qc.DiagonalForm(np.ones(1), np.zeros(1))
 CHI3 = qc.DiagonalForm(np.ones(3), np.zeros(3))
@@ -144,13 +140,7 @@ def test_samplers_match_their_chunk_loops_bitwise(p, n, chunk_size, monkeypatch)
         got = qc.sample(form, n, 77)
         assert got.tobytes() == chunk_loop(form, n, 77, chunk_size).tobytes()
         return
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    path = [str(SRC), str(Path(__file__).resolve().parent), env.get("PYTHONPATH")]
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
-    res = subprocess.run(
-        [sys.executable, "-c", SAMPLER_PROBE, str(p), str(n), str(chunk_size)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    res = run_python("-c", SAMPLER_PROBE, p, n, chunk_size, OPENBLAS_NUM_THREADS="1")
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "0"
 
@@ -223,11 +213,7 @@ def test_polar_bits_are_the_same_on_every_cpu_setting():
     for setting in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
                     {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
                     {"OPENBLAS_CORETYPE": "Sandybridge"}):
-        env = dict(os.environ, **setting)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        res = subprocess.run(
-            [sys.executable, "-c", POLAR_PROBE], capture_output=True, text=True, env=env, timeout=300,
-        )
+        res = run_python("-c", POLAR_PROBE, **setting)
         assert res.returncode == 0, res.stderr
         hashes.add(res.stdout)
     assert len(hashes) == 1, hashes
@@ -290,13 +276,7 @@ def test_sample_bitwise_across_blas_threads():
     with contextlib.redirect_stdout(here):
         exec(SAMPLE_PROBE, {})
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        old = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = str(SRC) + (os.pathsep + old if old else "")
-        res = subprocess.run(
-            [sys.executable, "-c", SAMPLE_PROBE],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        res = run_python("-c", SAMPLE_PROBE, OPENBLAS_NUM_THREADS=threads)
         assert res.returncode == 0, res.stderr
         assert res.stdout == here.getvalue(), threads
 
@@ -367,6 +347,18 @@ def test_empirical_tail_refuses_thresholds_that_are_not_real_numbers():
     assert qc.empirical_tail(x, [np.float32(4.5), 7, np.int8(2), np.float64(math.inf)], "lower") == want
     assert qc.empirical_tail(x, np.array(4.5), "lower") == want[0]
     assert qc.empirical_tail(x, np.array([4.5, 7, 2, math.inf], dtype=object), "lower") == want
+
+
+def test_empirical_tail_refuses_samples_that_are_not_real_numbers():
+    # strings, bools and None are not real numbers, whatever float() makes of them
+    for samples in (["1", "2"], np.array(["1", "2"]), np.array([True, False]), [True, 2.0],
+                    [1.0, None], [1.0, 2j], np.array([1.0 + 1.0j, 2.0]), [1.0, 10**400]):
+        for direction in qc.DIRECTIONS:
+            with pytest.raises(ValidationError, match=r"^samples must be a real number"):
+                qc.empirical_tail(samples, 0.5, direction)
+    want = qc.empirical_tail(np.array([1.0, 2.0, 0.0]), 0.5, "upper")
+    for samples in ([1, 2.0, 0], np.array([1, 2, 0], dtype=np.int8), np.float32([1, 2, 0])):
+        assert qc.empirical_tail(samples, 0.5, "upper") == want
 
 
 def test_empirical_tail_rejects_nan_samples():

@@ -5,25 +5,12 @@ renamed or removed function they call fails here rather than at a user's
 prompt.
 """
 
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
+from _interpreter import run_python
+
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def run_python(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env=env,
-    )
 
 
 def run_script(name, *args):

@@ -4,14 +4,11 @@ Refereed by the cyclic Jacobi iteration in _jacobi.py, which shares no code
 with the library, and by numpy.linalg.eigvalsh.
 """
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
+from _interpreter import run_python
 from _jacobi import jacobi_eigen
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +17,6 @@ import quadconc as qc
 from quadconc import spectral
 from quadconc.errors import NumericalError, ValidationError
 from quadconc.spectral import eigen_sym, symmetrize
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def random_symmetric(rng, p):
@@ -219,13 +214,7 @@ for p in (8, 48, 96):
 def test_reduce_bitwise_across_blas_threads():
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        old = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = str(SRC) + (os.pathsep + old if old else "")
-        res = subprocess.run(
-            [sys.executable, "-c", DETERMINISM_PROBE],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        res = run_python("-c", DETERMINISM_PROBE, OPENBLAS_NUM_THREADS=threads)
         assert res.returncode == 0, res.stderr
         outputs.append(res.stdout)
     assert len(outputs[0].splitlines()) == 3
