@@ -345,6 +345,11 @@ def build_parser():
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for option in ("input", "out"):  # a path the file system's encoding cannot hold
+            try:
+                bytes(Path(getattr(args, option, ".")))
+            except UnicodeEncodeError as exc:
+                raise OSError("--%s %r: %s" % (option, getattr(args, option), exc))
         code, text = args.func(args)
         try:
             sys.stdout.write(text)
@@ -371,7 +376,7 @@ def main(argv=None) -> int:
     except (ValidationError, MemoryError) as exc:  # MemoryError: e.g. --samples past memory
         print("invalid request: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return 2
-    except (OSError, UnicodeEncodeError) as exc:  # e.g. a path that holds a lone surrogate
+    except OSError as exc:  # e.g. an --out directory that does not exist
         print("io error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -324,7 +324,7 @@ def empirical_tail(samples, t, direction: str):
     _check_direction(direction)
     if not isinstance(samples, Iterator):
         x = _real_values(samples, "samples")
-        if x.ndim != 1 or x.size == 0:
+        if x.ndim != 1:
             raise ValidationError("samples must be a nonempty vector")
         samples = (x[lo : lo + DEFAULT_CHUNK].copy() for lo in range(0, x.size, DEFAULT_CHUNK))
     thresholds = _real_values(t, "t")
@@ -470,7 +470,7 @@ def _chernoff_radius(lam, half_b_sq, half_sigma_sq, sd):
     there.  The steps stop once tau would move by at most 2^-26; r(s) is
     flat at the root, so it is then off its least value by about the square
     of that.  On the matrix forms of the benchmark this takes five or six
-    evaluations of K, against the 318 of a grid search.
+    evaluations of K.
     """
     top = float(np.max(lam))
     pole = 0.5 / top if top > 0.0 else math.inf

@@ -305,6 +305,8 @@ def test_validation_errors():
         qc.DiagonalForm(np.array([np.nan]), np.array([0.0]))
     with pytest.raises(ValidationError):
         qc.DiagonalForm(np.ones(0), np.ones(0))
+    with pytest.raises(ValidationError, match="cannot both be zero"):
+        qc.envelope_threshold(0.0, 0.0, 1.0)
 
 
 def test_integers_past_the_float_range_are_refused():

@@ -281,18 +281,25 @@ def test_stats_past_the_float_range_exit_2(tmp_path, a, field):
 
 
 def test_verify_bad_grid(chi5, tmp_path):
-    for grid in ("2:1:1", "0:1:0.5", "1:2:0", "1:2", "a:b:c"):
+    for grid in ("2:1:1", "0:1:0.5", "1:2:0", "1:2", "a:b:c", "1:inf:1", "1:200001:1"):
         res = run(
             "verify", "--input", chi5, "--samples", 10000, "--seed", 1,
             "--x-grid", grid, "--out", tmp_path / "r",
         )
-        assert res.returncode == 2, grid
+        assert res.returncode == 2 and "x-grid" in res.stderr, (grid, res.stderr)
 
 
 def test_entry_point_matches_in_process_call(chi5):
     res = run_process("bound", "--input", chi5, "--x", "1,2", "--format", "csv")
     assert res.returncode == 0, res.stderr
     assert res.stdout == run("bound", "--input", chi5, "--x", "1,2", "--format", "csv").stdout
+
+
+def test_cli_resolves_only_its_deferred_names():
+    # commands look the numpy-backed routines up on quadconc.cli when they run
+    assert quadconc.cli.spectral_reduce is quadconc.reduce
+    with pytest.raises(AttributeError, match="no_such_name"):
+        quadconc.cli.no_such_name
 
 
 def test_version_flag():
@@ -336,17 +343,18 @@ def test_argparse_refusals_are_one_invalid_request_line(tmp_path, chi5, argv):
     assert not list(tmp_path.glob("r.*"))
 
 
-@pytest.mark.parametrize("argv", [
-    ("bound", "--input", "\ud800.json", "--x", "1"),
-    ("verify", "--input", "DOC", "--samples", 10000, "--seed", 1, "--x-grid", "1:2:1",
-     "--out", "\ud800"),
+@pytest.mark.parametrize("option, argv", [
+    ("--input", ("bound", "--input", "\ud800", "--x", "1")),
+    ("--out", ("verify", "--input", "DOC", "--samples", 10000, "--seed", 1, "--x-grid", "1:2:1",
+               "--out", "\ud800")),
 ], ids=["input", "out"])
-def test_unencodable_path_is_one_io_error_line(chi5, argv):
-    # a lone surrogate has no bytes in the file system's encoding, so open
-    # raises UnicodeEncodeError, not OSError
+def test_unencodable_path_is_one_io_error_line(chi5, option, argv):
+    # a lone surrogate has no bytes in the file system's encoding; the line
+    # names the option and shows the path as its repr, escape and all
     res = run(*[chi5 if arg == "DOC" else arg for arg in argv])
     assert (res.returncode, res.stdout) == (1, "")
-    assert res.stderr.startswith("io error: ") and res.stderr.count("\n") == 1, res.stderr
+    assert res.stderr.startswith("io error: %s '\\ud800': " % option), res.stderr
+    assert res.stderr.count("\n") == 1, res.stderr
 
 
 BOUND_HELP = """\

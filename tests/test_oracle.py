@@ -323,6 +323,8 @@ def test_empirical_tail_lower_direction():
 def test_tail_estimate_ordering_enforced():
     with pytest.raises(ValidationError):
         qc.TailEstimate(p_hat=0.5, ci_low=0.6, ci_high=0.7, n=10)
+    with pytest.raises(ValidationError, match="n must be positive"):
+        qc.TailEstimate(p_hat=0.5, ci_low=0.4, ci_high=0.6, n=0)
     with pytest.raises(ValidationError):
         qc.empirical_tail(np.arange(10.0), math.nan, "upper")
     with pytest.raises(ValidationError):
@@ -430,8 +432,9 @@ def test_streamed_counts_match_the_sampled_vector(n):
 
 
 def test_streamed_samples_are_checked():
-    with pytest.raises(ValidationError, match="nonempty"):
-        qc.empirical_tail(iter([]), 0.0, "upper")
+    for samples in (iter([]), np.zeros(0), np.zeros((2, 3))):
+        with pytest.raises(ValidationError, match="nonempty"):
+            qc.empirical_tail(samples, 0.0, "upper")
     for direction in qc.DIRECTIONS:
         with pytest.raises(ValidationError, match="NaN"):
             qc.empirical_tail(iter([np.zeros(3), np.array([1.0, math.nan])]), 0.5, direction)
@@ -586,6 +589,10 @@ def test_cdf_cf_degenerate_rejected():
         qc.cdf_cf(qc.DiagonalForm(np.zeros(2), np.zeros(2)), 0.0)
     with pytest.raises(ValidationError):
         qc.cdf_cf(CHI1, math.nan)
+    # a sum whose error account misses the target is refused, not returned
+    with pytest.raises(NumericalError) as info:
+        qc.cdf_cf(qc.DiagonalForm([1e-6] + [1.0] * 8, [1.0] + [0.0] * 8), -1.0)
+    assert info.value.accuracy > 0.5 * oracle.ACCURACY_TARGET
 
 
 @pytest.mark.parametrize("t", [0.0, 1.0, 3.0])

@@ -106,6 +106,8 @@ def test_eigen_rejects_bad_input():
         eigen_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))  # not symmetric
     with pytest.raises(ValidationError):
         eigen_sym(np.ones((2, 3)))
+    with pytest.raises(ValidationError, match="must be square"):
+        symmetrize(np.ones((2, 3)))
     with pytest.raises(ValidationError):
         eigen_sym(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
@@ -256,6 +258,8 @@ def test_reduce_rejects_non_form():
         qc.reduce(np.eye(2))
     with pytest.raises(ValidationError):
         qc.QuadraticForm(np.ones((2, 3)), np.ones(2))
+    with pytest.raises(ValidationError, match="2-dimensional"):
+        qc.QuadraticForm([1.0, 2.0], [0.0])
     with pytest.raises(ValidationError):
         qc.QuadraticForm(np.eye(2), np.ones(3))
 
