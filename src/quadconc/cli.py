@@ -60,29 +60,26 @@ def __getattr__(name):
     return getattr(_package, _DEFERRED[name])
 
 
-def _csv_rows(path, text):
-    """The rows of a CSV document; a row the csv module refuses is an InputError."""
-    rows = csv.reader(io.StringIO(text))
-    try:
-        yield from rows
-    except csv.Error as exc:
-        raise InputError("%s:%d: %s" % (path, rows.line_num, exc))
-
-
 def _csv_columns(path, text):
     """{"a": [...], "b": [...]} of a two-column CSV document with header 'a,b'."""
-    rows = _csv_rows(path, text)
-    if [c.strip().lower() for c in next(rows, [])] != ["a", "b"]:
-        raise InputError("%s:1: header row must be exactly 'a,b'" % path)
+    rows = csv.reader(io.StringIO(text))
     a_vals, b_vals = [], []
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != 2:
-            raise InputError("%s:%d: expected two fields, got %d" % (path, lineno, len(row)))
-        try:
-            a_vals.append(float(row[0]))
-            b_vals.append(float(row[1]))
-        except ValueError:
-            raise InputError("%s:%d: non-numeric value %r" % (path, lineno, row))
+    line = 1  # where the record being read starts: a quoted field can span lines
+    try:
+        if [c.strip().lower() for c in next(rows, [])] != ["a", "b"]:
+            raise InputError("%s:1: header row must be exactly 'a,b'" % path)
+        line = rows.line_num + 1
+        for row in rows:
+            if len(row) != 2:
+                raise InputError("%s:%d: expected two fields, got %d" % (path, line, len(row)))
+            try:
+                a_vals.append(float(row[0]))
+                b_vals.append(float(row[1]))
+            except ValueError:
+                raise InputError("%s:%d: non-numeric value %r" % (path, line, row))
+            line = rows.line_num + 1
+    except csv.Error as exc:
+        raise InputError("%s:%d: %s" % (path, line, exc))
     if not a_vals:
         raise InputError("%s: no coefficient rows" % path)
     return {"a": a_vals, "b": b_vals}
@@ -345,11 +342,14 @@ def build_parser():
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        for option in ("input", "out"):  # a path the file system's encoding cannot hold
-            try:
-                bytes(Path(getattr(args, option, ".")))
+        for option in ("input", "out"):
+            path = Path(getattr(args, option, "."))
+            try:  # a path the file system's encoding cannot hold
+                bytes(path)
             except UnicodeEncodeError as exc:
                 raise OSError("--%s %r: %s" % (option, getattr(args, option), exc))
+            if option == "out" and not path.parent.is_dir():  # refused before verify draws
+                raise OSError("--out %r: %s is not a directory" % (args.out, path.parent))
         code, text = args.func(args)
         try:
             sys.stdout.write(text)

@@ -379,20 +379,13 @@ def cdf_p1(a: float, b: float, t: float) -> float:
     if a == 0.0:
         if b == 0.0:
             return 1.0 if t >= 0.0 else 0.0
-        return _phi(t / b) if b > 0.0 else _phi(-t / b)
+        return _phi(t / abs(b))
     disc = b * b + 4.0 * a * t
-    if a > 0.0:
-        if disc < 0.0:
-            return 0.0
-        root = math.sqrt(disc)
-        return _phi((-b + root) / (2.0 * a)) - _phi((-b - root) / (2.0 * a))
     if disc < 0.0:
-        return 1.0
+        return 0.0 if a > 0.0 else 1.0
     root = math.sqrt(disc)
-    r1 = (-b + root) / (2.0 * a)
-    r2 = (-b - root) / (2.0 * a)
-    lo, hi = min(r1, r2), max(r1, r2)
-    return _phi(lo) + 1.0 - _phi(hi)
+    lo, hi = sorted(((-b + root) / (2.0 * a), (-b - root) / (2.0 * a)))
+    return _phi(hi) - _phi(lo) if a > 0.0 else _phi(lo) + 1.0 - _phi(hi)
 
 
 def _phase_sums(lam, delta_sq, half_sigma_sq, u):

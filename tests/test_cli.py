@@ -357,6 +357,20 @@ def test_unencodable_path_is_one_io_error_line(chi5, option, argv):
     assert res.stderr.count("\n") == 1, res.stderr
 
 
+def test_verify_out_in_a_missing_directory_is_refused_before_drawing(chi5, tmp_path, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("verify drew samples for a report it cannot write")
+
+    monkeypatch.setattr(oracle, "_chunks", no_draws)
+    out = tmp_path / "missing" / "r"
+    res = run("verify", "--input", chi5, "--samples", 10000, "--seed", 1, "--x-grid", "1:2:1",
+              "--out", out)
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr.startswith("io error: --out %r: " % str(out)), res.stderr
+    assert res.stderr.count("\n") == 1, res.stderr
+    assert not list(tmp_path.rglob("r.*"))
+
+
 BOUND_HELP = """\
 usage: quadconc bound [-h] --input INPUT --x X [--direction {upper,lower}]
                       [--format {text,csv,json}]
@@ -411,27 +425,17 @@ def test_schema_violations(tmp_path):
         assert res.returncode == 1, (text, res.returncode, res.stderr)
 
 
-def test_csv_header_enforced(tmp_path):
-    doc = tmp_path / "bad.csv"
-    doc.write_text("alpha,beta\n1.0,0.0\n")
-    res = run("bound", "--input", doc, "--x", "1")
-    assert res.returncode == 1
-
-
-def test_csv_bad_row(tmp_path):
-    doc = tmp_path / "bad.csv"
-    doc.write_text("a,b\n1.0,zzz\n")
-    res = run("bound", "--input", doc, "--x", "1")
-    assert res.returncode == 1
-    assert ":2:" in res.stderr or ":2" in res.stderr
-
-
 @pytest.mark.parametrize(
     "text, message",
     [
         ("", "bad.csv:1: header row must be exactly 'a,b'"),
         ("a,b\n", "bad.csv: no coefficient rows"),
         ("a,b\n1.0,0.0\n1.0,0.0,2.0\n", "bad.csv:3: expected two fields, got 3"),
+        ("alpha,beta\n1.0,0.0\n", "bad.csv:1: header row must be exactly 'a,b'"),
+        ("a,b\n1.0,zzz\n", "bad.csv:2: non-numeric value ['1.0', 'zzz']"),
+        # a quoted field holds a line break: the line is where the record starts
+        ('a,b\n"1\n",3\nx,4\n', "bad.csv:4: non-numeric value ['x', '4']"),
+        ('a,b\n"1\n",3\n1,2,3\n', "bad.csv:4: expected two fields, got 3"),
     ],
 )
 def test_csv_structure_errors_name_the_line(tmp_path, text, message):
