@@ -14,8 +14,8 @@ linear term large ones (sub-exponential regime), the usual shape of bounds
 obtained from a (u*y)^2/(1-v*y) log-MGF envelope in the style of
 Birge & Massart (1998).  This module evaluates the thresholds, inverts them
 (deviation -> exponent), and inflates exponents for finite union bounds.
-It imports neither numpy nor dataclasses, so a CLI call that needs
-nothing else loads neither.
+It imports no dataclasses, and numpy only inside _real_values, the gate
+for arrays of reals, so a CLI call that needs nothing else loads neither.
 """
 
 import math
@@ -28,7 +28,7 @@ _SIGN = {"upper": 1.0, "lower": -1.0}
 
 
 def _check_direction(direction):
-    if direction not in DIRECTIONS:
+    if not (isinstance(direction, str) and direction in DIRECTIONS):
         raise ValidationError("direction must be 'upper' or 'lower', got %r" % (direction,))
 
 
@@ -39,7 +39,8 @@ def _is_real_type(kind):
 
 def _is_integer(value):
     """Python and numpy integers; bool does not count as an integer."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # type(value) is int spares an int the slower ABC check
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_real(value, name, sign):
@@ -52,13 +53,13 @@ def _check_real(value, name, sign):
     if type(value) is float:  # the common case, without the ABC check below
         x = value
     else:
-        if getattr(value, "ndim", None) == 0:
+        if getattr(value, "ndim", None) == 0 and hasattr(value, "__getitem__"):
             value = value[()]
         try:
             x = float(value) if _is_real_type(type(value)) else math.nan
         except OverflowError:
             x = math.nan
-    signed = {"any": True, "nonnegative": x >= 0.0, "positive": x > 0.0}[sign]
+    signed = sign == "any" or x > 0.0 or (x == 0.0 and sign == "nonnegative")
     if not (signed and math.isfinite(x)):
         kind = "" if sign == "any" else sign + " "
         raise ValidationError("%s must be a %sfinite real, got %r" % (name, kind, value))
@@ -66,10 +67,40 @@ def _check_real(value, name, sign):
 
 
 def _check_count(value, name):
-    """`value` as an int if it is a positive integer, else ValidationError."""
+    """`value` as an int in [1, 2^53], where doubles are exact, else ValidationError."""
     if not (_is_integer(value) and value >= 1):
         raise ValidationError("%s must be a positive integer, got %r" % (name, value))
+    if value > 2**53:
+        raise ValidationError("%s must be at most 2**53, got %r" % (name, value))
     return int(value)  # value + 1 would wrap for a numpy integer at its dtype's maximum
+
+
+def _check_instance(value, cls, name):
+    """ValidationError unless value is a cls: a record's checked fields cannot change."""
+    if not isinstance(value, cls):
+        kind = type(value).__name__
+        raise ValidationError("%s must be a %s, got %s" % (name, cls.__name__, kind))
+
+
+def _real_values(values, name):
+    """`values` as a float array if _is_real_type admits every entry, NaN and infinities too.
+
+    An ndarray is checked by its dtype, and a float64 one comes back as itself.
+    """
+    import numpy as np
+
+    try:
+        array = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    except ValueError:  # arrays of shapes that no object array can nest
+        raise ValidationError("%s must be real numbers, got arrays of unequal shapes" % name)
+    kinds = set(map(type, array.flat)) if array.dtype == object else {array.dtype.type}
+    refused = sorted(kind.__name__ for kind in kinds if not _is_real_type(kind))
+    if not refused:
+        try:
+            return array.astype(float, copy=False)
+        except OverflowError:
+            refused = ["an integer past the float range"]
+    raise ValidationError("%s must be real numbers, got %s" % (name, ", ".join(refused)))
 
 
 class _Record:
@@ -149,12 +180,6 @@ class DiagonalForm(_Record):
         return len(self.a)
 
 
-def _check_form(form):
-    """ValidationError unless form is a DiagonalForm, whose checked tuples cannot change."""
-    if not isinstance(form, DiagonalForm):
-        raise ValidationError("form must be a DiagonalForm, got %s" % type(form).__name__)
-
-
 class FormStats(_Record):
     """Scalars that determine both tails of a DiagonalForm.
 
@@ -183,9 +208,8 @@ class TailBound(_Record):
 
     def __init__(self, direction, x, threshold):
         _check_direction(direction)
-        _check_real(x, "exponent x", "positive")
-        if not math.isfinite(threshold):
-            raise ValidationError("threshold must be finite")
+        x = _check_real(x, "exponent x", "positive")
+        threshold = _check_real(threshold, "threshold", "any")
         self.__dict__.update(
             direction=direction, x=x, threshold=threshold, prob_bound=math.exp(-x)
         )
@@ -200,7 +224,7 @@ def form_stats(form: DiagonalForm) -> FormStats:
     by exactly 2^k.  The sums are math.fsum's, correctly rounded, so they do
     not depend on the order of the coordinates: permuting them moves no bit.
     """
-    _check_form(form)
+    _check_instance(form, DiagonalForm, "form")
     a, b = form.a, form.b
     e = _binade(a, b)
     a_s, b_s = [math.ldexp(x, -e) for x in a], [math.ldexp(y, -e) for y in b]
@@ -237,6 +261,7 @@ def _deviation(u, v, x):
 
 
 def _threshold(stats, x, direction):
+    _check_instance(stats, FormStats, "stats")
     x = _check_real(x, "exponent x", "positive")
     gauss, linear = _deviation(*stats.envelope(direction), x)
     # (mean + gauss) + linear with signed terms: lower is the exact mirror of upper
@@ -265,6 +290,7 @@ def tail_exponent(stats: FormStats, deviation: float, direction: str) -> TailBou
     where sqrt(u^2 + v*d) cannot overflow.  The returned bound has threshold
     mean +/- deviation and prob_bound = exp(-x).
     """
+    _check_instance(stats, FormStats, "stats")
     u, v = stats.envelope(direction)
     deviation = _check_real(deviation, "deviation", "positive")
     if u == 0.0 and v == 0.0:
@@ -299,7 +325,11 @@ def union_threshold(stats_list, x: float, direction: str):
     of the M violation events has probability at most M*exp(-x-ln M) = exp(-x).
     """
     x = _check_real(x, "exponent x", "positive")
-    stats_list = list(stats_list)
+    try:
+        members = iter(stats_list)
+    except TypeError:
+        raise ValidationError("stats_list must be iterable, got %s" % type(stats_list).__name__)
+    stats_list = list(members)
     if not stats_list:
         raise ValidationError("union bound needs at least one form")
     x_adj = x + math.log(len(stats_list))

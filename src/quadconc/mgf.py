@@ -37,8 +37,10 @@ from .bounds import (
     FormStats,
     _binade,
     _check_count,
-    _check_form,
+    _check_instance,
     _check_real,
+    _is_integer,
+    _real_values,
     _Record,
     form_stats,
 )
@@ -61,11 +63,12 @@ class MgfEnvelope(_Record):
 
     @classmethod
     def from_stats(cls, stats: FormStats, direction: str = "upper"):
+        _check_instance(stats, FormStats, "stats")
         return cls(*stats.envelope(direction))
 
     def rhs(self, y):
         """(u*y)^2 / (1 - v*y) at a point y, or at every point of an array of them."""
-        ys = np.asarray(y, dtype=float)
+        ys = _real_values(y, "y")
         if not np.all((ys > 0.0) & (self.v * ys < 1.0)):
             raise DomainError("y = %r outside (0, 1/v)" % (y,))
         uy = self.u * ys
@@ -201,7 +204,7 @@ def log_mgf_term(a: float, b: float, y: float) -> float:
 
 def log_mgf_centered(form: DiagonalForm, y: float) -> float:
     """log E exp(y (T - mean)) = sum_k [log_mgf_term(a_k, b_k, y) - a_k y] at a real scalar y."""
-    _check_form(form)
+    _check_instance(form, DiagonalForm, "form")
     return float(_log_mgf_terms(form.a, form.b, _check_real(y, "y", "any"), centered=True)[0])
 
 
@@ -224,12 +227,16 @@ class EnvelopeCheck(_Record):
     """Grid verdict for the envelope inequality on one form."""
 
     def __init__(self, grid_size, y_max, max_slack, worst_y, violations):
+        grid_size = _check_count(grid_size, "grid_size")
+        if not (_is_integer(violations) and 0 <= violations <= grid_size):
+            raise ValidationError("violations must be an integer in [0, %d], got %r"
+                                  % (grid_size, violations))
         self.__dict__.update(
             grid_size=grid_size,
-            y_max=y_max,
-            max_slack=max_slack,
-            worst_y=worst_y,
-            violations=violations,
+            y_max=_check_real(y_max, "y_max", "positive"),
+            max_slack=_check_real(max_slack, "max_slack", "any"),
+            worst_y=_check_real(worst_y, "worst_y", "positive"),
+            violations=int(violations),
         )
 
     @property

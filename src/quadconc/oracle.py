@@ -39,11 +39,11 @@ from .bounds import (
     _binade,
     _check_count,
     _check_direction,
-    _check_form,
+    _check_instance,
     _check_real,
     _is_integer,
-    _is_real_type,
     _ldexp_or_inf,
+    _real_values,
     _Record,
 )
 from .errors import DegenerateFormError, NumericalError, ValidationError
@@ -87,11 +87,11 @@ class TailEstimate(_Record):
     """Monte Carlo tail probability with an exact binomial confidence interval."""
 
     def __init__(self, p_hat, ci_low, ci_high, n):
+        p_hat = _check_real(p_hat, "p_hat", "any")
+        ci_low, ci_high = _check_real(ci_low, "ci_low", "any"), _check_real(ci_high, "ci_high", "any")
         if not 0.0 <= ci_low <= p_hat <= ci_high <= 1.0:
             raise ValidationError("interval must satisfy 0 <= ci_low <= p_hat <= ci_high <= 1")
-        if n < 1:
-            raise ValidationError("n must be positive")
-        self.__dict__.update(p_hat=p_hat, ci_low=ci_low, ci_high=ci_high, n=n)
+        self.__dict__.update(p_hat=p_hat, ci_low=ci_low, ci_high=ci_high, n=_check_count(n, "n"))
 
 
 def _turn_table(n):
@@ -202,7 +202,7 @@ def _chunks(form, n, seed, whole=False):
     caller that is done with each chunk before asking for the next holds
     O(chunk) memory whatever n is.
     """
-    _check_form(form)
+    _check_instance(form, DiagonalForm, "form")
     n, seed = _check_count(n, "n"), _check_seed(seed)
     out = np.empty(n if whole else min(n, DEFAULT_CHUNK))
     # the form is sampled at 2^-e times its scale, where no product or sum
@@ -287,20 +287,6 @@ def _clopper_pearson(k, n, confidence):
     low = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
     high = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
     return low, high
-
-
-def _real_values(values, name):
-    """`values` as a float array if _check_real's type rules admit every entry, infinities too."""
-    array = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
-    kinds = set(map(type, array.flat)) if array.dtype == object else {array.dtype.type}
-    refused = sorted(kind.__name__ for kind in kinds if not _is_real_type(kind))
-    if not refused:
-        try:
-            return array.astype(float, copy=False)
-        except OverflowError:
-            refused = ["an integer past the float range"]
-    raise ValidationError("%s must be a real number or a vector of real numbers, got %s"
-                          % (name, ", ".join(refused)))
 
 
 def empirical_tail(samples, t, direction: str):
@@ -839,7 +825,7 @@ def cdf_cf(form: DiagonalForm, t: float) -> float:
     float range, and scaling the form and t by 2^k moves no bit.
     """
     global _slot
-    _check_form(form)
+    _check_instance(form, DiagonalForm, "form")
     t = _check_real(t, "t", "any")
     cached, plan = _slot
     if cached != form:

@@ -19,7 +19,7 @@ no code with this module.
 
 import numpy as np
 
-from .bounds import DiagonalForm, _binade, _is_real_type, _Record
+from .bounds import DiagonalForm, _binade, _check_instance, _real_values, _Record
 from .errors import NumericalError, ValidationError
 
 # accepted ||S V - V diag(w)||_F / ||S||_F and ||V'V - I||_F; LAPACK's
@@ -30,20 +30,12 @@ RESIDUAL_TOL = 1e-12
 def _float_array(values, name, ndim=1):
     """`values` as a read-only `ndim`-dimensional float array of its own.
 
-    Every entry must be a finite real: bools, strings, None, ragged nestings
-    and integers past the float range raise ValidationError, as does a
-    shape of another dimension.  A scalar counts as one-dimensional.
+    The entries must pass _real_values and be finite, and the shape must
+    have `ndim` dimensions, or ValidationError is raised.  A scalar counts
+    as one-dimensional.
     """
-    arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
-    kinds = set(map(type, arr.flat)) if arr.dtype == object else {arr.dtype.type}
-    if not all(map(_is_real_type, kinds)):
-        raise ValidationError("%s entries must be real numbers" % name)
-    try:
-        arr = np.array(arr, dtype=float, ndmin=1)
-        finite = np.isfinite(arr).all()
-    except OverflowError:  # an integer past the float range
-        finite = False
-    if not finite:
+    arr = np.array(_real_values(values, name), ndmin=1)
+    if not np.isfinite(arr).all():
         raise ValidationError("%s entries must be finite" % name)
     if arr.ndim != ndim:
         raise ValidationError("%s must be %d-dimensional, got shape %r" % (name, ndim, arr.shape))
@@ -142,7 +134,6 @@ def eigen_sym(s_mat):
 
 def reduce(form: QuadraticForm) -> SpectralReduction:
     """Full reduction: symmetrize, diagonalize, rotate the linear term."""
-    if not isinstance(form, QuadraticForm):
-        raise ValidationError("reduce expects a QuadraticForm")
+    _check_instance(form, QuadraticForm, "form")
     s, u = eigen_sym(symmetrize(form))
     return SpectralReduction(eigenvalues=s, basis=u, rotated_b=u.T @ form.b)

@@ -5,8 +5,10 @@ for a = (1,...,1), b = 0 with p = 5 the upper threshold at x = 1 is
 5 + 2*sqrt(5) + 2 = 7 + 2*sqrt(5).
 """
 
+import decimal
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -61,6 +63,25 @@ def test_upper_threshold_frozen():
 def test_lower_threshold_frozen():
     tb = qc.lower_threshold(chi5_stats(), 1.0)
     assert tb.threshold == pytest.approx(CHI5_LOWER_X1, rel=1e-12)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=1, max_size=12),
+       exponents)
+def test_nonnegative_a_is_laurent_massart(a_list, x):
+    # for a >= 0 and b = 0 the thresholds are Laurent & Massart (2000, Lemma 1):
+    # sum a + 2 |a|_2 sqrt(x) + 2 |a|_inf x above, sum a - 2 |a|_2 sqrt(x) below,
+    # each within 4 ulps of a 60-digit evaluation (of its larger term, below)
+    stats = qc.form_stats(qc.DiagonalForm(a_list, [0.0] * len(a_list)))
+    upper, lower = qc.upper_threshold(stats, x).threshold, qc.lower_threshold(stats, x).threshold
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        a, d = [decimal.Decimal(v) for v in a_list], decimal.Decimal(x)
+        total, gauss = sum(a), 2 * sum(v * v for v in a).sqrt() * d.sqrt()
+        above = total + gauss + 2 * max(a) * d
+        for got, exact, size in ((upper, above, above), (lower, total - gauss, max(total, gauss))):
+            ulp = decimal.Decimal(math.ulp(float(size)))
+            assert abs(decimal.Decimal(got) - exact) <= 4 * ulp, (got, exact)
 
 
 def test_pure_linear_threshold():
@@ -376,19 +397,28 @@ def test_form_stats_fields_are_reals_not_bools():
                 qc.FormStats(*fields)
 
 
+LOOK_ALIKE = SimpleNamespace(mean=10.0, envelope=lambda direction: (-1.0, 0.0))
+
+
 def test_scalar_checks_name_the_argument_and_its_sign():
-    # one check per kind of scalar: finite real of a sign, or positive integer
+    # one check per kind of argument: finite real of a sign, count, direction or record
     stats = chi5_stats()
     cases = [
         (lambda: qc.FormStats(math.nan, 1.0, 1.0, 0.0), "mean must be a finite real, got nan"),
         (lambda: qc.FormStats(0.0, -1.0, 1.0, 0.0), "u must be a nonnegative finite real"),
         (lambda: qc.FormStats(0.0, 1.0, 1.0, math.inf), "a_minus must be a nonnegative finite"),
         (lambda: qc.upper_threshold(stats, 0.0), "exponent x must be a positive finite real"),
+        # a 0-d look-alike that cannot be indexed once raised TypeError
+        (lambda: qc.upper_threshold(stats, SimpleNamespace(ndim=0)), "exponent x must be a posit"),
         (lambda: qc.tail_exponent(stats, -2, "lower"), "deviation must be a positive finite real"),
         (lambda: qc.envelope_threshold(1.0, -0.5, 1.0), "v must be a nonnegative finite real"),
         (lambda: qc.cdf_p1(1.0, True, 0.0), "b must be a finite real, got True"),
         (lambda: qc.sample(qc.DiagonalForm([1.0], [0.0]), 0, 1), "n must be a positive integer"),
         (lambda: qc.envelope_y_grid(-1.0, 4), "a_plus must be a nonnegative finite real, got -1.0"),
+        (lambda: qc.envelope_y_grid(1.0, 2**61), "grid size must be at most 2**53, got 2305843"),
+        (lambda: qc.tail_exponent(stats, 1.0, np.array(["upper", "lower"])), "direction must be"),
+        # a look-alike whose v < 0 once gave a threshold below the mean
+        (lambda: qc.upper_threshold(LOOK_ALIKE, 2.0), "stats must be a FormStats, got Simple"),
     ]
     for call, message in cases:
         with pytest.raises(ValidationError) as info:

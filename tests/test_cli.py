@@ -476,13 +476,13 @@ def test_mgf_check_at_extreme_scales(tmp_path, a, b, code):
 
 
 def test_mgf_check_zero_grid(chi5):
-    # a bad grid size is an invalid request, exit 2, like every other bad option value
-    for grid in (0, -3):
+    # a bad grid size is an invalid request, exit 2, like every other bad option value;
+    # a grid past 2^53 ended in numpy's ValueError and a traceback
+    for grid, rule in ((0, "a positive integer"), (-3, "a positive integer"),
+                       (10**20, "at most 2**53")):
         res = run("mgf-check", "--input", chi5, "--grid", grid)
         assert res.returncode == 2
-        assert res.stderr == (
-            "invalid request: grid size must be a positive integer, got %d\n" % grid
-        )
+        assert res.stderr == "invalid request: grid size must be %s, got %d\n" % (rule, grid)
 
 
 def test_bad_x_values(chi5):
@@ -761,7 +761,8 @@ def requests(draw):
     named = sorted(set(options) - {"--input", "--out"})
     target = draw(st.sampled_from(named if fault == "junk" else sorted(options)))
     if fault == "junk":
-        options[target] = JUNK
+        # a grid past 2^53 is junk too; --samples leaves it out, as it would draw that many
+        options[target] = st.one_of(JUNK, st.just(str(10**20))) if target == "--grid" else JUNK
     argv = ["zz" if fault == "command" else command]
     for option in sorted(options):
         if not (fault == "drop" and option == target):
@@ -776,6 +777,9 @@ def requests(draw):
 @example(("form.json", CHI5_JSON.encode()), ["verify", "--input", "DOC", "--samples", "10000",
                                            "--seed", "1", "--x-grid", "1:2:1", "--out", "OUT"],
          "ascii")
+# a grid past 2^53 once ended in numpy's ValueError and a traceback
+@example(("form.json", CHI5_JSON.encode()), ["mgf-check", "--grid", str(10**20), "--input", "DOC"],
+         "utf-8")
 def test_every_call_ends_in_output_or_one_error_line(document, request, encoding):
     name, content = document
     with tempfile.TemporaryDirectory() as tmp:

@@ -145,7 +145,7 @@ def test_public_api_is_pinned():
 # threshold function, _deviation)
 ORACLE_FROM_BOUNDS = {
     "DiagonalForm", "_Record", "_binade", "_check_real", "_check_count", "_check_direction",
-    "_check_form", "_is_integer", "_is_real_type", "_ldexp_or_inf",
+    "_check_instance", "_is_integer", "_is_real_type", "_ldexp_or_inf", "_real_values",
 }
 
 

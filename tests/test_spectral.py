@@ -276,7 +276,7 @@ def test_matrix_entries_must_be_finite_real_numbers():
         qc.QuadraticForm([[1.0]], [False])
     with pytest.raises(ValidationError):
         qc.QuadraticForm([[1, 2], [3]], [0, 0])  # ragged
-    with pytest.raises(ValidationError, match="must be finite"):
+    with pytest.raises(ValidationError, match="an integer past the float range"):
         qc.QuadraticForm([[10**400]], [0])
     form = qc.QuadraticForm([[2**70]], [0])
     assert form.matrix.tolist() == [[1.1805916207174113e21]]
