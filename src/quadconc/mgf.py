@@ -116,7 +116,9 @@ def _log_mgf_terms(a, b, ys, centered):
     """
     a, b, ys = np.ravel(a), np.ravel(b), np.ravel(ys)  # a form's tuples or scalars, as arrays once
     e = _binade(a, b)
-    a_s, b_s, y_s = np.ldexp(a, -e), np.ldexp(b, -e), np.ldexp(ys, e)
+    a_s, b_s = np.ldexp(a, -e), np.ldexp(b, -e)
+    with np.errstate(over="ignore"):  # an infinite y * 2^e is the rounded value
+        y_s = np.ldexp(ys, e)
     a2 = -2.0 * a_s  # q = (-2 a) y in doubled units
     ends = 1.0 + np.multiply.outer(a2, y_s[[np.argmin(y_s), np.argmax(y_s)]])
     if not np.all(ends > 0.0):
@@ -164,7 +166,8 @@ def _log_mgf_terms(a, b, ys, centered):
                 if not (doubled or math.isfinite(terms.max())):  # the terms are >= 0 or NaN
                     lost = ~np.isfinite(terms)
                     by = np.multiply.outer(b_s[ks], y)[lost]
-                    terms[lost] = 0.5 * by * (by / den[lost])
+                    with np.errstate(over="ignore"):  # an infinite term is the rounded value
+                        terms[lost] = 0.5 * by * (by / den[lost])
             # log1p keeps the small-y regime accurate where log(1 - 2ay) cancels against a*y
             logs = terms if central else den
             np.log1p(q, out=logs)

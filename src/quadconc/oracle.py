@@ -16,12 +16,15 @@ explicit Box-Muller transform rather than a library-version-dependent
 method: radius sqrt(-2 log u1) times (cos, sin)(2 pi u2), where the cosine
 and sine come from u2 itself, a table of _TURN_KNOTS + 1 knots and two short
 polynomials (see _polar), in + - * and rint, which IEEE 754 rounds the same
-on every host.  The chunks run one after the other on the calling thread,
-each one block of about _BLOCK normals at a time in buffers of about
-4.5 _BLOCK doubles.  sample writes them into its n-vector, so its peak
-memory is the output plus that much; verify takes them as a stream of
-chunks in one reused buffer, which empirical_tail counts as they come, so
-its memory does not grow with n.
+on every host.  The chunks run on W worker threads, W the CPUs this
+process may use but at most the chunk count.  Each worker makes its chunk
+one block of about _BLOCK normals at a time, in a scratch set of its own of
+about 4.5 _BLOCK doubles (1.2 MB).  A chunk's draws depend only on the seed
+and its counter, and each step is elementwise or a row product, so the bits
+do not depend on W.  sample writes the chunks into its n-vector, so its peak
+memory is the output plus W scratch sets; verify takes them in chunk order
+as a stream, in W + 1 reused chunk buffers of 512 KB, which empirical_tail
+counts as they come, so its memory does not grow with n.
 
 scipy is imported only where it is used, by the binomial interval.
 Importing this module, and both of cdf_cf's paths, load numpy only.  The
@@ -30,6 +33,8 @@ form that cdf_cf sees.
 """
 
 import math
+import os
+from collections import deque
 from collections.abc import Iterator
 
 import numpy as np
@@ -193,75 +198,116 @@ def _check_seed(seed):
     return int(seed)
 
 
+def _usable_cpus():
+    """How many CPUs this process may run on: its affinity set, where the system has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _chunks(form, n, seed, whole=False):
     """(out, chunks) for sample(form, n, seed), the request checked at once.
 
-    `chunks` is an iterator that yields the draws one chunk at a time, each
-    written into `out`: into its slice of the n-vector if `whole`, else into
-    one buffer of DEFAULT_CHUNK draws that the next chunk overwrites, so a
-    caller that is done with each chunk before asking for the next holds
-    O(chunk) memory whatever n is.
+    `chunks` is an iterator that yields the draws one chunk at a time, in
+    chunk order, each written into `out`: into its slice of the n-vector if
+    `whole`, else into a row of `out`, whose W + 1 rows of DEFAULT_CHUNK
+    draws (fewer if there are fewer chunks) take the chunks in turn, W the
+    number of workers (_fill_chunks).  A row is refilled only after the
+    chunk it held was yielded and the next one asked for, so a caller that
+    is done with each chunk before asking for the next holds O(W chunks)
+    memory whatever n is.
     """
     _check_instance(form, DiagonalForm, "form")
     n, seed = _check_count(n, "n"), _check_seed(seed)
-    out = np.empty(n if whole else min(n, DEFAULT_CHUNK))
+    count = -(-n // DEFAULT_CHUNK)
+    workers = min(_usable_cpus(), count)
+    out = np.empty(n if whole else (min(workers + 1, count), min(n, DEFAULT_CHUNK)))
     # the form is sampled at 2^-e times its scale, where no product or sum
     # can overflow, and each chunk scaled back; a power of two commutes with
     # every rounding, so the bits are those of the form itself wherever
     # nothing leaves the float range
     e = _binade(form.a, form.b)
     a, b = np.ldexp(form.a, -e), np.ldexp(form.b, -e)
-    return out, _fill_chunks(a, b, e, n, seed, out)
+    return out, _fill_chunks(a, b, e, n, seed, out, workers)
 
 
-def _fill_chunks(a, b, e, n, seed, out):
-    """The generator behind _chunks: fill out with each chunk in turn, then yield it.
+def _fill_chunks(a, b, e, n, seed, out, workers):
+    """The generator behind _chunks: fill the chunks on `workers` threads, yield them in order.
 
-    The draws are those of the form (a, b), scaled by 2^e.
+    The draws are those of the form (a, b), scaled by 2^e.  W = `workers`
+    chunks are in flight while the caller holds the one yielded last; each
+    worker thread fills its chunk in a scratch set of its own, taken from
+    a queue.  Closing the generator cancels the chunks not yet started and
+    waits for those running.
     """
+    from concurrent.futures import ThreadPoolExecutor
+    from queue import SimpleQueue
+
     p, size = a.size, DEFAULT_CHUNK
     # a multiple of 64 rows, so that every block but a chunk's last starts
     # BLAS's row kernels where the whole chunk's product would
     rows = min(size, max(64, _BLOCK // p // 64 * 64))
     pairs = (rows * p + 1) // 2
-    normals = np.empty(2 * pairs)
-    radius, *work = np.empty((7, pairs))
-    linear = np.empty(rows)
-    for chunk, start in enumerate(range(0, n, size)):
-        uniform = np.random.Generator(np.random.Philox(key=seed, counter=chunk << 128)).random
-        # the chunk's slice of the n-vector, or the head of the one-chunk buffer
-        draws = out[start : start + size] if out.size == n else out[: min(size, n - start)]
-        for lo in range(0, draws.size, rows):
-            m = min(rows, draws.size - lo)
-            k = (m * p + 1) // 2
-            z, r = normals[: 2 * k], radius[:k]
-            # (bits >> 11) * 2^-53 in stream order; u1 = that + 2^-53 is in
-            # (0, 1], so log never sees 0
-            uniform(out=z)
-            np.add(z[0::2], 2.0**-53, out=r)
-            np.log(r, out=r)
-            r *= -2.0
-            np.sqrt(r, out=r)
-            _polar(z[1::2], r, z[0::2], z[1::2], [w[:k] for w in work])
-            # (z * z) @ a + z @ b, squaring z in place once z @ b is taken
-            z = z[: m * p].reshape(m, p)
-            np.matmul(z, b, out=linear[:m])
-            np.multiply(z, z, out=z)
-            np.matmul(z, a, out=draws[lo : lo + m])
-            draws[lo : lo + m] += linear[:m]
-        if e:
-            with np.errstate(over="ignore"):  # an infinity here is the rounded value
-                np.ldexp(draws, e, out=draws)
-        yield draws
+    scratch = SimpleQueue()
+    for _ in range(workers):
+        scratch.put((np.empty(2 * pairs), np.empty((7, pairs)), np.empty(rows)))
+
+    def fill(chunk, draws):
+        normals, (radius, *work), linear = kit = scratch.get()
+        try:
+            uniform = np.random.Generator(np.random.Philox(key=seed, counter=chunk << 128)).random
+            for lo in range(0, draws.size, rows):
+                m = min(rows, draws.size - lo)
+                k = (m * p + 1) // 2
+                z, r = normals[: 2 * k], radius[:k]
+                # (bits >> 11) * 2^-53 in stream order; u1 = that + 2^-53 is in
+                # (0, 1], so log never sees 0
+                uniform(out=z)
+                np.add(z[0::2], 2.0**-53, out=r)
+                np.log(r, out=r)
+                r *= -2.0
+                np.sqrt(r, out=r)
+                _polar(z[1::2], r, z[0::2], z[1::2], [w[:k] for w in work])
+                # (z * z) @ a + z @ b, squaring z in place once z @ b is taken
+                z = z[: m * p].reshape(m, p)
+                np.matmul(z, b, out=linear[:m])
+                np.multiply(z, z, out=z)
+                np.matmul(z, a, out=draws[lo : lo + m])
+                draws[lo : lo + m] += linear[:m]
+            if e:
+                with np.errstate(over="ignore"):  # an infinity here is the rounded value
+                    np.ldexp(draws, e, out=draws)
+            return draws
+        finally:
+            scratch.put(kit)
+
+    # chunk c goes to its slice of the n-vector, or to the head of row c mod len(out)
+    chunks = ((c, out[lo : lo + size] if out.ndim == 1 else out[c % len(out), : min(size, n - lo)])
+              for c, lo in enumerate(range(0, n, size)))
+    pool = ThreadPoolExecutor(workers)
+    pending = deque()
+    try:
+        for chunk, draws in chunks:
+            pending.append(pool.submit(fill, chunk, draws))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def sample(form: DiagonalForm, n: int, seed: int) -> np.ndarray:
     """n realizations of the diagonal form, reproducible for a fixed seed.
 
     Chunk c of DEFAULT_CHUNK rows draws from one Philox generator at counter
-    c * 2^128.  The chunk is processed one block of about _BLOCK normals
-    at a time: uniforms, the Box-Muller transform and both matrix-vector
-    products run in buffers that every block reuses.  The
+    c * 2^128, and writes its own slice of the output.  The chunks run on
+    one worker thread per usable CPU, each worker holding one scratch set of
+    about 4.5 _BLOCK doubles (1.2 MB) beside the output.  A chunk is
+    processed one block of about _BLOCK normals at a time: uniforms, the
+    Box-Muller transform and both matrix-vector products run in buffers
+    that every block reuses.  The
     transform's cosine and sine of 2 pi u2 are formed from u2 by a table of
     knots and two short polynomials in exact IEEE operations (_polar), with
     the same bits on every host; its log and the two products are numpy's
@@ -270,7 +316,7 @@ def sample(form: DiagonalForm, n: int, seed: int) -> np.ndarray:
     overflows only where its value does.  A counter-based stream continues
     bit for bit across calls, and every step is elementwise or a row
     product, so at one BLAS thread the bits are those of the whole chunk's
-    normals followed by (z * z) @ a + z @ b.
+    normals followed by (z * z) @ a + z @ b, whatever the number of workers.
     """
     out, chunks = _chunks(form, n, seed, whole=True)
     for _ in chunks:

@@ -5,7 +5,8 @@ input contracts.
 `bound` and `invert` on a diagonal form need only sums, a max and a square
 root, so a cold call of either must not pay for importing numpy, nor for
 `dataclasses` and the `inspect` that it loads.  Matrix documents and
-`mgf-check` need numpy arithmetic but no scipy, and no `dataclasses`.
+`mgf-check` need numpy arithmetic but no scipy, no `dataclasses` and no
+`concurrent.futures`, which only verify's sampler threads need.
 Each check runs in a fresh interpreter, since this test process has all
 of these loaded already.
 """
@@ -37,7 +38,8 @@ def run_cli(argv):
 
 
 def heavy_modules():
-    return sorted(name for name in ("dataclasses", "inspect") if name in sys.modules)
+    return sorted(name for name in ("concurrent.futures", "dataclasses", "inspect")
+                  if name in sys.modules)
 
 
 import quadconc
@@ -60,14 +62,14 @@ for doc in (form, table):
         run_cli(argv)
         assert "numpy" not in sys.modules, (argv[0], doc.name)
         assert heavy_modules() == [], (argv[0], doc.name, heavy_modules())
-# numpy loads inspect, but not dataclasses
+# numpy loads inspect, but not dataclasses or concurrent.futures
 for argv in (
     ["bound", "--input", str(matrix), "--x", "1"],
     ["mgf-check", "--input", str(form), "--grid", "64"],
 ):
     run_cli(argv)
     assert "numpy" in sys.modules and scipy_modules() == [], (argv[0], scipy_modules())
-    assert "dataclasses" not in sys.modules, argv[0]
+    assert heavy_modules() == ["inspect"], (argv[0], heavy_modules())
 
 # the oracles that do need scipy still work in the same process
 from quadconc import cli

@@ -136,6 +136,19 @@ def test_log_mgf_where_the_doubled_term_overflows():
         assert qc.log_mgf_centered(form, 1.0) == 1.1250000000000002e308
 
 
+def test_log_mgf_past_the_float_range_is_inf_or_the_pole():
+    # the half-unit b^2 y^2 / 2 and the scaled y * 2^e leave the float range
+    # without a warning: the rounded term is inf, and a y past the pole is
+    # still refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert qc.log_mgf_term(1.0, 1e308, 0.1) == math.inf
+        with pytest.raises(DomainError):
+            qc.log_mgf_term(1.0, 0.3, 1e308)
+        with pytest.raises(DomainError):
+            qc.log_mgf_centered(CHI1, 1e308)
+
+
 def test_envelope_grid_near_the_float_limits():
     # the grid is spread for the rescaled pole: y_max * n does not overflow
     # for an a_plus near the bottom of the normal range

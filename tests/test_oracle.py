@@ -10,6 +10,7 @@ import contextlib
 import io
 import math
 import sys
+import threading
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -220,12 +221,13 @@ def test_polar_bits_are_the_same_on_every_cpu_setting():
 
 
 def test_sample_memory_is_one_block():
-    # the normals of one whole chunk at p = 24 are 12.6 MB; sample holds the
-    # block's normals and nine rows of about _BLOCK / 2 doubles
-    # beside the n-vector, 1.2 MB (with 2^17-normal blocks it held 2.6 MB)
+    # the normals of one whole chunk at p = 24 are 12.6 MB; beside the
+    # n-vector, each worker holds one block's normals and nine rows of about
+    # _BLOCK / 2 doubles, 1.2 MB (with 2^17-normal blocks it held 2.6 MB)
     rng = np.random.default_rng(24)
     form = qc.DiagonalForm(rng.uniform(-2, 2, 24), rng.uniform(-2, 2, 24))
     n = 2 * oracle.DEFAULT_CHUNK
+    workers = min(oracle._usable_cpus(), 2)
     qc.sample(form, n, 3)
     tracemalloc.start()
     try:
@@ -233,7 +235,7 @@ def test_sample_memory_is_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * n + 5 * 8 * 2**15, peak
+    assert peak < 8 * n + workers * 5 * 8 * 2**15, (peak, workers)
 
 
 def test_sample_validation():
@@ -415,21 +417,83 @@ def test_sorted_counts_match_count_nonzero(values, thresholds, block):
 @pytest.mark.parametrize("n", [1000, oracle.DEFAULT_CHUNK, 3 * oracle.DEFAULT_CHUNK + 1],
                          ids=["below-chunk", "one-chunk", "k-chunks-plus-1"])
 def test_streamed_counts_match_the_sampled_vector(n):
-    # a stream of chunks in one reused buffer counts exactly what the
-    # n-vector of sample counts, and yields the same draws in the same order
+    # a stream of chunks in W + 1 reused buffers, W the worker count, counts
+    # exactly what the n-vector of sample counts, and yields the same draws
+    # in the same order
     form = qc.DiagonalForm([1.0, -0.5, 2.0], [0.3, 0.0, -1.0])
     draws = qc.sample(form, n, 13)
     ts = np.concatenate([np.quantile(draws, [0.0, 0.01, 0.5, 0.99, 1.0]), [-np.inf, np.inf]])
     for direction in qc.DIRECTIONS:
         _, chunks = oracle._chunks(form, n, 13)
         assert qc.empirical_tail(chunks, ts, direction) == qc.empirical_tail(draws, ts, direction)
-    buffer, chunks = oracle._chunks(form, n, 13)
-    assert buffer.size == min(n, oracle.DEFAULT_CHUNK)
+    count = -(-n // oracle.DEFAULT_CHUNK)
+    workers = min(oracle._usable_cpus(), count)
+    buffers, chunks = oracle._chunks(form, n, 13)
+    assert buffers.shape == (min(workers + 1, count), min(n, oracle.DEFAULT_CHUNK))
     streamed = []
     for chunk in chunks:
-        assert np.shares_memory(chunk, buffer)
+        assert sum(np.shares_memory(chunk, row) for row in buffers) == 1
         streamed.append(chunk.copy())
     assert np.concatenate(streamed).tobytes() == draws.tobytes()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pooled_sample_and_stream_are_bitwise_one_worker(monkeypatch, workers):
+    # W workers fill the chunks in any order, here with a short switch
+    # interval and, at W = 3, more workers than a two-CPU host has; the
+    # n-vector, the stream and its counts are those of one worker, bit for bit
+    rng = np.random.default_rng(24)
+    form = qc.DiagonalForm(rng.uniform(-2, 2, 24), rng.uniform(-2, 2, 24))
+    n = 3 * oracle.DEFAULT_CHUNK + 1
+    ts = np.linspace(-20.0, 20.0, 41)
+
+    def run():
+        streamed = [chunk.copy() for chunk in oracle._chunks(form, n, 5)[1]]
+        counts = [qc.empirical_tail(oracle._chunks(form, n, 5)[1], ts, d) for d in qc.DIRECTIONS]
+        return qc.sample(form, n, 5), np.concatenate(streamed), counts
+
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pooled = run()
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
+    alone = run()
+    assert pooled[0].tobytes() == alone[0].tobytes()
+    assert pooled[1].tobytes() == alone[0].tobytes()
+    assert pooled[2] == alone[2]
+
+
+def test_closing_the_stream_stops_its_workers(monkeypatch):
+    # the chunks queued behind the first are cancelled, and the workers that
+    # run are waited for: no thread outlives the closed stream
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    _, chunks = oracle._chunks(CHI3, 8 * oracle.DEFAULT_CHUNK, 1)
+    next(chunks)
+    assert threading.active_count() > before
+    chunks.close()
+    assert threading.active_count() == before
+
+
+def test_streamed_count_memory_does_not_grow_with_n():
+    # the stream holds W + 1 chunk buffers and W scratch sets, whatever n is
+    form = qc.DiagonalForm([1.0, -0.5, 2.0], [0.3, 0.0, -1.0])
+    ts = np.linspace(-5.0, 10.0, 240)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            qc.empirical_tail(oracle._chunks(form, n, 2)[1], ts, "upper")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10**5)
+    small, large = peak(10**6), peak(4 * 10**6)
+    assert abs(large - small) < 8 * oracle._BLOCK, (small, large)
 
 
 def test_streamed_samples_are_checked():
@@ -876,8 +940,6 @@ def test_grid_cache_concurrent_calls_match_serial_bits():
     # four threads on two forms, one on each path, with a short switch
     # interval: the threads take the cache slot from each other mid-call,
     # and every value must still have the bits of a serial call
-    import threading
-
     rng = np.random.default_rng(48)
     forms = [
         qc.DiagonalForm(rng.normal(size=24), rng.normal(size=24)),
